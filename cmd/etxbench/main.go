@@ -1,36 +1,28 @@
 // Command etxbench regenerates the tables and figures of the paper's
 // evaluation (Frølund & Guerraoui, "Implementing e-Transactions with
 // Asynchronous Replication", DSN 2000) on the simulated substrate, plus the
-// extension experiments indexed in DESIGN.md.
+// extension experiments.
 //
 // Usage:
 //
 //	etxbench -exp all                # every experiment
 //	etxbench -exp f8 -scale 0.05     # the Figure-8 latency table
-//	etxbench -exp f7                 # Figure-7 communication steps
-//	etxbench -exp f1                 # Figure-1 protocol executions
-//	etxbench -exp failover           # response time under primary crashes
-//	etxbench -exp scaling            # latency vs deployment size
-//	etxbench -exp suspicion          # false-suspicion robustness (PB vs AR)
-//	etxbench -exp woregister         # wo-register microbenchmark
-//	etxbench -exp gc                 # register garbage-collection ablation
-//	etxbench -exp pipeline           # pipelined-client throughput (1xK vs Kx1)
-//	etxbench -exp shards             # throughput vs 1/2/4/8 key-sharded databases
-//	etxbench -exp batch              # group commit: fsyncs/commit and throughput on vs off
-//	etxbench -exp consensus          # cohort consensus: msgs and instances/commit on vs off
-//	etxbench -exp memory             # batch-log memory: slot map + heap, GC on vs off
-//	etxbench -exp queue              # queue-oriented deterministic execution vs strict 2PL
-//	etxbench -exp wire               # vectored TCP transport + adaptive batching windows
+//	etxbench -exp batch -quick       # one closed-loop sweep, CI-sized
+//
+// The scenario experiments are f8, f7, f1 (the paper's figures), failover,
+// suspicion, woregister, patience, gc and the raw-TCP half of wire. The
+// closed-loop sweeps — pipeline, scaling, shards, batch, consensus, memory,
+// queue, wire — are entries of one cell table (internal/bench/sweeps.go) and
+// print one row schema; the README's Benchmarks section lists them.
 //
 // -scale multiplies the paper's calibrated component costs: 1.0 reproduces
 // the paper's real-time latencies (a slow run), 0.05 keeps the ratios and
 // finishes in seconds. -quick shrinks the extension experiments for CI
-// smoke runs, -net lan|wan swaps the memnet substrate of the wire, queue
-// and consensus sweeps for a latcost latency profile, -json writes every
-// produced report as machine-readable
-// JSON (keyed by experiment name) so perf trajectories can accumulate as
-// build artifacts, and -memprofile writes a post-run heap profile for
-// leak hunts.
+// smoke runs and -net lan|wan swaps every sweep cell's memnet substrate for
+// a latcost latency profile. A sweep keeps its own scale, request count and
+// depths unless -scale, -requests or -inflight is given explicitly. -json
+// writes every produced report as machine-readable JSON (keyed by experiment
+// name) and -memprofile writes a post-run heap profile for leak hunts.
 package main
 
 import (
@@ -52,23 +44,47 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment: all|f8|f7|f1|failover|scaling|suspicion|woregister|patience|gc|pipeline|shards|batch|consensus|memory|queue|wire")
+	names := "all|f8|f7|f1|failover|suspicion|woregister|patience|gc"
+	for _, sw := range bench.Sweeps() {
+		names += "|" + sw[0]
+	}
+	exp := flag.String("exp", "all", "experiment: "+names)
 	scale := flag.Float64("scale", 0.05, "cost-model scale (1.0 = the paper's real-time costs)")
 	requests := flag.Int("requests", 30, "requests per measured column")
 	runs := flag.Int("runs", 5, "runs per failure scenario")
-	inflight := flag.Int("inflight", 16, "pipelining depth K for -exp pipeline")
+	inflight := flag.Int("inflight", 16, "pipelining depth K of the sweeps")
 	quick := flag.Bool("quick", false, "CI smoke mode: smaller scale and request counts for the extension experiments")
-	netProfile := flag.String("net", "", "latcost network profile for the wire/queue/consensus sweeps: lan|wan (default: each sweep's own substrate)")
+	netProfile := flag.String("net", "", "latcost network profile for every sweep cell: lan|wan (default: each sweep's own substrate)")
 	jsonPath := flag.String("json", "", "write the reports as JSON to this file (keyed by experiment name)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file after the experiments finish")
 	flag.Parse()
 
+	// -scale, -requests, -inflight and -runs default to values tuned for the
+	// paper's figures; the sweeps, and the failover scenario in quick mode,
+	// honour them only when given explicitly.
+	var setScale float64
+	var setRequests, setInflight, setRuns int
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			setScale = *scale
+		case "requests":
+			setRequests = *requests
+		case "inflight":
+			setInflight = *inflight
+		case "runs":
+			setRuns = *runs
+		}
+	})
+
+	// key is the report's name in the JSON document; the wire experiment has
+	// a scenario half and a sweep half under one -exp name.
 	type experiment struct {
-		name string
-		run  func() (fmt.Stringer, error)
+		name, key string
+		run       func() (fmt.Stringer, error)
 	}
 	experiments := []experiment{
-		{"f8", func() (fmt.Stringer, error) {
+		{"f8", "f8", func() (fmt.Stringer, error) {
 			out, err := bench.RunFigure8(bench.Figure8Config{Scale: *scale, Requests: *requests})
 			if err != nil {
 				return nil, err
@@ -79,134 +95,26 @@ func run() error {
 			fmt.Println()
 			return out, nil
 		}},
-		{"f7", func() (fmt.Stringer, error) { return bench.RunFigure7(*scale) }},
-		{"f1", func() (fmt.Stringer, error) { return bench.RunFigure1(*scale) }},
-		{"failover", func() (fmt.Stringer, error) {
-			cfg := bench.FailoverConfig{Scale: *scale, Quick: *quick}
-			// -runs defaults to a value tuned for the full run; in quick
-			// mode honour it only when the user set it explicitly.
-			if !*quick {
-				cfg.Runs = *runs
+		{"f7", "f7", func() (fmt.Stringer, error) { return bench.RunFigure7(*scale) }},
+		{"f1", "f1", func() (fmt.Stringer, error) { return bench.RunFigure1(*scale) }},
+		{"failover", "failover", func() (fmt.Stringer, error) {
+			cfg := bench.FailoverConfig{Scale: *scale, Runs: *runs, Quick: *quick}
+			if *quick {
+				cfg.Runs = setRuns
 			}
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "runs" {
-					cfg.Runs = *runs
-				}
-			})
 			return bench.RunFailover(cfg)
 		}},
-		{"scaling", func() (fmt.Stringer, error) { return bench.RunScaling(*scale, *requests) }},
-		{"suspicion", func() (fmt.Stringer, error) { return bench.RunSuspicion(*scale, *runs) }},
-		{"woregister", func() (fmt.Stringer, error) { return bench.RunWORegister(*scale, 3, *requests) }},
-		{"patience", func() (fmt.Stringer, error) { return bench.RunPatience(*scale, *runs) }},
-		{"gc", func() (fmt.Stringer, error) { return bench.RunGCAblation(5 * *runs * *runs) }},
-		{"pipeline", func() (fmt.Stringer, error) { return bench.RunPipeline(*scale, *requests, *inflight) }},
-		{"shards", func() (fmt.Stringer, error) {
-			cfg := bench.ShardsConfig{Quick: *quick}
-			if !*quick {
-				cfg.Scale = *scale
-			}
-			// -scale/-requests/-inflight default to values tuned for the
-			// other experiments; in quick mode honour them only when the
-			// user set them explicitly.
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "scale":
-					cfg.Scale = *scale
-				case "requests":
-					cfg.Requests = *requests
-				case "inflight":
-					cfg.InFlight = *inflight
-				}
-			})
-			return bench.RunShards(cfg)
-		}},
-		{"batch", func() (fmt.Stringer, error) {
-			cfg := bench.BatchConfig{Quick: *quick}
-			if !*quick {
-				cfg.Scale = *scale
-			}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "scale":
-					cfg.Scale = *scale
-				case "requests":
-					cfg.Requests = *requests
-				case "inflight":
-					cfg.InFlights = []int{1}
-					if *inflight != 1 {
-						cfg.InFlights = append(cfg.InFlights, *inflight)
-					}
-				}
-			})
-			return bench.RunBatch(cfg)
-		}},
-		{"memory", func() (fmt.Stringer, error) {
-			// The memory sweep is CPU-bound like the consensus one; -scale
-			// does not apply. -requests overrides the commit volume.
-			cfg := bench.MemoryConfig{Quick: *quick}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "requests":
-					cfg.Commits = *requests
-				case "inflight":
-					cfg.InFlight = *inflight
-				}
-			})
-			return bench.RunMemory(cfg)
-		}},
-		{"queue", func() (fmt.Stringer, error) {
-			// The queue sweep runs on its own fixed LAN-like substrate, so
-			// -scale does not apply to it.
-			cfg := bench.QueueConfig{Quick: *quick, Net: *netProfile}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "requests":
-					cfg.Requests = *requests
-				case "inflight":
-					cfg.InFlights = []int{1}
-					if *inflight != 1 {
-						cfg.InFlights = append(cfg.InFlights, *inflight)
-					}
-				}
-			})
-			return bench.RunQueue(cfg)
-		}},
-		{"consensus", func() (fmt.Stringer, error) {
-			// The consensus sweep is CPU-bound by design (zero-cost network
-			// and log device), so -scale does not apply to it.
-			cfg := bench.ConsensusConfig{Quick: *quick, Net: *netProfile}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "requests":
-					cfg.Requests = *requests
-				case "inflight":
-					cfg.InFlights = []int{1}
-					if *inflight != 1 {
-						cfg.InFlights = append(cfg.InFlights, *inflight)
-					}
-				}
-			})
-			return bench.RunConsensus(cfg)
-		}},
-		{"wire", func() (fmt.Stringer, error) {
-			// The wire sweep runs on real TCP loopback (transport section)
-			// and its own memnet substrate (windows section); -scale does
-			// not apply to it.
-			cfg := bench.WireConfig{Quick: *quick, Net: *netProfile}
-			flag.Visit(func(f *flag.Flag) {
-				switch f.Name {
-				case "requests":
-					cfg.Requests = *requests
-				case "inflight":
-					cfg.InFlights = []int{1}
-					if *inflight != 1 {
-						cfg.InFlights = append(cfg.InFlights, *inflight)
-					}
-				}
-			})
-			return bench.RunWire(cfg)
-		}},
+		{"suspicion", "suspicion", func() (fmt.Stringer, error) { return bench.RunSuspicion(*scale, *runs) }},
+		{"woregister", "woregister", func() (fmt.Stringer, error) { return bench.RunWORegister(*scale, 3, *requests) }},
+		{"patience", "patience", func() (fmt.Stringer, error) { return bench.RunPatience(*scale, *runs) }},
+		{"gc", "gc", func() (fmt.Stringer, error) { return bench.RunGCAblation(5 * *runs * *runs) }},
+		{"wire", "wire_tcp", func() (fmt.Stringer, error) { return bench.RunWire(*quick, setInflight) }},
+	}
+	for _, sw := range bench.Sweeps() {
+		name := sw[0]
+		experiments = append(experiments, experiment{name, name, func() (fmt.Stringer, error) {
+			return bench.RunSweep(name, *quick, *netProfile, setScale, setRequests, setInflight)
+		}})
 	}
 
 	matched := false
@@ -222,7 +130,7 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Println(out.String())
-		reports[e.name] = out
+		reports[e.key] = out
 	}
 	if !matched {
 		return fmt.Errorf("unknown experiment %q", *exp)

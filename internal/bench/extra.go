@@ -17,79 +17,7 @@ import (
 	"etx/internal/metrics"
 	"etx/internal/msg"
 	"etx/internal/transport"
-	"etx/internal/workload"
 )
-
-// --- EXP-SC: overhead vs replication degree and database count --------------
-
-// ScalingRow is one deployment size's mean latency.
-type ScalingRow struct {
-	AppServers  int
-	DataServers int
-	Latency     metrics.Summary
-}
-
-// Scaling reports latency as the middle tier and the database tier grow.
-type Scaling struct {
-	Scale float64
-	Rows  []ScalingRow
-}
-
-// RunScaling measures the replicated protocol at 3/5/7 application servers
-// and 1..3 database servers.
-func RunScaling(scale float64, requests int) (*Scaling, error) {
-	if scale <= 0 {
-		scale = 0.05
-	}
-	if requests <= 0 {
-		requests = 10
-	}
-	model := latcost.Paper(scale)
-	out := &Scaling{Scale: scale}
-	for _, shape := range []struct{ apps, dbs int }{
-		{3, 1}, {5, 1}, {7, 1}, {3, 2}, {3, 3},
-	} {
-		c, err := arDeployment(model, shape.apps, shape.dbs, nil, 1)
-		if err != nil {
-			return nil, errf("scaling %d/%d: %w", shape.apps, shape.dbs, err)
-		}
-		lats := metrics.NewSample()
-		deadline := 300 * estimatedTotal(model)
-		for i := 0; i < requests; i++ {
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			t0 := time.Now()
-			_, err := c.Client(1).Issue(ctx, benchRequest())
-			cancel()
-			if err != nil {
-				c.Stop()
-				return nil, errf("scaling %d/%d request %d: %w", shape.apps, shape.dbs, i, err)
-			}
-			if i > 0 { // skip the cold first request
-				lats.AddDuration(time.Since(t0))
-			}
-		}
-		c.Stop()
-		out.Rows = append(out.Rows, ScalingRow{
-			AppServers: shape.apps, DataServers: shape.dbs, Latency: lats.Summarize(),
-		})
-	}
-	return out, nil
-}
-
-// String renders the scaling report.
-func (s *Scaling) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Latency vs deployment size (scale %.3f; paper time base)\n", s.Scale)
-	fmt.Fprintf(&b, "%-12s %-12s %12s\n", "app servers", "db servers", "mean (ms)")
-	for _, r := range s.Rows {
-		// Measurements are in scaled milliseconds; divide by the scale to
-		// report in the paper's time base like every other table.
-		fmt.Fprintf(&b, "%-12d %-12d %12.1f\n", r.AppServers, r.DataServers, r.Latency.Mean/s.Scale)
-	}
-	b.WriteString("(the voting and decide rounds broadcast to every database; the register\n" +
-		" writes need one majority round trip regardless of replica count)\n")
-	return b.String()
-}
 
 // --- EXP-FS: false suspicions — AR stays safe, primary-backup does not ------
 
@@ -215,27 +143,15 @@ func oneARSuspicionRun(model latcost.Model) (delivered, inconsistent bool, err e
 // an aggressive cleaner, so injected suspicions bite quickly.
 func arDeploymentWithDetectors(model latcost.Model, dets map[id.NodeID]*fd.Scripted) (*cluster.Cluster, error) {
 	total := estimatedTotal(model)
-	return cluster.New(cluster.Config{
-		AppServers:  3,
-		DataServers: 1,
-		Net:         transport.Options{Latency: model.LatencyFunc()},
-		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, model.SQLWork)
-		}),
-		ForceLatency: model.DBForce,
-		Seed:         benchSeed(),
-
-		ResendInterval:    100 * total,
-		CleanInterval:     2 * time.Millisecond,
-		ClientBackoff:     4 * total,
-		ClientRebroadcast: 4 * total,
-		ComputeTimeout:    200 * total,
-		Detector: func(self id.NodeID) fd.Detector {
-			d := fd.NewScripted()
-			dets[self] = d
-			return d
-		},
-	})
+	cfg := scenarioConfig(model)
+	cfg.CleanInterval = 2 * time.Millisecond
+	cfg.ClientBackoff, cfg.ClientRebroadcast = 4*total, 4*total
+	cfg.Detector = func(self id.NodeID) fd.Detector {
+		d := fd.NewScripted()
+		dets[self] = d
+		return d
+	}
+	return cluster.New(cfg)
 }
 
 // String renders the suspicion report.
@@ -400,7 +316,7 @@ func RunGCAblation(requests int) (*GCAblation, error) {
 	out := &GCAblation{Requests: requests}
 	for _, retire := range []bool{false, true} {
 		model := latcost.Paper(0.001) // latency is irrelevant here
-		c, err := arDeployment(model, 3, 1, nil, 1)
+		c, err := arDeployment(model, 3, 1, nil)
 		if err != nil {
 			return nil, errf("gc ablation: %w", err)
 		}

@@ -12,8 +12,6 @@ import (
 	"etx/internal/id"
 	"etx/internal/latcost"
 	"etx/internal/metrics"
-	"etx/internal/transport"
-	"etx/internal/workload"
 )
 
 // FailoverConfig parameterizes the failure-response-time experiment — the
@@ -126,24 +124,9 @@ func oneFailoverRun(model latcost.Model, suspect time.Duration, point core.Crash
 	var cRef atomic.Pointer[cluster.Cluster]
 	var fired atomic.Bool
 	total := estimatedTotal(model)
-	cfg := cluster.Config{
-		AppServers:  3,
-		DataServers: 1,
-		Net:         transport.Options{Latency: model.LatencyFunc()},
-		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, model.SQLWork)
-		}),
-		ForceLatency: model.DBForce,
-		Seed:         benchSeed(),
-
-		HeartbeatInterval: suspect / 6,
-		SuspectTimeout:    suspect,
-		ResendInterval:    100 * total,
-		CleanInterval:     suspect / 6,
-		ClientBackoff:     4 * total,
-		ClientRebroadcast: 4 * total,
-		ComputeTimeout:    200 * total,
-	}
+	cfg := scenarioConfig(model)
+	cfg.HeartbeatInterval, cfg.SuspectTimeout, cfg.CleanInterval = suspect/6, suspect, suspect/6
+	cfg.ClientBackoff, cfg.ClientRebroadcast = 4*total, 4*total
 	if point != "" {
 		cfg.Hooks = func(self id.NodeID) *core.Hooks {
 			if self != id.AppServer(1) {

@@ -13,7 +13,6 @@ import (
 	"etx/internal/latcost"
 	"etx/internal/msg"
 	"etx/internal/trace"
-	"etx/internal/transport"
 	"etx/internal/workload"
 )
 
@@ -99,27 +98,13 @@ func RunFigure7(scale float64) (*Figure7, error) {
 func traceARScenario(model latcost.Model, hooks func(self id.NodeID, c *atomic.Pointer[cluster.Cluster]) *core.Hooks,
 	logic core.Logic) (*ProtocolTrace, *core.Client, error) {
 	var cRef atomic.Pointer[cluster.Cluster]
-	if logic == nil {
-		logic = core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, model.SQLWork)
-		})
-	}
 	total := estimatedTotal(model)
-	cfg := cluster.Config{
-		AppServers:  3,
-		DataServers: 1,
-		Net:         transport.Options{Latency: model.LatencyFunc()},
-		Logic:       logic,
-		Seed:        benchSeed(),
-
-		HeartbeatInterval: 2 * time.Millisecond,
-		SuspectTimeout:    16 * time.Millisecond,
-		ResendInterval:    100 * total,
-		CleanInterval:     2 * time.Millisecond,
-		ClientBackoff:     20 * total,
-		ClientRebroadcast: 20 * total,
-		ComputeTimeout:    200 * total,
+	cfg := scenarioConfig(model)
+	if logic != nil {
+		cfg.Logic = logic
 	}
+	cfg.HeartbeatInterval, cfg.SuspectTimeout, cfg.CleanInterval = 2*time.Millisecond, 16*time.Millisecond, 2*time.Millisecond
+	cfg.ClientBackoff, cfg.ClientRebroadcast = 20*total, 20*total
 	if hooks != nil {
 		cfg.Hooks = func(self id.NodeID) *core.Hooks { return hooks(self, &cRef) }
 	}

@@ -7,14 +7,11 @@ import (
 	"time"
 
 	"etx/internal/cluster"
-	"etx/internal/core"
 	"etx/internal/id"
 	"etx/internal/latcost"
 	"etx/internal/metrics"
 	"etx/internal/msg"
 	"etx/internal/trace"
-	"etx/internal/transport"
-	"etx/internal/workload"
 )
 
 // PatienceRow is one client-patience setting: how long the client waits for
@@ -77,26 +74,11 @@ func onePatienceRun(model latcost.Model, frac float64, requests int) (*PatienceR
 	if backoff < time.Millisecond {
 		backoff = time.Millisecond
 	}
-	cfg := cluster.Config{
-		AppServers:  3,
-		DataServers: 1,
-		Net:         transport.Options{Latency: model.LatencyFunc()},
-		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, model.SQLWork)
-		}),
-		ForceLatency: model.DBForce,
-		Seed:         benchSeed(),
-
-		HeartbeatInterval: 20 * time.Millisecond,
-		SuspectTimeout:    100 * total,
-		ResendInterval:    100 * total,
-		CleanInterval:     25 * time.Millisecond,
-		ClientBackoff:     backoff,
-		// Faithful to Figure 2: one broadcast after the back-off, then wait
-		// (the long rebroadcast is only the liveness net).
-		ClientRebroadcast: 20 * total,
-		ComputeTimeout:    200 * total,
-	}
+	cfg := scenarioConfig(model)
+	cfg.SuspectTimeout = 100 * total
+	// Faithful to Figure 2: one broadcast after the back-off, then wait
+	// (the long rebroadcast is only the liveness net).
+	cfg.ClientBackoff, cfg.ClientRebroadcast = backoff, 20*total
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err

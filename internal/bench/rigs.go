@@ -1,8 +1,10 @@
 // Package bench contains the experiment harness that regenerates every
 // table and figure of the paper's evaluation (Appendix 3), plus the
-// extension experiments DESIGN.md's index lists (failover response time,
-// scaling, false-suspicion robustness, wo-register microbenchmarks and the
-// garbage-collection ablation).
+// extension experiments. The closed-loop sweeps are entries of one cell
+// table (sweeps.go) run by one driver into one row schema (cell.go); the
+// scenario experiments (the figures, failover response time, false-suspicion
+// robustness, wo-register microbenchmarks, client patience, the
+// garbage-collection ablation, raw TCP framing) have a file each.
 //
 // Each experiment builds fresh deployments on the in-memory network with the
 // calibrated latcost model, runs the paper's bank workload, and reports
@@ -47,32 +49,19 @@ func benchRequest() []byte {
 	return workload.EncodeBank(workload.BankRequest{Account: seedAccount, Amount: -1})
 }
 
-// arDeployment builds an AR cluster calibrated with the model.
-func arDeployment(model latcost.Model, appServers, dbServers int, rec *latcost.Recorder, netSeed int64) (*cluster.Cluster, error) {
-	total := estimatedTotal(model)
-	cfg := cluster.Config{
-		AppServers:  appServers,
-		DataServers: dbServers,
-		Net: transport.Options{
-			Latency: model.LatencyFunc(),
-			Seed:    netSeed,
-		},
-		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, model.SQLWork)
-		}),
-		ForceLatency: model.DBForce,
-		Seed:         benchSeed(),
+// scenarioConfig is the deployment the scenario experiments start from: the
+// sweeps' paperDeployment with one client working the one bench account.
+// Scenarios that inject failures override the timers the failure exercises.
+func scenarioConfig(model latcost.Model) cluster.Config {
+	cfg := paperDeployment(model, 0, []string{seedAccount}, true)
+	cfg.Clients = 1
+	return cfg
+}
 
-		// Keep background machinery out of the measured path: suspicions and
-		// protocol resends must never fire in a failure-free run.
-		HeartbeatInterval: 20 * time.Millisecond,
-		SuspectTimeout:    50 * total,
-		ResendInterval:    100 * total,
-		CleanInterval:     25 * time.Millisecond,
-		ClientBackoff:     20 * total,
-		ClientRebroadcast: 20 * total,
-		ComputeTimeout:    200 * total,
-	}
+// arDeployment builds a failure-free AR cluster calibrated with the model.
+func arDeployment(model latcost.Model, appServers, dbServers int, rec *latcost.Recorder) (*cluster.Cluster, error) {
+	cfg := scenarioConfig(model)
+	cfg.AppServers, cfg.DataServers = appServers, dbServers
 	if rec != nil {
 		cfg.Hooks = func(self id.NodeID) *core.Hooks { return rec.Hooks() }
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // Runner is a running deployment of one protocol with a uniform
-// issue-one-request surface, used by the repository-level testing.B
-// benchmarks.
+// issue-one-request surface, used by the Figure-8 table and the
+// repository-level testing.B benchmarks.
 type Runner struct {
 	issue func(ctx context.Context) error
+	check func() error // the protocol's oracle, if it has one
 	stop  func()
 }
 
@@ -24,14 +25,20 @@ func (r *Runner) Stop() { r.stop() }
 // Protocol2PC, ProtocolPB or ProtocolAR) on the cost model at the given
 // scale.
 func NewRunner(protocol string, scale float64) (*Runner, error) {
-	model := latcost.Paper(scale)
+	return newRunner(protocol, latcost.Paper(scale), 3, nil)
+}
+
+// newRunner is NewRunner on an explicit model, with appServers AR replicas
+// and, if rec is set, the protocol's spans recorded (primary-backup has no
+// Figure-8 column and records none).
+func newRunner(protocol string, model latcost.Model, appServers int, rec *latcost.Recorder) (*Runner, error) {
 	switch protocol {
 	case ProtocolBaseline, Protocol2PC:
 		build := newBaselineRig
 		if protocol == Protocol2PC {
 			build = newTwoPCRig
 		}
-		rig, err := build(model, nil)
+		rig, err := build(model, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -61,14 +68,23 @@ func NewRunner(protocol string, scale float64) (*Runner, error) {
 			stop: rig.stop,
 		}, nil
 	case ProtocolAR:
-		c, err := arDeployment(model, 3, 1, nil, 1)
+		c, err := arDeployment(model, appServers, 1, rec)
 		if err != nil {
 			return nil, err
 		}
 		return &Runner{
 			issue: func(ctx context.Context) error {
-				_, err := c.Client(1).Issue(ctx, benchRequest())
+				res, err := c.Client(1).Issue(ctx, benchRequest())
+				if err == nil && len(res) == 0 {
+					err = errf("AR request returned an empty result")
+				}
 				return err
+			},
+			check: func() error {
+				if rep := c.CheckProperties(); !rep.Ok() {
+					return errf("AR oracle violations: %s", rep)
+				}
+				return nil
 			},
 			stop: c.Stop,
 		}, nil

@@ -1,40 +1,28 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"etx/internal/cluster"
-	"etx/internal/core"
 	"etx/internal/id"
-	"etx/internal/latcost"
-	"etx/internal/metrics"
 	"etx/internal/msg"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/workload"
 )
 
-// --- EXP-WI: zero-copy vectored transport + adaptive windows ------------------
+// --- EXP-WI: zero-copy vectored transport --------------------------------------
 //
-// Two sections, one per half of the transport rework. The wire section is a
-// raw-transport microbenchmark over real TCP loopback: a sender pushes
+// A raw-transport microbenchmark over real TCP loopback: a sender pushes
 // frames at a fixed pipelining depth through the per-peer writer, once with
 // vectored flushes (one writev per queue drain) and once with the flush cap
 // pinned to one frame — the historical one-write-per-frame transport — so
 // the frames-per-second and syscall columns of a depth are directly
 // comparable. The zero-copy property is counter-verified every run: on the
-// writev build the coalesced counter must stay at 0. The windows section
-// runs the full commit path on a memnet cluster and sweeps the batching
-// policy — static windows of three magnitudes against the adaptive mode —
-// at depth 1 and at depth: adaptive must match the best static cell at both
-// ends, which no single static window does (window 0 loses throughput at
-// depth, a wide window pays its full width at depth 1).
+// writev build the coalesced counter must stay at 0. (The other half of
+// `etxbench -exp wire`, the batching-windows sweep, is a cell table entry in
+// sweeps.go.)
 
-// WireRow is one (mode, depth) cell of the raw-transport section.
+// WireRow is one (mode, depth) cell.
 type WireRow struct {
 	Mode     string        `json:"mode"` // "perframe" | "writev"
 	InFlight int           `json:"in_flight"`
@@ -54,88 +42,30 @@ type WireRow struct {
 	QueueDrops uint64 `json:"queue_drops"`
 }
 
-// WindowRow is one (policy, depth) cell of the adaptive-windows section.
-type WindowRow struct {
-	Mode     string        `json:"mode"` // "static-0" | "static-100us" | "static-2ms" | "adaptive"
-	InFlight int           `json:"in_flight"`
-	Requests int           `json:"requests"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	// Throughput is committed requests per second.
-	Throughput float64 `json:"throughput_rps"`
-	// P50 and P99 are client-observed commit latencies in ms.
-	P50 float64 `json:"p50_ms"`
-	P99 float64 `json:"p99_ms"`
-}
-
 // WireReport is the experiment report.
 type WireReport struct {
-	Wire    []WireRow   `json:"wire"`
-	Windows []WindowRow `json:"windows"`
-	// Net is the -net profile of the windows section ("" = zero-latency).
-	Net string `json:"net,omitempty"`
+	Wire []WireRow `json:"wire"`
 }
 
-// WireConfig parameterizes RunWire. Zero values take defaults; Quick
-// shrinks everything for CI smoke runs.
-type WireConfig struct {
-	Frames    int    // raw frames per wire cell
-	Requests  int    // committed requests per windows cell
-	InFlights []int  // pipelining depths to sweep
-	Net       string // latcost profile for the windows section: "", "lan", "wan"
-	Quick     bool
-}
-
-func (c *WireConfig) setDefaults() {
-	if c.Quick {
-		if c.Frames <= 0 {
-			c.Frames = 4000
-		}
-		if c.Requests <= 0 {
-			c.Requests = 160
-		}
-		if len(c.InFlights) == 0 {
-			c.InFlights = []int{1, 32}
-		}
+// RunWire measures the raw transport at depths 1, 32 and 64 (or 1 and depth,
+// when depth is nonzero), best of two runs per cell; quick shrinks it to one
+// run of fewer frames at depths 1 and 32.
+func RunWire(quick bool, depth int) (*WireReport, error) {
+	runs, frames, depths := 2, 20000, []int{1, 32, 64}
+	if quick {
+		runs, frames, depths = 1, 4000, []int{1, 32}
 	}
-	if c.Frames <= 0 {
-		c.Frames = 20000
+	if depth > 1 {
+		depths = []int{1, depth}
+	} else if depth == 1 {
+		depths = []int{1}
 	}
-	if c.Requests <= 0 {
-		c.Requests = 500
-	}
-	if len(c.InFlights) == 0 {
-		c.InFlights = []int{1, 32, 64}
-	}
-}
-
-// windowPolicies are the batching policies of the windows section. The
-// static magnitudes bracket the trade: 0 is the paper-exact no-batching
-// mode, 100µs is the tuned always-on setting the earlier experiments use,
-// 2ms is a wide window that maximizes sharing.
-var windowPolicies = []struct {
-	name          string
-	batch, cohort time.Duration
-	adaptive      bool
-}{
-	{"static-0", 0, 0, false},
-	{"static-100us", 100 * time.Microsecond, 100 * time.Microsecond, false},
-	{"static-2ms", 2 * time.Millisecond, 2 * time.Millisecond, false},
-	{"adaptive", 0, 0, true},
-}
-
-// RunWire measures the raw transport and the batching policies.
-func RunWire(cfg WireConfig) (*WireReport, error) {
-	cfg.setDefaults()
-	out := &WireReport{Net: cfg.Net}
-	runs := 2
-	if cfg.Quick {
-		runs = 1
-	}
-	for _, inflight := range cfg.InFlights {
+	out := &WireReport{}
+	for _, inflight := range depths {
 		for _, mode := range []string{"perframe", "writev"} {
 			var best WireRow
 			for r := 0; r < runs; r++ {
-				row, err := oneWireRun(mode, inflight, cfg.Frames)
+				row, err := oneWireRun(mode, inflight, frames)
 				if err != nil {
 					return nil, errf("wire inflight=%d mode=%s: %w", inflight, mode, err)
 				}
@@ -144,21 +74,6 @@ func RunWire(cfg WireConfig) (*WireReport, error) {
 				}
 			}
 			out.Wire = append(out.Wire, best)
-		}
-	}
-	for _, inflight := range cfg.InFlights {
-		for _, pol := range windowPolicies {
-			var best WindowRow
-			for r := 0; r < runs; r++ {
-				row, err := oneWindowRun(pol.name, pol.batch, pol.cohort, pol.adaptive, inflight, cfg.Requests, cfg.Net)
-				if err != nil {
-					return nil, errf("wire windows inflight=%d mode=%s: %w", inflight, pol.name, err)
-				}
-				if r == 0 || row.Throughput > best.Throughput {
-					best = row
-				}
-			}
-			out.Windows = append(out.Windows, best)
 		}
 	}
 	return out, nil
@@ -264,120 +179,6 @@ func oneWireRun(mode string, inflight, frames int) (WireRow, error) {
 	return row, nil
 }
 
-// oneWindowRun drives one windows cell: `requests` bank transactions against
-// a one-shard tier at the given pipelining depth under one batching policy.
-func oneWindowRun(mode string, batch, cohort time.Duration, adaptive bool, inflight, requests int, netName string) (WindowRow, error) {
-	const clients = 4
-	poolSize := 8 * inflight
-	pool := make([]string, poolSize)
-	seed := make(map[string]int64, poolSize)
-	for i := range pool {
-		pool[i] = fmt.Sprintf("wi%04d", i)
-		seed[pool[i]] = 1 << 40
-	}
-
-	netOpts, err := latcost.Profile(netName)
-	if err != nil {
-		return WindowRow{}, err
-	}
-	netOpts.Seed = int64(inflight + 1)
-
-	c, err := cluster.New(cluster.Config{
-		AppServers:  3,
-		DataServers: 1,
-		Clients:     clients,
-		Net:         netOpts,
-		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-			return workload.Bank(ctx, tx, req, 0)
-		}),
-		// A real (simulated) forced-write cost: the batch window's whole
-		// purpose is sharing this, so a free log device would hide the trade
-		// the sweep measures.
-		ForceLatency:    500 * time.Microsecond,
-		BatchWindow:     batch,
-		CohortWindow:    cohort,
-		AdaptiveWindows: adaptive,
-		DrainBatch:      64,
-		Seed:            workload.BankSeed(seed),
-		Workers:         inflight,
-		Terminators:     inflight,
-
-		// Generous protocol timers: the run is failure-free and nothing may
-		// fire spuriously under CPU load.
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectTimeout:    time.Second,
-		ResendInterval:    5 * time.Second,
-		CleanInterval:     50 * time.Millisecond,
-		ClientBackoff:     5 * time.Second,
-		ClientRebroadcast: 5 * time.Second,
-		ComputeTimeout:    30 * time.Second,
-	})
-	if err != nil {
-		return WindowRow{}, err
-	}
-	defer c.Stop()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	reqFor := func(i int) []byte {
-		return workload.EncodeBank(workload.BankRequest{Account: pool[i%poolSize], Amount: -1})
-	}
-
-	// Warm-up outside the timer.
-	for i := 1; i <= clients; i++ {
-		if _, err := c.Client(i).Issue(ctx, reqFor(i)); err != nil {
-			return WindowRow{}, err
-		}
-	}
-	lat := metrics.NewSample()
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan error, inflight)
-	t0 := time.Now()
-	for w := 0; w < inflight; w++ {
-		cl := c.Client(w%clients + 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i > int64(requests) {
-					return
-				}
-				s0 := time.Now()
-				if _, err := cl.Issue(ctx, reqFor(int(i))); err != nil {
-					errs <- err
-					return
-				}
-				lat.AddDuration(time.Since(s0))
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
-	close(errs)
-	if err := <-errs; err != nil {
-		return WindowRow{}, err
-	}
-	if rep := c.CheckProperties(); !rep.Ok() {
-		return WindowRow{}, fmt.Errorf("oracle: %s", rep)
-	}
-	row := WindowRow{
-		Mode:     mode,
-		InFlight: inflight,
-		Requests: requests,
-		Elapsed:  elapsed,
-		P50:      lat.Percentile(50),
-		P99:      lat.Percentile(99),
-	}
-	if elapsed > 0 {
-		row.Throughput = float64(requests) / elapsed.Seconds()
-	}
-	return row, nil
-}
-
 // WireCell returns the wire-section cell for (inflight, mode), or nil.
 func (b *WireReport) WireCell(inflight int, mode string) *WireRow {
 	for i := range b.Wire {
@@ -389,67 +190,26 @@ func (b *WireReport) WireCell(inflight int, mode string) *WireRow {
 	return nil
 }
 
-// WindowCell returns the windows-section cell for (inflight, mode), or nil.
-func (b *WireReport) WindowCell(inflight int, mode string) *WindowRow {
-	for i := range b.Windows {
-		r := &b.Windows[i]
-		if r.InFlight == inflight && r.Mode == mode {
-			return r
-		}
-	}
-	return nil
-}
-
 // String renders the report.
 func (b *WireReport) String() string {
 	var s strings.Builder
-	if len(b.Wire) > 0 {
-		fmt.Fprintf(&s, "Vectored transport (%d frames per cell, 256 B bodies, real TCP loopback; writev build: %v)\n",
-			b.Wire[0].Frames, tcptransport.Vectored())
-		fmt.Fprintf(&s, "%-10s %-9s %12s %12s %12s %14s %10s\n",
-			"in-flight", "mode", "elapsed (ms)", "frames/s", "flushes", "frames/flush", "coalesced")
-		for _, r := range b.Wire {
-			speed := ""
-			if r.Mode == "writev" {
-				if pf := b.WireCell(r.InFlight, "perframe"); pf != nil && pf.FramesPerSec > 0 {
-					speed = fmt.Sprintf(" (%.1fx)", r.FramesPerSec/pf.FramesPerSec)
-				}
+	fmt.Fprintf(&s, "Vectored transport (%d frames per cell, 256 B bodies, real TCP loopback; writev build: %v)\n",
+		b.Wire[0].Frames, tcptransport.Vectored())
+	fmt.Fprintf(&s, "%-10s %-9s %12s %12s %12s %14s %10s\n",
+		"in-flight", "mode", "elapsed (ms)", "frames/s", "flushes", "frames/flush", "coalesced")
+	for _, r := range b.Wire {
+		speed := ""
+		if r.Mode == "writev" {
+			if pf := b.WireCell(r.InFlight, "perframe"); pf != nil && pf.FramesPerSec > 0 {
+				speed = fmt.Sprintf(" (%.1fx)", r.FramesPerSec/pf.FramesPerSec)
 			}
-			fmt.Fprintf(&s, "%-10d %-9s %12.1f %12.0f %12d %14.1f %10d%s\n",
-				r.InFlight, r.Mode, float64(r.Elapsed)/1e6, r.FramesPerSec,
-				r.WritevCalls, r.FramesPerWritev, r.Coalesced, speed)
 		}
-	}
-	if len(b.Windows) > 0 {
-		net := b.Net
-		if net == "" {
-			net = "zero-latency"
-		}
-		fmt.Fprintf(&s, "Batching windows (%d requests per cell; 3 app servers, 1 shard, %s memnet, 500µs force)\n",
-			b.Windows[0].Requests, net)
-		fmt.Fprintf(&s, "%-10s %-14s %12s %10s %10s %10s\n",
-			"in-flight", "policy", "elapsed (ms)", "req/s", "p50 (ms)", "p99 (ms)")
-		for _, r := range b.Windows {
-			note := ""
-			if r.Mode == "adaptive" {
-				bestStatic := 0.0
-				for _, o := range b.Windows {
-					if o.InFlight == r.InFlight && o.Mode != "adaptive" && o.Throughput > bestStatic {
-						bestStatic = o.Throughput
-					}
-				}
-				if bestStatic > 0 {
-					note = fmt.Sprintf(" (%.2fx best static)", r.Throughput/bestStatic)
-				}
-			}
-			fmt.Fprintf(&s, "%-10d %-14s %12.1f %10.1f %10.2f %10.2f%s\n",
-				r.InFlight, r.Mode, float64(r.Elapsed)/1e6, r.Throughput, r.P50, r.P99, note)
-		}
+		fmt.Fprintf(&s, "%-10d %-9s %12.1f %12.0f %12d %14.1f %10d%s\n",
+			r.InFlight, r.Mode, float64(r.Elapsed)/1e6, r.FramesPerSec,
+			r.WritevCalls, r.FramesPerWritev, r.Coalesced, speed)
 	}
 	s.WriteString("(perframe pins the flush cap at one frame — the historical one-write-per-frame\n" +
 		" transport — so the writev rows isolate scatter-gather amortization; zero\n" +
-		" coalescing copies is counter-verified every run. In the windows section no\n" +
-		" static window wins both depth columns: adaptive collapses its caps at depth 1\n" +
-		" and widens them under pipelining, tracking the best static cell at each end)\n")
+		" coalescing copies is counter-verified every run)\n")
 	return s.String()
 }

@@ -443,10 +443,13 @@ func (c *Cluster) startDBOn(dbID id.NodeID, ep transport.Endpoint, store *stable
 	if err != nil {
 		return err
 	}
-	srv.Start()
+	// Publish, then start: once the server announces [Ready] or serves a
+	// Decide, a client can return, and the caller's next Engine/DataServer
+	// lookup must find the node.
 	c.mu.Lock()
 	c.dbs[dbID] = &dbNode{srv: srv, engine: engine, store: store, streamer: streamer}
 	c.mu.Unlock()
+	srv.Start()
 	return nil
 }
 
@@ -612,14 +615,19 @@ func (c *Cluster) Client(i int) *core.Client {
 	return c.clients[id.Client(i)]
 }
 
-// App returns the i-th application server (1-based), or nil if crashed.
+// App returns the i-th application server (1-based), or nil once CrashApp
+// took it down (application servers do not recover in the model).
 func (c *Cluster) App(i int) *core.AppServer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.apps[id.AppServer(i)]
 }
 
-// Engine returns the i-th database engine (1-based).
+// Engine returns the i-th database engine (1-based). It is nil exactly while
+// the node is not serving: between CrashDB and the RecoverDB (or promotion)
+// that restarts it, and for a backup that was never promoted. A restarted
+// node is visible here before it sends or serves its first message, so a
+// result the client received never outruns the lookup.
 func (c *Cluster) Engine(i int) *xadb.Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -629,8 +637,9 @@ func (c *Cluster) Engine(i int) *xadb.Engine {
 	return nil
 }
 
-// DataServer returns the i-th database server front end (1-based), or nil —
-// tests assert on its execution-mode counters.
+// DataServer returns the i-th database server front end (1-based), nil
+// under the same conditions as Engine — tests assert on its execution-mode
+// counters.
 func (c *Cluster) DataServer(i int) *core.DataServer {
 	c.mu.Lock()
 	defer c.mu.Unlock()

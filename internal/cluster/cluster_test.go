@@ -342,6 +342,66 @@ func TestDBCrashAfterPrepareCommitsAfterRecovery(t *testing.T) {
 	mustOracle(t, c)
 }
 
+// TestRecoveredDBIsPublishedBeforeItServes cycles CrashDB/RecoverDB with a
+// request in flight. A recovered server's [Ready] makes the application
+// servers resend the Decide, its ack lets the client return, and the caller
+// then looks the engine up: the cluster must have published the node before
+// the server sent anything, or Engine(1) is still nil at that moment.
+func TestRecoveredDBIsPublishedBeforeItServes(t *testing.T) {
+	var cRef atomic.Pointer[Cluster]
+	cfg := Config{
+		Logic: transferLogic(),
+		Seed:  seedAccounts(100),
+		Hooks: func(self id.NodeID) *core.Hooks {
+			return &core.Hooks{
+				Crash: func(p core.CrashPoint, rid id.ResultID) {
+					if p == core.PointAfterPrepare && rid.Try == 1 {
+						cRef.Load().CrashDB(1)
+						go func() {
+							time.Sleep(20 * time.Millisecond)
+							if err := cRef.Load().RecoverDB(1); err != nil {
+								t.Errorf("recover: %v", err)
+							}
+						}()
+					}
+				},
+			}
+		},
+	}
+	fastKnobs(&cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cRef.Store(c)
+	defer c.Stop()
+
+	// The sniffer runs on the sender's goroutine, so it sees the cluster's
+	// state at the instant the recovered server's first message leaves.
+	var readies atomic.Int64
+	c.Net.AddSniffer(func(ev transport.SniffEvent) {
+		if _, ok := ev.Payload.(msg.Ready); ok && ev.From == id.DBServer(1) {
+			readies.Add(1)
+			if c.Engine(1) == nil || c.DataServer(1) == nil {
+				t.Errorf("dbserver-1 announced Ready before the cluster published it")
+			}
+		}
+	})
+
+	const cycles = 5
+	for i := 1; i <= cycles; i++ {
+		issue(t, c, 1, "10")
+		if c.Engine(1) == nil || c.DataServer(1) == nil {
+			t.Fatalf("cycle %d: Issue returned while Engine(1)/DataServer(1) were still nil", i)
+		}
+	}
+	if readies.Load() < cycles {
+		t.Fatalf("saw %d Ready announcements, want one per crash/recover cycle (%d)", readies.Load(), cycles)
+	}
+	mustBalances(t, c, 1, 100-10*cycles, 10*cycles)
+	mustOracle(t, c)
+}
+
 // TestFalseSuspicionIsSafe: a backup permanently (then transiently) suspects
 // the live primary, so its cleaning thread races the executor on every try.
 // Whatever interleaving happens, the agreement properties must hold and the
