@@ -1,10 +1,10 @@
 // Repository-level benchmarks: one per table and figure of the paper's
 // evaluation, plus microbenchmarks of the substrates and the design-choice
-// ablations listed in DESIGN.md. The latency figures here use the calibrated
-// cost model at scale 0.02 (2% of the paper's real-time component costs), so
-// ns/op values are comparable across protocols but not to the paper's
-// absolute milliseconds — `go run ./cmd/etxbench -exp f8 -scale 1` reproduces
-// those.
+// ablations listed in README.md ("Benchmarks"). The latency figures here use
+// the calibrated cost model at scale 0.02 (2% of the paper's real-time
+// component costs), so ns/op values are comparable across protocols but not
+// to the paper's absolute milliseconds — `go run ./cmd/etxbench -exp f8
+// -scale 1` reproduces those.
 package etx_test
 
 import (

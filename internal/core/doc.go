@@ -6,11 +6,12 @@
 // heartbeat failure detector, and XA database engines.
 //
 // The package generalizes the paper's single-client/single-request
-// presentation in the ways DESIGN.md documents: registers and transaction
-// branches are keyed by ResultID (client, request sequence, try), the client
-// rebroadcasts periodically instead of waiting forever after its first
-// broadcast, and the cleaning thread scans the set of register keys the
-// replica has seen instead of an unbounded array.
+// presentation in the ways README.md documents ("The concurrent client API",
+// "Memory & GC"): registers and transaction branches are keyed by ResultID
+// (client, request sequence, try), the client rebroadcasts periodically
+// instead of waiting forever after its first broadcast, and the cleaning
+// thread scans the set of register keys the replica has seen instead of an
+// unbounded array.
 //
 // With a batch window configured the commit path additionally runs group
 // commit end to end: application servers aggregate Prepare/Decide fan-out to

@@ -1,9 +1,9 @@
 // Package latcost is the calibrated component cost model behind the
 // reproduction of the paper's Figure 8. The paper measured its protocols on
 // HP C180 workstations, Orbix RPC and Oracle 8.0.3; none of that hardware or
-// software is available, so — per the substitution rules in DESIGN.md — the
-// model injects the paper's measured component costs into the simulated
-// substrate:
+// software is available, so — as README.md ("Benchmarks", the f8 experiment)
+// says — the model injects the paper's measured component costs into the
+// simulated substrate:
 //
 //	component              paper measurement           injected as
 //	-------------------------------------------------------------------------

@@ -218,7 +218,11 @@ func (w *writer) payload(p Payload) error {
 		w.uvarint(m.Floor)
 		w.regOps(m.Regs)
 	case RData:
+		w.uvarint(m.Session)
 		w.uvarint(m.Seq)
+		w.uvarint(m.Low)
+		w.uvarint(m.AckSession)
+		w.uvarint(m.Ack)
 		return w.payload(m.Inner)
 	case Batch:
 		w.uvarint(uint64(len(m.Msgs)))
@@ -231,6 +235,7 @@ func (w *writer) payload(p Payload) error {
 			}
 		}
 	case RAck:
+		w.uvarint(m.Session)
 		w.uvarint(m.Seq)
 	case RegOps:
 		w.regOps(m.Ops)
@@ -512,14 +517,15 @@ func (r *reader) payloadOrErr() (Payload, error) {
 	case KindCheckpoint:
 		p = Checkpoint{Floor: r.uvarint(), Regs: r.regOps()}
 	case KindRData:
-		seq := r.uvarint()
+		m := RData{Session: r.uvarint(), Seq: r.uvarint(), Low: r.uvarint(), AckSession: r.uvarint(), Ack: r.uvarint()}
 		inner, err := r.payloadOrErr()
 		if err != nil {
 			return nil, err
 		}
-		p = RData{Seq: seq, Inner: inner}
+		m.Inner = inner
+		p = m
 	case KindRAck:
-		p = RAck{Seq: r.uvarint()}
+		p = RAck{Session: r.uvarint(), Seq: r.uvarint()}
 	case KindRegOps:
 		p = RegOps{Ops: r.regOps()}
 	case KindBatch:

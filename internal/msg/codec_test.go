@@ -47,6 +47,10 @@ func allPayloads() []Payload {
 		RData{Seq: 9, Inner: Prepare{RID: r}},
 		RData{Seq: 10, Inner: RData{Seq: 11, Inner: Heartbeat{Seq: 1}}},
 		RAck{Seq: 9},
+		// The session / lowest-unacked / piggybacked-ack fields, at the size a
+		// start-time-nanosecond session really has on the wire.
+		RData{Session: 1791072000123456789, Seq: 70, Low: 64, AckSession: 1791072000987654321, Ack: 4100, Inner: Decide{RID: r, O: OutcomeCommit}},
+		RAck{Session: 1791072000123456789, Seq: 70},
 		Commit1P{RID: r},
 		PBStart{RID: r, Body: []byte("req")},
 		PBStartAck{RID: r},

@@ -502,18 +502,35 @@ func (Heartbeat) Kind() Kind { return KindHeartbeat }
 // RData wraps an application payload with a per-(sender,receiver) sequence
 // number; the reliable-channel layer retransmits it until acknowledged and the
 // receiver suppresses duplicates, implementing the paper's reliable channels
-// over a lossy network.
+// over a lossy network. Every RData also carries the acknowledgement state of
+// the opposite direction, so request/reply traffic acknowledges itself.
 type RData struct {
-	Seq   uint64
-	Inner Payload
+	// Session identifies the sender's incarnation: Seq and Low count within
+	// it. It grows across restarts of one identity, so a receiver can tell a
+	// successor's numbering (reset dedupe state) from a predecessor's (drop).
+	Session uint64
+	Seq     uint64
+	// Low is the sender's lowest unacknowledged sequence number toward this
+	// receiver: nothing below it will ever be sent again, so a receiver that
+	// has not seen those numbers (it restarted) skips its watermark past them.
+	Low uint64
+	// AckSession and Ack are the piggybacked cumulative acknowledgement:
+	// every message of the receiver's incarnation AckSession numbered Ack or
+	// below has been delivered at the sender. Zero means nothing to say.
+	AckSession uint64
+	Ack        uint64
+	Inner      Payload
 }
 
 // Kind implements Payload.
 func (RData) Kind() Kind { return KindRData }
 
-// RAck acknowledges receipt of the RData with the same sequence number.
+// RAck is the standalone cumulative acknowledgement, sent only when no RData
+// travelled the other way in time to carry it: every message of incarnation
+// Session numbered Seq or below has been delivered.
 type RAck struct {
-	Seq uint64
+	Session uint64
+	Seq     uint64
 }
 
 // Kind implements Payload.

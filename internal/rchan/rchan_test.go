@@ -11,23 +11,45 @@ import (
 
 func pairOver(t *testing.T, opts transport.Options) (*Endpoint, *Endpoint, *transport.MemNetwork) {
 	t.Helper()
+	return pairEvery(t, opts, 10*time.Millisecond)
+}
+
+// pairEvery is pairOver with the retransmit period chosen by the test.
+func pairEvery(t *testing.T, opts transport.Options, period time.Duration) (*Endpoint, *Endpoint, *transport.MemNetwork) {
+	t.Helper()
 	net := transport.NewMemNetwork(opts)
 	t.Cleanup(net.Close)
-	rawA, err := net.Attach(id.AppServer(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawB, err := net.Attach(id.AppServer(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Wrap(rawA, 10*time.Millisecond)
-	b := Wrap(rawB, 10*time.Millisecond)
-	t.Cleanup(func() {
-		a.Close()
-		b.Close()
-	})
+	_, a := attachWrapped(t, net, id.AppServer(1), period)
+	_, b := attachWrapped(t, net, id.AppServer(2), period)
 	return a, b, net
+}
+
+// attachWrapped attaches node (again, after a crash) and wraps it; the raw
+// endpoint is returned too, for tests that forge frames under the wrapper.
+func attachWrapped(t *testing.T, net *transport.MemNetwork, node id.NodeID, period time.Duration) (transport.Endpoint, *Endpoint) {
+	t.Helper()
+	raw, err := net.Attach(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := Wrap(raw, period)
+	t.Cleanup(func() { ep.Close() })
+	return raw, ep
+}
+
+// waitUnackedZero fails the test unless every endpoint's unacknowledged
+// buffer drains within the deadline.
+func waitUnackedZero(t *testing.T, within time.Duration, eps ...*Endpoint) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for _, ep := range eps {
+		for ep.Unacked() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: unacked stuck at %d", ep.ID(), ep.Unacked())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
 }
 
 func payload(seq uint64) msg.Payload {
@@ -131,13 +153,7 @@ func TestUnackedDrainsOnAck(t *testing.T) {
 		a.Send(msg.Envelope{To: id.AppServer(2), Payload: payload(uint64(i))})
 	}
 	collect(t, b, 5, 5*time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for a.Unacked() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("unacked stuck at %d", a.Unacked())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitUnackedZero(t, 5*time.Second, a)
 }
 
 func TestRetransmitStopsWhenInnerDies(t *testing.T) {

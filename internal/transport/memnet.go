@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"etx/internal/id"
 	"etx/internal/msg"
-	"etx/internal/queue"
 )
 
 // LatencyFunc computes the one-way delivery latency for a message. It lets
@@ -376,7 +374,7 @@ func (n *MemNetwork) deliver(d delivery) {
 	if !ok || stale {
 		return
 	}
-	ep.push(d.env)
+	ep.mbox.Put(d.env)
 }
 
 // memEndpoint is the in-memory Endpoint.
@@ -384,64 +382,16 @@ type memEndpoint struct {
 	net  *MemNetwork
 	node id.NodeID
 
-	inbox *queue.Queue[msg.Envelope]
-	recv  chan msg.Envelope
-	done  chan struct{}
-
-	// inHand is 1 while the pump holds a message popped from the inbox but
-	// not yet handed to the recv channel; Pending counts it so a message is
-	// never momentarily invisible to drain checks.
-	inHand atomic.Int32
+	// mbox never drops: a slow consumer spills instead of causing
+	// sender-side loss the fault model did not ask for.
+	mbox *Mailbox
 
 	mu     sync.Mutex
 	closed bool
 }
 
 func newMemEndpoint(n *MemNetwork, node id.NodeID) *memEndpoint {
-	ep := &memEndpoint{
-		net:   n,
-		node:  node,
-		inbox: queue.New[msg.Envelope](),
-		recv:  make(chan msg.Envelope, 64),
-		done:  make(chan struct{}),
-	}
-	go ep.pump()
-	return ep
-}
-
-// pump moves messages from the unbounded inbox to the bounded recv channel so
-// slow consumers never cause sender-side drops.
-func (ep *memEndpoint) pump() {
-	defer close(ep.recv)
-	for {
-		for {
-			ep.inHand.Store(1)
-			env, ok := ep.inbox.Pop()
-			if !ok {
-				ep.inHand.Store(0)
-				break
-			}
-			select {
-			case ep.recv <- env:
-				ep.inHand.Store(0)
-			case <-ep.done:
-				ep.inHand.Store(0)
-				return
-			}
-		}
-		select {
-		case <-ep.inbox.Out():
-			if ep.inbox.Closed() && ep.inbox.Len() == 0 {
-				return
-			}
-		case <-ep.done:
-			return
-		}
-	}
-}
-
-func (ep *memEndpoint) push(env msg.Envelope) {
-	ep.inbox.Push(env)
+	return &memEndpoint{net: n, node: node, mbox: NewMailbox()}
 }
 
 // ID implements Endpoint.
@@ -460,14 +410,12 @@ func (ep *memEndpoint) Send(env msg.Envelope) error {
 }
 
 // Recv implements Endpoint.
-func (ep *memEndpoint) Recv() <-chan msg.Envelope { return ep.recv }
+func (ep *memEndpoint) Recv() <-chan msg.Envelope { return ep.mbox.Chan() }
 
 // Pending counts messages delivered to this endpoint but not yet read from
 // Recv. It implements PendingCounter; together with InFlightFrom it lets the
 // replication layer's promotion drain prove the mailbox empty.
-func (ep *memEndpoint) Pending() int {
-	return ep.inbox.Len() + len(ep.recv) + int(ep.inHand.Load())
-}
+func (ep *memEndpoint) Pending() int { return ep.mbox.Pending() }
 
 // Close implements Endpoint.
 func (ep *memEndpoint) Close() error {
@@ -489,8 +437,7 @@ func (ep *memEndpoint) shutdown() {
 		return
 	}
 	ep.closed = true
-	ep.inbox.Close()
-	close(ep.done)
+	ep.mbox.Close()
 }
 
 // Compile-time interface checks.

@@ -19,8 +19,21 @@
 // the connection but stops reading trips the deadline, the connection is
 // dropped (fair loss, same as the redial-on-error path) and the next drain
 // redials. A full queue likewise drops the frame rather than blocking the
-// sender. Receive-side framing reads into a recycled per-connection buffer
-// (msg.Decode copies every variable-length field out, so reuse is safe).
+// sender.
+//
+// # Receive path
+//
+// The mirror image: each incoming connection's reader goroutine reads
+// through a 64 KiB buffer, so one read syscall takes in every frame the
+// peer's writev coalesced, and decodes each frame in place (msg.Decode
+// copies every variable-length field out, so the buffer is reused at once).
+// A frame larger than the buffer gets a one-shot allocation; a frame that
+// does not decode is skipped and the stream continues. A decoded envelope
+// goes, on the reader goroutine itself, to the function installed with
+// SetReceiver — the reliable-channel layer installs its handler, so nothing
+// stands between the socket and the node's mailbox — or, on a bare endpoint,
+// into the transport.Mailbox behind Recv. Frames from one connection are
+// handed over in the order they were written; connections are independent.
 //
 // Wire pressure is counted (frames/bytes in both directions, kernel
 // flushes, queue drops, connection drops, coalescing copies — zero on the
@@ -28,6 +41,7 @@
 package tcptransport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -35,21 +49,22 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"etx/internal/id"
 	"etx/internal/metrics"
 	"etx/internal/msg"
-	"etx/internal/queue"
 	"etx/internal/transport"
 )
 
 // maxFrame bounds a frame to guard against corrupted length prefixes.
 const maxFrame = 32 << 20
 
-// retainedReadBuf caps the receive buffer a connection keeps across frames;
-// frames above it get a one-shot allocation instead of pinning megabytes on
-// every idle connection.
+// retainedReadBuf is the read buffer every incoming connection keeps: one
+// read syscall fills it with as many frames as the peer coalesced. Frames
+// above it get a one-shot allocation instead of pinning megabytes on every
+// idle connection.
 const retainedReadBuf = 64 << 10
 
 // Config parameterizes a TCP endpoint.
@@ -106,11 +121,11 @@ type Endpoint struct {
 	writers  map[id.NodeID]*peerConn
 	accepted map[net.Conn]bool
 
-	inbox  *queue.Queue[msg.Envelope]
-	recv   chan msg.Envelope
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed sync.Once
+	mbox     *transport.Mailbox                 // deliveries nobody took directly
+	receiver atomic.Pointer[func(msg.Envelope)] // SetReceiver's hook, nil on a bare endpoint
+	done     chan struct{}
+	wg       sync.WaitGroup
+	closed   sync.Once
 
 	// Wire counters, snapshotted by Stats (etxlint statswired).
 	framesSent  metrics.Counter
@@ -188,14 +203,12 @@ func Listen(cfg Config) (*Endpoint, error) {
 		ln:       ln,
 		writers:  make(map[id.NodeID]*peerConn),
 		accepted: make(map[net.Conn]bool),
-		inbox:    queue.New[msg.Envelope](),
-		recv:     make(chan msg.Envelope, 64),
+		mbox:     transport.NewMailbox(),
 		done:     make(chan struct{}),
 	}
 	ep.dialCtx, ep.dialCancel = context.WithCancel(context.Background())
-	ep.wg.Add(2)
+	ep.wg.Add(1)
 	go ep.acceptLoop()
-	go ep.pump()
 	return ep, nil
 }
 
@@ -219,7 +232,11 @@ func (ep *Endpoint) SetPeers(book map[id.NodeID]string) {
 func (ep *Endpoint) ID() id.NodeID { return ep.cfg.Self }
 
 // Recv implements transport.Endpoint.
-func (ep *Endpoint) Recv() <-chan msg.Envelope { return ep.recv }
+func (ep *Endpoint) Recv() <-chan msg.Envelope { return ep.mbox.Chan() }
+
+// SetReceiver implements transport.DirectReceiver: fn runs on the reader
+// goroutine of whichever connection a frame arrived on.
+func (ep *Endpoint) SetReceiver(fn func(msg.Envelope)) { ep.receiver.Store(&fn) }
 
 // Close implements transport.Endpoint.
 func (ep *Endpoint) Close() error {
@@ -242,8 +259,9 @@ func (ep *Endpoint) Close() error {
 		}
 		ep.accepted = make(map[net.Conn]bool)
 		ep.mu.Unlock()
-		ep.inbox.Close()
 		ep.wg.Wait()
+		// The readers have exited, so nothing delivers any more.
+		ep.mbox.Close()
 		// The writers have exited; recycle whatever they left queued.
 		ep.mu.Lock()
 		for _, pc := range ep.writers {
@@ -400,10 +418,10 @@ func (ep *Endpoint) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one incoming connection until it breaks.
-// Frames are read into a recycled per-connection buffer: msg.Decode copies
-// every variable-length field out of its input, so reusing the buffer for
-// the next frame can never corrupt a delivered envelope.
+// readLoop decodes frames from one incoming connection until it breaks and
+// hands each envelope over on this goroutine. Frames are decoded inside the
+// read buffer: msg.Decode copies every variable-length field out of its
+// input, so the bytes can be overwritten by the next read at once.
 func (ep *Endpoint) readLoop(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -411,71 +429,54 @@ func (ep *Endpoint) readLoop(c net.Conn) {
 		delete(ep.accepted, c)
 		ep.mu.Unlock()
 	}()
-	var lenBuf [4]byte
-	buf := make([]byte, 4096)
+	br := bufio.NewReaderSize(c, retainedReadBuf)
 	for {
 		select {
 		case <-ep.done:
 			return
 		default:
 		}
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxFrame {
-			return
-		}
-		b := buf
-		if int(n) > len(b) {
-			if n <= retainedReadBuf {
-				buf = make([]byte, retainedReadBuf)
-				b = buf
-			} else {
-				// Oversize frame: one-shot allocation, the retained buffer
-				// stays small.
-				b = make([]byte, n)
-			}
-		}
-		b = b[:n]
-		if _, err := io.ReadFull(c, b); err != nil {
+		b, held, err := nextFrame(br)
+		if err != nil {
 			return
 		}
 		ep.framesRecv.Inc()
-		ep.bytesRecv.Add(uint64(n) + 4)
+		ep.bytesRecv.Add(uint64(len(b)) + 4)
 		env, err := msg.Decode(b)
+		_, _ = br.Discard(held) // cannot fail: held bytes are buffered; b is dead from here
 		if err != nil {
 			continue // corrupted frame: drop, keep the stream
 		}
-		ep.inbox.Push(env)
+		if fn := ep.receiver.Load(); fn != nil {
+			(*fn)(env)
+		} else {
+			ep.mbox.Put(env)
+		}
 	}
 }
 
-// pump moves delivered messages to the recv channel.
-func (ep *Endpoint) pump() {
-	defer ep.wg.Done()
-	defer close(ep.recv)
-	for {
-		for {
-			env, ok := ep.inbox.Pop()
-			if !ok {
-				break
-			}
-			select {
-			case ep.recv <- env:
-			case <-ep.done:
-				return
-			}
-		}
-		select {
-		case <-ep.inbox.Out():
-			if ep.inbox.Closed() && ep.inbox.Len() == 0 {
-				return
-			}
-		case <-ep.done:
-			return
-		}
+// nextFrame returns the body of the next length-prefixed frame on br. A frame
+// that fits the read buffer is returned in place: held is the number of bytes
+// the caller must Discard once it is done with b. A larger frame gets a
+// one-shot allocation (held is 0) and the retained buffer stays small. An
+// error means the stream is broken or out of step.
+func nextFrame(br *bufio.Reader) (b []byte, held int, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return nil, 0, err
 	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n == 0 || n > maxFrame {
+		return nil, 0, fmt.Errorf("tcptransport: frame length %d out of range", n)
+	}
+	_, _ = br.Discard(4) // cannot fail: just peeked
+	if n <= br.Size() {
+		b, err = br.Peek(n)
+		return b, n, err
+	}
+	b = make([]byte, n)
+	_, err = io.ReadFull(br, b)
+	return b, 0, err
 }
 
 // Stats is a point-in-time snapshot of an endpoint's wire counters.

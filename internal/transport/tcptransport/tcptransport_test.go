@@ -161,6 +161,19 @@ func TestReliableChannelsOverTCP(t *testing.T) {
 			t.Fatalf("delivery %d never arrived", i)
 		}
 	}
+	// One-way traffic is acknowledged cumulatively, a quarter period after
+	// it arrives — not frame for frame — and never retransmitted meanwhile.
+	for deadline := time.Now().Add(5 * time.Second); a.Unacked() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("unacked stuck at %d", a.Unacked())
+		}
+	}
+	if got := rawA.Stats().FramesSent; got != 20 {
+		t.Errorf("%d frames for 20 messages", got)
+	}
+	if got := rawB.Stats().FramesSent; got == 0 || got > 3 {
+		t.Errorf("%d acknowledgement frames for one burst of 20 messages, want 1 (3 at most)", got)
+	}
 }
 
 func TestParsePeers(t *testing.T) {

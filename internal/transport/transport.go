@@ -7,7 +7,8 @@
 // supports calibrated per-link latency, loss, duplication, partitions and
 // crash isolation (the substrate for all tests and for the Figure-8 cost
 // model), and a TCP implementation in the tcptransport subpackage for real
-// multi-process deployment.
+// multi-process deployment. Both, and the reliable channels layered on them
+// (internal/rchan), keep received envelopes in this package's Mailbox.
 package transport
 
 import (
@@ -42,6 +43,19 @@ type Endpoint interface {
 type PendingCounter interface {
 	// Pending counts messages delivered but not yet read from Recv.
 	Pending() int
+}
+
+// DirectReceiver is implemented by endpoints that can hand each delivery to
+// a function on the goroutine that took it off the network, sparing a layer
+// stacked on the endpoint (the reliable channels) a goroutine hand-off per
+// message. The TCP endpoint implements it; the in-memory one, whose single
+// scheduler goroutine must not run a consumer's code, does not.
+type DirectReceiver interface {
+	// SetReceiver routes every later delivery to fn in place of Recv. fn
+	// runs on the endpoint's reader goroutines — several at once — and must
+	// not block. Deliveries made before the call stay readable from Recv,
+	// which still closes when the endpoint does.
+	SetReceiver(fn func(msg.Envelope))
 }
 
 // Network hands out endpoints for nodes.
