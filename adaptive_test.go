@@ -28,11 +28,10 @@ func TestPublicAPIAdaptiveWindows(t *testing.T) {
 		return []byte(fmt.Sprintf("%d", bal)), nil
 	}
 	c := newCluster(t, etx.Config{
-		Seed:            perAcct,
-		Logic:           logic,
-		Workers:         8,
-		FsyncLatency:    200 * time.Microsecond,
-		AdaptiveWindows: true,
+		Seed:         perAcct,
+		Logic:        logic,
+		Tuning:       etx.Tuning{Workers: 8, AdaptiveWindows: true},
+		FsyncLatency: 200 * time.Microsecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

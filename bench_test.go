@@ -71,9 +71,9 @@ func BenchmarkFigure1_Failover(b *testing.B) {
 		b.StopTimer()
 		var reached atomic.Bool
 		c, err := etx.New(etx.Config{
-			Seed:             map[string]int64{"acct/a": 1 << 30},
-			SuspicionTimeout: 20 * time.Millisecond,
-			ClientBackoff:    30 * time.Millisecond,
+			Seed:          map[string]int64{"acct/a": 1 << 30},
+			Tuning:        etx.Tuning{SuspectTimeout: 20 * time.Millisecond},
+			ClientBackoff: 30 * time.Millisecond,
 			Logic: func(ctx context.Context, tx *etx.Tx, req []byte) ([]byte, error) {
 				reached.Store(true)
 				if err := tx.SimulateWork(ctx, 0, 30*time.Millisecond); err != nil {
@@ -236,7 +236,7 @@ func BenchmarkLockManager_AcquireRelease(b *testing.B) {
 func benchmarkPipelined(b *testing.B, clients, inflight int) {
 	c, err := etx.New(etx.Config{
 		Clients: clients,
-		Workers: clients * inflight,
+		Tuning:  etx.Tuning{Workers: clients * inflight},
 		Seed:    map[string]int64{"acct/a": 1 << 40},
 		Logic: func(ctx context.Context, tx *etx.Tx, req []byte) ([]byte, error) {
 			_, err := tx.Add(ctx, 0, "acct/a", -1)

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/placement"
 	"etx/internal/rchan"
@@ -73,20 +74,13 @@ func run() error {
 	appSpec := flag.String("appservers", "", "address book, e.g. 1=:7101,2=:7102,3=:7103")
 	dbSpec := flag.String("dbservers", "", "address book, e.g. 1=:7201")
 	clSpec := flag.String("clients", "", "client address book, e.g. 1=:7301,2=:7302")
-	suspect := flag.Duration("suspect", 500*time.Millisecond, "failure-suspicion timeout")
-	workers := flag.Int("workers", 1, "compute threads (raise for pipelined clients)")
-	fsync := flag.Duration("fsync", 0, "simulated forced-write latency of the deployment; accepted on every tier so one flag list drives all binaries — the cost itself is paid by etxdbserver -fsync (this server is stateless)")
-	batchWindow := flag.Duration("batch-window", 0, "outbound aggregation window: >0 coalesces Prepare/Decide fan-out to the same shard into batch envelopes; 0 sends each message directly")
-	maxBatch := flag.Int("max-batch", 0, "cap on one outbound batch envelope (0 = default 64)")
-	cohortWindow := flag.Duration("cohort-window", 0, "cohort-consensus window: >0 lets concurrent wo-register writes share one consensus instance per cohort; 0 runs one instance per write (every app server must agree)")
-	maxCohort := flag.Int("max-cohort", 0, "cap on register ops per consensus slot (0 = default 64)")
-	adaptive := flag.Bool("adaptive", false, "self-tuning batching: sample the in-flight depth and collapse batch/cohort caps at depth 1, widening them under pipelining (unset windows default to 500µs/100µs; every app server must agree)")
 	writeTimeout := flag.Duration("write-timeout", 0, "transport write deadline: a peer that stops reading trips it and the connection is dropped (0 = default 5s)")
-	retainSlots := flag.Int("retain-slots", 0, "batch-log retention tail: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up via checkpoint transfer); 0 retains every slot forever (every app server must agree)")
 	shards := flag.Int("shards", 0, "key-shard the database tier over the first N -dbservers (0 = all of them)")
 	placeSpec := flag.String("placement", "hash", "partitioner: hash | range:b1,b2,... (every app server must agree)")
-	replicas := flag.Int("replicas", 1, "data-tier replica factor: member k (0-based) of shard s is dbserver id s+1+k*shards, all listed in -dbservers; >1 routes through the epoch-stamped view so promoted backups take over their shard's traffic (every app server must agree)")
+	tuning := deploy.ServerDefaults()
+	tuning.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	replicas := tuning.Resolve().ReplicaFactor
 
 	apps, err := tcptransport.ParsePeers(id.RoleAppServer, *appSpec)
 	if err != nil {
@@ -104,16 +98,13 @@ func run() error {
 		return fmt.Errorf("need -appservers and -dbservers address books")
 	}
 	dbList := tcptransport.SortedPeers(dbs)
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be at least 1, got %d", *replicas)
-	}
 	if *shards <= 0 {
 		// On a replicated tier the book lists every group member, so the
 		// natural default is one shard per replica-factor-sized slice.
-		if len(dbList)%*replicas != 0 {
-			return fmt.Errorf("-dbservers lists %d servers, not a multiple of -replicas %d; pass -shards explicitly", len(dbList), *replicas)
+		if len(dbList)%replicas != 0 {
+			return fmt.Errorf("-dbservers lists %d servers, not a multiple of -replicas %d; pass -shards explicitly", len(dbList), replicas)
 		}
-		*shards = len(dbList) / *replicas
+		*shards = len(dbList) / replicas
 	}
 	if *shards > len(dbList) {
 		return fmt.Errorf("-shards %d exceeds the %d servers in -dbservers", *shards, len(dbList))
@@ -141,15 +132,13 @@ func run() error {
 	// the view only translates the delivery target, so the paper's
 	// participant lists never change shape.
 	var view *placement.View
-	if *replicas > 1 {
-		groups := make([][]id.NodeID, *shards)
-		for s := 0; s < *shards; s++ {
-			for k := 0; k < *replicas; k++ {
-				member := id.DBServer(s + 1 + k**shards)
+	if replicas > 1 {
+		groups := deploy.Groups(*shards, replicas)
+		for s, group := range groups {
+			for k, member := range group {
 				if _, ok := dbs[member]; !ok {
-					return fmt.Errorf("-replicas %d needs dbserver id %d (member %d of shard %d) in -dbservers", *replicas, member.Index, k, s)
+					return fmt.Errorf("-replicas %d needs dbserver id %d (member %d of shard %d) in -dbservers", replicas, member.Index, k, s)
 				}
-				groups[s] = append(groups[s], member)
 			}
 		}
 		view, err = placement.NewView(groups)
@@ -177,33 +166,18 @@ func run() error {
 	}
 	defer ep.Close()
 
-	if *fsync > 0 {
-		// This tier is stateless (the paper's model): the simulated fsync is
-		// paid at the databases. Accepting the flag keeps one flag list
-		// usable across all binaries; remind the operator where it acts.
-		log.Printf("note: -fsync %v is a database-tier cost; pass it to etxdbserver (stateless app servers pay none)", *fsync)
-	}
-	srv, err := core.NewAppServer(core.AppServerConfig{
-		Self:            self,
-		AppServers:      tcptransport.SortedPeers(apps),
-		DataServers:     dbList,
-		Placement:       pmap,
-		View:            view,
-		Endpoint:        rchan.Wrap(ep, 100*time.Millisecond),
-		Logic:           bankLogic(),
-		SuspectTimeout:  *suspect,
-		Workers:         *workers,
-		BatchWindow:     *batchWindow,
-		MaxBatch:        *maxBatch,
-		CohortWindow:    *cohortWindow,
-		MaxCohort:       *maxCohort,
-		AdaptiveWindows: *adaptive,
-		RetainSlots:     *retainSlots,
-	})
+	srv, err := deploy.StartAppNode(core.AppServerConfig{
+		Self:        self,
+		AppServers:  tcptransport.SortedPeers(apps),
+		DataServers: dbList,
+		Placement:   pmap,
+		View:        view,
+		Endpoint:    rchan.Wrap(ep, 100*time.Millisecond),
+		Logic:       bankLogic(),
+	}, tuning)
 	if err != nil {
 		return err
 	}
-	srv.Start()
 	defer srv.Stop()
 	log.Printf("appserver-%d listening on %s (%d app servers, %d db servers, %s)",
 		*idx, ep.Addr(), len(apps), len(dbs), pmap)

@@ -24,22 +24,21 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/kv"
-	"etx/internal/msg"
 	"etx/internal/placement"
 	"etx/internal/rchan"
 	"etx/internal/repl"
 	"etx/internal/stablestore"
 	"etx/internal/transport"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/wal"
-	"etx/internal/xadb"
 )
 
 func main() {
@@ -54,18 +53,15 @@ func run() error {
 	appSpec := flag.String("appservers", "", "address book, e.g. 1=:7101,2=:7102,3=:7103")
 	dataPath := flag.String("data", "etxdb.journal", "stable-storage journal file")
 	fsync := flag.Duration("fsync", 0, "simulated forced-write latency on top of the real fsync (reproduces the bench commit bottleneck)")
-	batchWindow := flag.Duration("batch-window", 0, "group-commit window: >0 lets one fsync cover a cohort of concurrent forced writes and serves Prepare/Decide rounds in batches; 0 keeps serialized per-write forces")
-	maxBatch := flag.Int("max-batch", 0, "cap on group-commit cohorts and mailbox batches (0 = default 64)")
-	queueExec := flag.Bool("queue-exec", false, "queue-oriented deterministic execution: plan mailbox drains into per-key run queues and execute without lock-manager acquisition (commitment gated on chain order instead)")
-	adaptive := flag.Bool("adaptive", false, "self-tuning group commit: a lone cohort leader skips the accumulation window while pipelined forces still share fsyncs (match the app servers' -adaptive)")
 	writeTimeout := flag.Duration("write-timeout", 0, "transport write deadline: a peer that stops reading trips it and the connection is dropped (0 = default 5s)")
 	seedAcct := flag.String("seed", "alice=100,bob=100", "initial accounts (name=balance,...)")
 	shards := flag.Int("shards", 0, "shard count of the deployment: seed only the accounts this server owns (server -id K owns shard K-1, so ids must run 1..shards); 0 seeds everything")
 	placeSpec := flag.String("placement", "hash", "partitioner: hash | range:b1,b2,... (must match the app servers' -placement)")
 	groupSpec := flag.String("group", "", "replica-group address book of this server's shard, itself included, e.g. 1=:7201,4=:7204; ascending id is promotion order and the lowest id is the boot primary")
 	backup := flag.Bool("backup", false, "run as a backup applier of -group: apply the primary's record stream to -data and promote on suspicion instead of serving transactions")
-	suspect := flag.Duration("suspect", 500*time.Millisecond, "replica-group failure-suspicion timeout (only meaningful with -group)")
 	drainWait := flag.Duration("drain", 5*time.Second, "graceful-shutdown bound: how long SIGINT/SIGTERM waits for the mailbox to quiesce before stopping")
+	tuning := deploy.ServerDefaults()
+	tuning.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	apps, err := tcptransport.ParsePeers(id.RoleAppServer, *appSpec)
@@ -81,19 +77,39 @@ func run() error {
 	}
 	group := tcptransport.SortedPeers(groupBook)
 	self := id.DBServer(*idx)
-	if len(group) > 0 {
-		found := false
-		for _, m := range group {
-			if m == self {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("-group %q does not contain this server (-id %d)", *groupSpec, *idx)
-		}
+	if _, ok := groupBook[self]; len(group) > 0 && !ok {
+		return fmt.Errorf("-group %q does not contain this server (-id %d)", *groupSpec, *idx)
 	}
 	if *backup && len(group) < 2 {
 		return fmt.Errorf("-backup needs a -group of at least two members")
+	}
+	if tuning.ReplicaFactor > 1 && len(group) != tuning.ReplicaFactor {
+		return fmt.Errorf("-replicas %d needs a -group of that many members, got %d", tuning.ReplicaFactor, len(group))
+	}
+	seed, err := parseSeed(*seedAcct)
+	if err != nil {
+		return err
+	}
+	if *shards > 0 && !*backup {
+		// Per-shard seeding: this server holds only the keys whose home
+		// shard it is (a backup seeds nothing; its image arrives on the
+		// stream). The shard of server -id N is N-1, matching the app
+		// servers' placement over the sorted -dbservers book — the
+		// partitioner must therefore be the same on both tiers.
+		policy, err := placement.Parse(*placeSpec, *shards)
+		if err != nil {
+			return err
+		}
+		if *idx > *shards {
+			log.Printf("warning: -id %d owns no shard of a %d-shard tier; seeding nothing", *idx, *shards)
+		}
+		own := seed[:0]
+		for _, w := range seed {
+			if policy.ShardFor(w.Key) == *idx-1 {
+				own = append(own, w)
+			}
+		}
+		seed = own
 	}
 
 	// Recovery is real here: if the journal already has content, this start
@@ -107,25 +123,9 @@ func run() error {
 		return err
 	}
 	defer store.CloseFile()
-	// The simulated fsync cost and the group-commit knobs are plain store
-	// settings, so a TCP deployment can reproduce the bench bottleneck (and
-	// its group-commit fix) on real sockets.
-	if *adaptive && *batchWindow <= 0 {
-		*batchWindow = 500 * time.Microsecond
-	}
-	serveBatch := 0
-	if *batchWindow > 0 {
-		serveBatch = *maxBatch
-		if serveBatch <= 0 {
-			serveBatch = 64
-		}
-	}
+	// The simulated fsync cost is a plain store setting, so a TCP deployment
+	// can reproduce the bench bottleneck on real sockets.
 	store.SetForceLatency(*fsync)
-	store.SetBatchWindow(*batchWindow)
-	store.SetMaxBatch(serveBatch)
-	// Adaptive keeps the full window for pipelined forces but lets a lone
-	// group-commit leader skip the accumulation sleep entirely.
-	store.SetAdaptive(*adaptive)
 
 	ep, err := tcptransport.Listen(tcptransport.Config{
 		Self:         self,
@@ -140,96 +140,18 @@ func run() error {
 	endpoint := rchan.Wrap(ep, 100*time.Millisecond)
 	appList := tcptransport.SortedPeers(apps)
 
-	// startPrimary opens the engine over store and serves the shard. On a
-	// replicated deployment it also streams every appended log record to
-	// the group peers (promotion order is ascending id, matching the
-	// in-process cluster's numbering).
-	var srvMu sync.Mutex
-	var srv *core.DataServer
-	startPrimary := func(recovery bool, epoch uint64) error {
-		var streamer *repl.Streamer
-		if len(group) > 1 {
-			var peers []id.NodeID
-			for _, m := range group {
-				if m != self {
-					peers = append(peers, m)
-				}
-			}
-			streamer = repl.NewStreamer(repl.StreamerConfig{
-				Self:    self,
-				Backups: peers,
-				Send: func(to id.NodeID, p msg.Payload) error {
-					return endpoint.Send(msg.Envelope{To: to, Payload: p})
-				},
-			})
+	// serving remembers the data node for shutdown: the boot primary's, or
+	// the one a promotion starts.
+	var nodeMu sync.Mutex
+	var node *deploy.DataNode
+	serving := func(recovery bool) func(*deploy.DataNode) {
+		return func(n *deploy.DataNode) {
+			nodeMu.Lock()
+			node = n
+			nodeMu.Unlock()
+			log.Printf("dbserver-%d serving on %s (incarnation %d, recovery=%v, %d in-doubt branches, %d group peers)",
+				*idx, ep.Addr(), n.Engine.Incarnation(), recovery, len(n.Engine.InDoubt()), len(group))
 		}
-		xcfg := xadb.Config{Self: self, QueueExec: *queueExec}
-		if streamer != nil {
-			xcfg.Replicate = streamer.Replicate
-		}
-		engine, err := xadb.Open(store, xcfg)
-		if err != nil {
-			return err
-		}
-		if streamer != nil {
-			streamer.SetInc(engine.Incarnation())
-			if recovery {
-				recs, err := wal.New(store).Records()
-				if err != nil {
-					return fmt.Errorf("prime stream: %w", err)
-				}
-				streamer.Prime(recs)
-			}
-			streamer.Start()
-		}
-		if !recovery {
-			seed, err := parseSeed(*seedAcct)
-			if err != nil {
-				return err
-			}
-			if *shards > 0 {
-				// Per-shard seeding: this server holds only the keys whose home
-				// shard it is. The shard of server -id N is N-1, matching the
-				// app servers' placement over the sorted -dbservers book — the
-				// partitioner must therefore be the same on both tiers.
-				policy, err := placement.Parse(*placeSpec, *shards)
-				if err != nil {
-					return err
-				}
-				if *idx > *shards {
-					log.Printf("warning: -id %d owns no shard of a %d-shard tier; seeding nothing", *idx, *shards)
-				}
-				own := seed[:0]
-				for _, w := range seed {
-					if policy.ShardFor(w.Key) == *idx-1 {
-						own = append(own, w)
-					}
-				}
-				seed = own
-			}
-			engine.Seed(seed)
-		}
-		s, err := core.NewDataServer(core.DataServerConfig{
-			Self:       self,
-			AppServers: appList,
-			Engine:     engine,
-			Endpoint:   endpoint,
-			Recovery:   recovery,
-			MaxBatch:   serveBatch,
-			QueueExec:  *queueExec,
-			Repl:       streamer,
-			Epoch:      epoch,
-		})
-		if err != nil {
-			return err
-		}
-		s.Start()
-		srvMu.Lock()
-		srv = s
-		srvMu.Unlock()
-		log.Printf("dbserver-%d serving on %s (incarnation %d, recovery=%v, %d in-doubt branches, %d group peers)",
-			*idx, ep.Addr(), engine.Incarnation(), recovery, len(engine.InDoubt()), len(group))
-		return nil
 	}
 
 	var applier *repl.Backup
@@ -238,26 +160,35 @@ func run() error {
 		// the group with heartbeats, take the shard over when the current
 		// primary is suspected. No engine runs until promotion; the seed
 		// arrives as the first streamed record.
-		applier = repl.NewBackup(repl.BackupConfig{
-			Self:           self,
-			Shard:          group[0].Index - 1,
-			Group:          group,
-			AppServers:     appList,
-			Endpoint:       endpoint,
-			Store:          store,
-			SuspectTimeout: *suspect,
-			TakeOver: func(epoch uint64) error {
-				return startPrimary(true, epoch)
+		applier = deploy.StartBackup(deploy.BackupConfig{
+			BackupConfig: repl.BackupConfig{
+				Self:       self,
+				Shard:      group[0].Index - 1,
+				Group:      group,
+				AppServers: appList,
+				Endpoint:   endpoint,
+				Store:      store,
+				OnPromote: func(lat time.Duration) {
+					log.Printf("dbserver-%d promoted to shard primary (drain-to-takeover %v)", *idx, lat)
+				},
 			},
-			OnPromote: func(lat time.Duration) {
-				log.Printf("dbserver-%d promoted to shard primary (drain-to-takeover %v)", *idx, lat)
-			},
-			Logf: log.Printf,
+			Tuning:  tuning,
+			Publish: serving(true),
 		})
-		applier.Start()
 		log.Printf("dbserver-%d backing up shard %d on %s (group %v)", *idx, group[0].Index-1, ep.Addr(), group)
 	} else {
-		if err := startPrimary(recovery, 1); err != nil {
+		_, err := deploy.StartDataNode(deploy.DataNodeConfig{
+			Self:       self,
+			AppServers: appList,
+			Group:      group,
+			Endpoint:   endpoint,
+			Store:      store,
+			Tuning:     tuning,
+			Recovery:   recovery,
+			Seed:       seed,
+			Publish:    serving(recovery),
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -273,12 +204,12 @@ func run() error {
 	if applier != nil {
 		applier.Stop()
 	}
-	srvMu.Lock()
-	s := srv
-	srvMu.Unlock()
-	if s != nil {
-		s.Drain(200*time.Millisecond, *drainWait)
-		s.Stop()
+	nodeMu.Lock()
+	n := node
+	nodeMu.Unlock()
+	if n != nil {
+		n.Server.Drain(200*time.Millisecond, *drainWait)
+		n.Stop()
 	}
 	store.Sync()
 	if err := ep.Close(); err != nil && err != transport.ErrClosed {
@@ -288,55 +219,27 @@ func run() error {
 	return nil
 }
 
+// parseSeed parses "name=balance,..." into account rows; a bare name seeds a
+// zero balance.
 func parseSeed(spec string) ([]kv.Write, error) {
 	var out []kv.Write
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range splitComma(spec) {
-		var name string
-		var bal int64
-		if n, err := fmt.Sscanf(part, "%s", &name); n != 1 || err != nil {
-			return nil, fmt.Errorf("malformed seed %q", part)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
 		}
-		if i := indexByte(name, '='); i > 0 {
+		name, balance, hasBalance := strings.Cut(part, "=")
+		if name == "" {
+			return nil, fmt.Errorf("malformed seed %q: no account name", part)
+		}
+		var bal int64
+		if hasBalance {
 			var err error
-			bal, err = parseInt(name[i+1:])
-			if err != nil {
+			if bal, err = strconv.ParseInt(balance, 10, 64); err != nil {
 				return nil, fmt.Errorf("malformed seed %q: %w", part, err)
 			}
-			name = name[:i]
 		}
 		out = append(out, kv.Write{Key: "acct/" + name, Val: kv.EncodeInt(bal)})
 	}
 	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
-func parseInt(s string) (int64, error) {
-	var v int64
-	_, err := fmt.Sscanf(s, "%d", &v)
-	return v, err
 }

@@ -45,6 +45,9 @@
 //	...
 //	result, err := cl.Issue(ctx, []byte("alice:-10"))
 //
+// Both styles are tuned by the same Tuning (Config.Tuning in-process, one
+// shared flag set on the binaries); internal/deploy documents each knob.
+//
 // Either way the result is delivered exactly once: if an application server
 // crashes mid-request the remaining replicas either finish its commitment or
 // abort the attempt and re-execute, without ever double-charging and without
@@ -59,6 +62,7 @@ import (
 
 	"etx/internal/cluster"
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/kv"
 	"etx/internal/msg"
@@ -73,6 +77,12 @@ import (
 // must go through tx; a returned error aborts the current try and the
 // request is retried.
 type Logic func(ctx context.Context, tx *Tx, request []byte) ([]byte, error)
+
+// Tuning is the set of knobs every process of a deployment must agree on —
+// the same struct the cmd/ binaries read from their flags, so an in-process
+// deployment and a TCP one are tuned alike. See the field documentation of
+// the aliased type.
+type Tuning = deploy.Tuning
 
 // Config describes a deployment. The zero value of every field has a
 // sensible default.
@@ -106,54 +116,13 @@ type Config struct {
 	DupProbability  float64
 	// FsyncLatency is the simulated cost of a forced database log write.
 	FsyncLatency time.Duration
-	// BatchWindow enables group commit and message batching across the
-	// commit path: database stable stores combine concurrent forced log
-	// writes into shared fsyncs, database servers serve Prepare/Decide
-	// rounds in batches, and application servers aggregate commit fan-out to
-	// the same shard into batch envelopes. The window is the extra time a
-	// group-commit leader waits for followers (under load batching emerges
-	// regardless); 0 — the default — keeps the paper's one-fsync-per-forced-
-	// write behaviour.
-	BatchWindow time.Duration
-	// MaxBatch caps group-commit cohorts and batch envelopes (default 64;
-	// only meaningful with BatchWindow set).
-	MaxBatch int
-	// CohortWindow enables cohort consensus on the application servers:
-	// concurrent wo-register writes (the per-request regA claim and regD
-	// decision) share batch-consensus slots — one Chandra–Toueg instance per
-	// cohort — instead of running one instance per write, cutting consensus
-	// messages and instances per commit by the cohort size while preserving
-	// register semantics exactly (decided slots apply in agreed order, so
-	// every write race has the same winner on every replica). The window is
-	// the extra time a fresh cohort stays open for followers; 0 — the
-	// default — keeps the paper's one-instance-per-write behaviour.
-	CohortWindow time.Duration
-	// MaxCohort caps register ops per consensus slot (default 64; only
-	// meaningful with CohortWindow set).
-	MaxCohort int
-	// AdaptiveWindows makes the batching machinery self-tuning: each
-	// application server samples its in-flight request depth and collapses
-	// the outbound-batch and consensus-cohort caps to one when a single
-	// request is in flight (batching would only add latency) while widening
-	// them toward MaxBatch/MaxCohort under pipelining, and the databases'
-	// group commit runs a minimal accumulation window. With it set, no
-	// static BatchWindow/CohortWindow choice has to trade depth-1 latency
-	// for depth-64 throughput; unset windows default to small values
-	// (500µs/100µs). Adaptation tunes timing only — protocol semantics are
-	// exactly those of the configured windows.
-	AdaptiveWindows bool
-	// RetainSlots bounds the memory of cohort consensus: each application
-	// server advertises the batch-log slots it has applied, and decided
-	// slots below the cluster-wide minimum minus this retention tail are
-	// truncated (a replica that falls further behind catches up through
-	// checkpoint state transfer instead of slot replay). 0 — the default —
-	// keeps every decided slot forever, which on a long-running deployment
-	// grows without bound; only meaningful with CohortWindow set.
-	RetainSlots int
-	// SuspicionTimeout tunes the failure detector among application servers
-	// (default 60ms): smaller means faster failover, more false suspicions
-	// (which are safe but cost retries).
-	SuspicionTimeout time.Duration
+	// Tuning holds the deployment-wide knobs — batching windows and caps,
+	// adaptive windows, slot retention, workers, execution mode, lock and
+	// failure-detector timers, replica factor — documented once, on the
+	// aliased type. The zero value is the paper-exact configuration. The
+	// fields are promoted (cfg.Workers reads and assigns); a literal sets
+	// them as Tuning: etx.Tuning{Workers: 8}.
+	Tuning
 	// ClientBackoff is how long a client waits for the primary before
 	// broadcasting its request to all application servers (default 150ms).
 	ClientBackoff time.Duration
@@ -161,29 +130,6 @@ type Config struct {
 	// client; Issue and IssueAsync block for a slot when it is reached.
 	// 0 means unlimited.
 	MaxInFlight int
-	// Workers is the number of compute threads per application server
-	// (default 1, the paper's model). Raise it so pipelined clients get
-	// genuine middle-tier concurrency.
-	Workers int
-	// ReplicaFactor gives every shard a replica group: the primary executes,
-	// votes and decides exactly as before while streaming its decided effects
-	// asynchronously to ReplicaFactor-1 backups, and when the primary is
-	// suspected the lowest-ranked live backup replays its log tail, re-seeds
-	// in-doubt branches through the ordinary recovery path and takes the
-	// shard over. Application servers re-route through an epoch-stamped view,
-	// so a deposed primary's votes and acks are rejected by epoch. 1 — the
-	// default — is the paper-exact unreplicated tier: none of the replication
-	// machinery is instantiated.
-	ReplicaFactor int
-	// QueueExec switches the database tier to queue-oriented deterministic
-	// batch execution: each data server plans its mailbox drains into
-	// per-key FIFO run queues and executes them without any lock-manager
-	// acquisition (per-key serial, disjoint keys parallel), with commitment
-	// gated on chain predecessors instead of locks. Hot-key workloads at
-	// depth gain throughput because the serial section per conflicting
-	// transaction shrinks to the commit decision itself. Off — the default —
-	// keeps the paper-exact strict two-phase locking.
-	QueueExec bool
 }
 
 // Cluster is a running three-tier deployment.
@@ -226,20 +172,11 @@ func New(cfg Config) (*Cluster, error) {
 		},
 		Reliable:          cfg.LossProbability > 0 || cfg.DupProbability > 0,
 		ForceLatency:      cfg.FsyncLatency,
-		BatchWindow:       cfg.BatchWindow,
-		MaxBatch:          cfg.MaxBatch,
-		CohortWindow:      cfg.CohortWindow,
-		MaxCohort:         cfg.MaxCohort,
-		AdaptiveWindows:   cfg.AdaptiveWindows,
-		RetainSlots:       cfg.RetainSlots,
+		Tuning:            cfg.Tuning,
 		Seed:              seed,
-		SuspectTimeout:    cfg.SuspicionTimeout,
 		ClientBackoff:     cfg.ClientBackoff,
 		ClientRebroadcast: cfg.ClientBackoff,
 		ClientMaxInFlight: cfg.MaxInFlight,
-		Workers:           cfg.Workers,
-		QueueExec:         cfg.QueueExec,
-		ReplicaFactor:     cfg.ReplicaFactor,
 		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 			return logic(ctx, &Tx{inner: tx}, req)
 		}),

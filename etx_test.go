@@ -27,7 +27,7 @@ func bankLogic() etx.Logic {
 
 func newCluster(t *testing.T, cfg etx.Config) *etx.Cluster {
 	t.Helper()
-	cfg.SuspicionTimeout = 40 * time.Millisecond
+	cfg.SuspectTimeout = 40 * time.Millisecond
 	cfg.ClientBackoff = 50 * time.Millisecond
 	c, err := etx.New(cfg)
 	if err != nil {
@@ -281,9 +281,9 @@ func TestPublicAPISharded(t *testing.T) {
 		seed["acct/"+keys[i]] = 0
 	}
 	c := newCluster(t, etx.Config{
-		Shards:  4,
-		Workers: 4,
-		Seed:    seed,
+		Shards: 4,
+		Tuning: etx.Tuning{Workers: 4},
+		Seed:   seed,
 		Logic: func(ctx context.Context, tx *etx.Tx, req []byte) ([]byte, error) {
 			n, err := tx.AddKey(ctx, string(req), 1)
 			if err != nil {

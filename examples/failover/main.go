@@ -15,10 +15,10 @@ import (
 
 func main() {
 	c, err := etx.New(etx.Config{
-		AppServers:       3,
-		Seed:             map[string]int64{"acct/shop": 0, "acct/card": 500},
-		SuspicionTimeout: 50 * time.Millisecond,
-		ClientBackoff:    60 * time.Millisecond,
+		AppServers:    3,
+		Seed:          map[string]int64{"acct/shop": 0, "acct/card": 500},
+		Tuning:        etx.Tuning{SuspectTimeout: 50 * time.Millisecond},
+		ClientBackoff: 60 * time.Millisecond,
 		Logic: func(ctx context.Context, tx *etx.Tx, req []byte) ([]byte, error) {
 			// A deliberately slow payment, so the crash lands mid-flight.
 			if err := tx.SimulateWork(ctx, 0, 100*time.Millisecond); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"etx/internal/cluster"
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/kv"
 	"etx/internal/msg"
 	"etx/internal/placement"
@@ -115,13 +116,17 @@ func runDataTierFailover(quick bool) (*DataTierFailover, error) {
 	}
 
 	c, err := cluster.New(cluster.Config{
-		AppServers:    3,
-		DataServers:   S,
-		Shards:        S,
-		ReplicaFactor: shape.replicas,
-		Clients:       shape.clients,
-		Seed:          seed,
-		Workers:       4,
+		AppServers:  3,
+		DataServers: S,
+		Shards:      S,
+		Tuning: deploy.Tuning{
+			ReplicaFactor:     shape.replicas,
+			Workers:           4,
+			HeartbeatInterval: shape.suspect / 8,
+			SuspectTimeout:    shape.suspect,
+		},
+		Clients: shape.clients,
+		Seed:    seed,
 		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 			src, dst, ok := strings.Cut(string(req), ">")
 			if !ok {
@@ -139,8 +144,6 @@ func runDataTierFailover(quick bool) (*DataTierFailover, error) {
 			}
 			return []byte("ok"), nil
 		}),
-		HeartbeatInterval: shape.suspect / 8,
-		SuspectTimeout:    shape.suspect,
 	})
 	if err != nil {
 		return nil, err

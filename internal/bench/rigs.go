@@ -20,6 +20,7 @@ import (
 	"etx/internal/baseline"
 	"etx/internal/cluster"
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/fd"
 	"etx/internal/id"
 	"etx/internal/kv"
@@ -106,19 +107,14 @@ func newSoloRig(model latcost.Model, dbServers int, build func(ep transport.Endp
 			rig.stop()
 			return nil, err
 		}
-		engine, err := xadb.Open(stablestore.New(model.DBForce), xadb.Config{Self: dbID})
+		db, err := deploy.StartDataNode(deploy.DataNodeConfig{
+			Self: dbID, Endpoint: ep, Store: stablestore.New(model.DBForce), Seed: benchSeed(),
+		})
 		if err != nil {
 			rig.stop()
 			return nil, err
 		}
-		engine.Seed(benchSeed())
-		srv, err := core.NewDataServer(core.DataServerConfig{Self: dbID, Engine: engine, Endpoint: ep})
-		if err != nil {
-			rig.stop()
-			return nil, err
-		}
-		srv.Start()
-		rig.stops = append(rig.stops, srv.Stop)
+		rig.stops = append(rig.stops, db.Stop)
 	}
 
 	appID := id.AppServer(1)
@@ -217,20 +213,15 @@ func newPBRig(model latcost.Model, hooks map[id.NodeID]*core.Hooks, detFor func(
 		rig.stop()
 		return nil, err
 	}
-	engine, err := xadb.Open(stablestore.New(model.DBForce), xadb.Config{Self: dbID})
+	db, err := deploy.StartDataNode(deploy.DataNodeConfig{
+		Self: dbID, Endpoint: dbEP, Store: stablestore.New(model.DBForce), Seed: benchSeed(),
+	})
 	if err != nil {
 		rig.stop()
 		return nil, err
 	}
-	engine.Seed(benchSeed())
-	dbSrv, err := core.NewDataServer(core.DataServerConfig{Self: dbID, Engine: engine, Endpoint: dbEP})
-	if err != nil {
-		rig.stop()
-		return nil, err
-	}
-	dbSrv.Start()
-	rig.stops = append(rig.stops, dbSrv.Stop)
-	rig.engines[dbID] = engine
+	rig.stops = append(rig.stops, db.Stop)
+	rig.engines[dbID] = db.Engine
 
 	a1, a2 := id.AppServer(1), id.AppServer(2)
 	for _, pair := range []struct {

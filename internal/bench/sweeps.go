@@ -10,6 +10,7 @@ import (
 
 	"etx/internal/cluster"
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/latcost"
 	"etx/internal/msg"
@@ -144,12 +145,14 @@ func deployment(depth int, accounts []string, sqlWork time.Duration) cluster.Con
 		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 			return workload.Bank(ctx, tx, req, sqlWork)
 		}),
-		Seed:        workload.BankSeed(seed),
-		Workers:     depth,
+		Seed: workload.BankSeed(seed),
+		Tuning: deploy.Tuning{
+			Workers:           depth,
+			HeartbeatInterval: 10 * time.Millisecond,
+			SuspectTimeout:    time.Second,
+		},
 		Terminators: depth,
 
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectTimeout:    time.Second,
 		ResendInterval:    5 * time.Second,
 		CleanInterval:     50 * time.Millisecond,
 		ClientBackoff:     5 * time.Second,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"etx/internal/deploy"
 	"etx/internal/kv"
 )
 
@@ -27,7 +28,7 @@ func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 		Shards:       1,
 		Logic:        transferKeyed(),
 		ForceLatency: 2 * time.Millisecond,
-		Workers:      requests,
+		Tuning:       deploy.Tuning{Workers: requests},
 		Terminators:  requests,
 	}
 	batchKnobs(&cfg)
@@ -98,7 +99,7 @@ func TestBatchingShardedOracleUnderCrashRecovery(t *testing.T) {
 		Shards:       shards,
 		Logic:        transferKeyed(),
 		ForceLatency: time.Millisecond,
-		Workers:      4,
+		Tuning:       deploy.Tuning{Workers: 4},
 	}
 	batchKnobs(&cfg)
 	for _, a := range accts {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/msg"
 	"etx/internal/xadb"
@@ -119,7 +120,7 @@ func TestWorkerPoolAblation(t *testing.T) {
 			}
 			return req, nil
 		})
-		cfg := Config{Logic: logic, Clients: 3, Workers: workers}
+		cfg := Config{Logic: logic, Clients: 3, Tuning: deploy.Tuning{Workers: workers}}
 		fastKnobs(&cfg)
 		c, err := New(cfg)
 		if err != nil {

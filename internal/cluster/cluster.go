@@ -6,6 +6,10 @@
 // Failure model knobs follow the paper's Section 2: application servers and
 // clients crash (and stay down — a majority of app servers must survive),
 // database servers crash and recover with their stable storage intact.
+//
+// The processes themselves are started by internal/deploy, the same
+// constructors the TCP binaries use, and tuned by the embedded deploy.Tuning:
+// that type is where each knob's semantics and defaults are documented.
 package cluster
 
 import (
@@ -18,6 +22,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/fd"
 	"etx/internal/id"
 	"etx/internal/kv"
@@ -27,7 +32,6 @@ import (
 	"etx/internal/repl"
 	"etx/internal/stablestore"
 	"etx/internal/transport"
-	"etx/internal/wal"
 	"etx/internal/xadb"
 )
 
@@ -61,74 +65,19 @@ type Config struct {
 	Logic core.Logic
 	// ForceLatency is the simulated fsync cost of database stable storage.
 	ForceLatency time.Duration
-	// BatchWindow switches the whole commit path to group commit and message
-	// batching: the databases' stable stores combine concurrent forced
-	// writes into shared fsyncs (window = leader accumulation time), the
-	// database servers drain their mailboxes and serve Prepare/Decide as
-	// batches, and the application servers aggregate commit fan-out to the
-	// same participant into Batch envelopes. 0 (the default) keeps the
-	// serialized one-fsync-per-forced-write behaviour.
-	BatchWindow time.Duration
-	// MaxBatch caps group-commit cohorts, mailbox drains and outbound Batch
-	// envelopes (default 64; only meaningful with BatchWindow set).
-	MaxBatch int
-	// DrainBatch independently enables the database servers' windowless
-	// mailbox-drain batching (serve a whole drained batch of Prepares and
-	// Decides through the engine's batched entry points, one reply envelope
-	// per app server) without the rest of the BatchWindow stack. The drain
-	// never waits, so it has no latency cost. 0 follows BatchWindow.
-	DrainBatch int
-	// CohortWindow switches the application servers' wo-register layer to
-	// cohort consensus: concurrent register writes share batch-consensus
-	// slots (one instance per cohort) instead of running one consensus
-	// instance each. 0 (the default) keeps the paper's one-instance-per-
-	// write discipline. The knob is deployment-wide: every application
-	// server gets the same setting.
-	CohortWindow time.Duration
-	// MaxCohort caps the register ops in one consensus slot (default 64;
-	// only meaningful with CohortWindow set).
-	MaxCohort int
-	// AdaptiveWindows makes every batching window self-tuning: application
-	// servers sample their in-flight depth and collapse outbound-batch and
-	// cohort caps to one at depth 1 while widening them under pipelining,
-	// and the databases' stable stores run a minimal group-commit window so
-	// lone writers never pay leader accumulation. When set, BatchWindow
-	// defaults to 500µs and CohortWindow to 100µs if unset. Deployment-wide.
-	AdaptiveWindows bool
-	// RetainSlots bounds the cohort-consensus batch log by checkpointed
-	// truncation: decided slots below the cluster-wide minimum applied
-	// watermark minus this retention tail are pruned, and laggards past the
-	// tail catch up via checkpoint state transfer. 0 (the default) retains
-	// every decided slot forever. Deployment-wide, like CohortWindow.
-	RetainSlots int
-	// LockTimeout is the databases' lock-wait bound.
-	LockTimeout time.Duration
-	// QueueExec switches the database tier to queue-oriented deterministic
-	// batch execution: each engine runs speculative per-key chains instead
-	// of the lock manager (internal/xadb/spec.go) and each data server
-	// plans its mailbox drains into per-key run queues
-	// (internal/core/planner.go). Off — the default — keeps the paper-exact
-	// strict-2PL execution.
-	QueueExec bool
+	// Tuning holds the knobs shared with every other way of starting the
+	// stack (the batching windows and caps, adaptive windows, retention,
+	// workers, execution mode, lock and detector timers, replica factor);
+	// deploy.Tuning documents each.
+	deploy.Tuning
 	// Seed is the initial content of every database.
 	Seed []kv.Write
-	// ReplicaFactor gives every shard a replica group of this size: the boot
-	// primary plus ReplicaFactor-1 asynchronous backups (internal/repl), with
-	// detector-driven promotion when the primary is suspected. Backup member
-	// k (1-based) of shard s (0-based) runs as DBServer(s+1+k*S) where S is
-	// the shard count, so the boot primaries keep their unreplicated
-	// identities. 1 — the default — is the paper-exact unreplicated tier:
-	// none of the replication machinery is instantiated and every code path
-	// is byte-identical to the pre-replication behaviour.
-	ReplicaFactor int
 	// DBDetector, if set, overrides the failure detector each backup monitors
 	// its replica group with (tests inject fd.Scripted for deterministic
 	// promotions). Nil runs heartbeat detectors inside each group.
 	DBDetector func(self id.NodeID) fd.Detector
 
 	// Knobs forwarded to the processes (zero = package defaults).
-	HeartbeatInterval time.Duration
-	SuspectTimeout    time.Duration
 	ConsensusPoll     time.Duration
 	ResendInterval    time.Duration
 	CleanInterval     time.Duration
@@ -136,7 +85,6 @@ type Config struct {
 	ClientBackoff     time.Duration
 	ClientRebroadcast time.Duration
 	ClientMaxInFlight int
-	Workers           int
 	Terminators       int
 
 	// Hooks, if set, supplies per-application-server instrumentation.
@@ -145,17 +93,14 @@ type Config struct {
 	Detector func(self id.NodeID) fd.Detector
 }
 
+// dbNode is a database-tier node: its stable storage, which survives crashes,
+// and what runs over it. serving is nil unless the node serves its shard (a
+// boot or recovered primary, a promoted backup); backup is nil unless the node
+// runs (or, once promoted, ran) as a shard backup. A crash clears both.
 type dbNode struct {
-	srv      *core.DataServer
-	engine   *xadb.Engine
-	store    *stablestore.Store
-	streamer *repl.Streamer // nil when unreplicated
-}
-
-// repNode is a shard backup: a stream applier over its own stable storage.
-type repNode struct {
-	b     *repl.Backup
-	store *stablestore.Store
+	store   *stablestore.Store
+	serving *deploy.DataNode
+	backup  *repl.Backup
 }
 
 // Cluster is a running deployment.
@@ -179,7 +124,6 @@ type Cluster struct {
 	mu      sync.Mutex
 	apps    map[id.NodeID]*core.AppServer
 	dbs     map[id.NodeID]*dbNode
-	reps    map[id.NodeID]*repNode
 	clients map[id.NodeID]*core.Client
 
 	replMu      sync.Mutex
@@ -217,25 +161,12 @@ func New(cfg Config) (*Cluster, error) {
 	if (cfg.Net.LossProb > 0 || cfg.Net.DupProb > 0) && !cfg.Reliable {
 		return nil, errors.New("cluster: a lossy/duplicating network requires Reliable channels")
 	}
-	if cfg.AdaptiveWindows {
-		// Mirror the app servers' own defaulting so maxBatch() and the
-		// stores see the effective windows.
-		if cfg.BatchWindow <= 0 {
-			cfg.BatchWindow = 500 * time.Microsecond
-		}
-		if cfg.CohortWindow <= 0 {
-			cfg.CohortWindow = 100 * time.Microsecond
-		}
-	}
-	if cfg.ReplicaFactor <= 0 {
-		cfg.ReplicaFactor = 1
-	}
+	cfg.Tuning = cfg.Tuning.Resolve()
 	c := &Cluster{
 		cfg:      cfg,
 		Net:      transport.NewMemNetwork(cfg.Net),
 		apps:     make(map[id.NodeID]*core.AppServer),
 		dbs:      make(map[id.NodeID]*dbNode),
-		reps:     make(map[id.NodeID]*repNode),
 		clients:  make(map[id.NodeID]*core.Client),
 		computed: make(map[id.ResultID]bool),
 	}
@@ -261,18 +192,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.pmap = pmap
 
-	// Replica groups: boot primary DBServer(s+1) plus backups at
-	// DBServer(s+1+k*S), in promotion order. Backups start before the
-	// primaries so the seed snapshot streams straight into live appliers.
+	// Backups start before the primaries so the seed snapshot streams
+	// straight into live appliers.
 	if cfg.ReplicaFactor > 1 {
-		S := cfg.DataServers
-		for s := 0; s < S; s++ {
-			group := make([]id.NodeID, 0, cfg.ReplicaFactor)
-			for k := 0; k < cfg.ReplicaFactor; k++ {
-				group = append(group, id.DBServer(s+1+k*S))
-			}
-			c.groups = append(c.groups, group)
-		}
+		c.groups = deploy.Groups(cfg.DataServers, cfg.ReplicaFactor)
 		c.view, err = placement.NewView(c.groups)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica view: %w", err)
@@ -335,18 +258,7 @@ func (c *Cluster) attach(node id.NodeID) (transport.Endpoint, error) {
 	return ep, nil
 }
 
-// maxBatch resolves the effective batch cap: 0 (batching off) unless a
-// batch window is configured.
-func (c *Cluster) maxBatch() int {
-	if c.cfg.BatchWindow <= 0 {
-		return 0
-	}
-	if c.cfg.MaxBatch > 0 {
-		return c.cfg.MaxBatch
-	}
-	return 64
-}
-
+// startDB starts a serving database server on its (surviving) store.
 func (c *Cluster) startDB(dbID id.NodeID, store *stablestore.Store, recovery bool) error {
 	ep, err := c.attach(dbID)
 	if err != nil {
@@ -355,102 +267,48 @@ func (c *Cluster) startDB(dbID id.NodeID, store *stablestore.Store, recovery boo
 	// A boot primary serves at epoch 1; a recovered server that is still its
 	// shard's current primary re-serves at the view's current epoch.
 	epoch := uint64(1)
+	var group []id.NodeID
 	if c.view != nil {
 		if sh, ok := c.view.ShardOf(dbID); ok {
+			group = c.groups[sh]
 			if cur, e := c.view.Primary(sh); cur == dbID {
 				epoch = e
 			}
 		}
 	}
-	return c.startDBOn(dbID, ep, store, recovery, epoch)
-}
-
-// startDBOn starts a serving database server on an already-attached endpoint
-// (a promoted backup hands its endpoint over so announcements sent after
-// take-over still go out).
-func (c *Cluster) startDBOn(dbID id.NodeID, ep transport.Endpoint, store *stablestore.Store, recovery bool, epoch uint64) error {
-	store.SetBatchWindow(c.cfg.BatchWindow)
-	store.SetMaxBatch(c.maxBatch())
-	// Adaptive deployments keep the full accumulation window for pipelined
-	// forces but let a lone group-commit leader skip it (the combiner's own
-	// in-flight count is the depth signal), so depth-1 commits pay no
-	// leader sleep.
-	store.SetAdaptive(c.cfg.AdaptiveWindows)
-
-	// On a replicated deployment the primary streams every appended log
-	// record to its group peers (the stream identity is the engine's
-	// incarnation, stamped after Open below).
-	var streamer *repl.Streamer
-	if c.view != nil {
-		if sh, ok := c.view.ShardOf(dbID); ok {
-			var peers []id.NodeID
-			for _, m := range c.groups[sh] {
-				if m != dbID {
-					peers = append(peers, m)
-				}
-			}
-			streamer = repl.NewStreamer(repl.StreamerConfig{
-				Self:    dbID,
-				Backups: peers,
-				Send: func(to id.NodeID, p msg.Payload) error {
-					return ep.Send(msg.Envelope{To: to, Payload: p})
-				},
-				HeartbeatInterval: c.cfg.HeartbeatInterval,
-			})
-		}
-	}
-
-	xcfg := xadb.Config{Self: dbID, LockTimeout: c.cfg.LockTimeout, QueueExec: c.cfg.QueueExec}
-	if streamer != nil {
-		xcfg.Replicate = streamer.Replicate
-	}
-	engine, err := xadb.Open(store, xcfg)
-	if err != nil {
-		return fmt.Errorf("cluster: open engine %s: %w", dbID, err)
-	}
-	if streamer != nil {
-		streamer.SetInc(engine.Incarnation())
-		if recovery {
-			// A recovered or promoted primary starts a fresh stream: prime it
-			// with the full log so backups adopting the stream resync on it
-			// from scratch.
-			recs, err := wal.New(store).Records()
-			if err != nil {
-				return fmt.Errorf("cluster: prime stream %s: %w", dbID, err)
-			}
-			streamer.Prime(recs)
-		}
-		streamer.Start()
-	}
-	if !recovery && len(c.cfg.Seed) > 0 {
-		engine.Seed(c.seedFor(dbID))
-	}
-	drain := c.cfg.DrainBatch
-	if drain <= 0 {
-		drain = c.maxBatch()
-	}
-	srv, err := core.NewDataServer(core.DataServerConfig{
+	_, err = deploy.StartDataNode(deploy.DataNodeConfig{
 		Self:       dbID,
 		AppServers: c.appIDs,
-		Engine:     engine,
+		Group:      group,
 		Endpoint:   ep,
+		Store:      store,
+		Tuning:     c.cfg.Tuning,
 		Recovery:   recovery,
-		MaxBatch:   drain,
-		QueueExec:  c.cfg.QueueExec,
-		Repl:       streamer,
 		Epoch:      epoch,
+		Seed:       c.seedFor(dbID),
+		Publish:    c.publishDB(dbID, store),
 	})
-	if err != nil {
-		return err
+	return err
+}
+
+// publishDB records a database server about to start serving, so the
+// caller's next Engine/DataServer lookup finds it.
+func (c *Cluster) publishDB(dbID id.NodeID, store *stablestore.Store) func(*deploy.DataNode) {
+	return func(n *deploy.DataNode) {
+		c.mu.Lock()
+		c.dbNodeLocked(dbID, store).serving = n
+		c.mu.Unlock()
 	}
-	// Publish, then start: once the server announces [Ready] or serves a
-	// Decide, a client can return, and the caller's next Engine/DataServer
-	// lookup must find the node.
-	c.mu.Lock()
-	c.dbs[dbID] = &dbNode{srv: srv, engine: engine, store: store, streamer: streamer}
-	c.mu.Unlock()
-	srv.Start()
-	return nil
+}
+
+// dbNodeLocked returns dbID's record, created over store on first use.
+func (c *Cluster) dbNodeLocked(dbID id.NodeID, store *stablestore.Store) *dbNode {
+	d := c.dbs[dbID]
+	if d == nil {
+		d = &dbNode{store: store}
+		c.dbs[dbID] = d
+	}
+	return d
 }
 
 // startBackup starts (or restarts, with its surviving store) the backup
@@ -475,39 +333,29 @@ func (c *Cluster) startBackup(sh int, self id.NodeID, store *stablestore.Store) 
 			return c.Net.InFlightFrom(old, self) == 0 && pc.Pending() == 0
 		}
 	}
-	curPrimary, curEpoch := c.view.Primary(sh)
-	b := repl.NewBackup(repl.BackupConfig{
-		Self:              self,
-		Shard:             sh,
-		Group:             c.groups[sh],
-		AppServers:        c.appIDs,
-		Endpoint:          ep,
-		Store:             store,
-		InitEpoch:         curEpoch,
-		InitPrimary:       curPrimary,
-		Detector:          det,
-		HeartbeatInterval: c.cfg.HeartbeatInterval,
-		SuspectTimeout:    c.cfg.SuspectTimeout,
-		Drained:           drained,
-		TakeOver: func(epoch uint64) error {
-			if err := c.startDBOn(self, ep, store, true, epoch); err != nil {
-				return err
-			}
-			// Flip the shared view last: the server is up, so traffic routed
-			// by the new epoch finds it serving.
-			c.view.Advance(sh, epoch, self)
-			return nil
+	b := deploy.StartBackup(deploy.BackupConfig{
+		BackupConfig: repl.BackupConfig{
+			Self:       self,
+			Shard:      sh,
+			Group:      c.groups[sh],
+			AppServers: c.appIDs,
+			Endpoint:   ep,
+			Store:      store,
+			Detector:   det,
+			Drained:    drained,
+			OnPromote: func(lat time.Duration) {
+				c.replMu.Lock()
+				c.promotions++
+				c.promoteLats = append(c.promoteLats, lat)
+				c.replMu.Unlock()
+			},
 		},
-		OnPromote: func(lat time.Duration) {
-			c.replMu.Lock()
-			c.promotions++
-			c.promoteLats = append(c.promoteLats, lat)
-			c.replMu.Unlock()
-		},
+		Tuning:  c.cfg.Tuning,
+		View:    c.view,
+		Publish: c.publishDB(self, store),
 	})
-	b.Start()
 	c.mu.Lock()
-	c.reps[self] = &repNode{b: b, store: store}
+	c.dbNodeLocked(self, store).backup = b
 	c.mu.Unlock()
 	return nil
 }
@@ -525,35 +373,25 @@ func (c *Cluster) startApp(appID id.NodeID) error {
 	if c.cfg.Detector != nil {
 		det = c.cfg.Detector(appID)
 	}
-	srv, err := core.NewAppServer(core.AppServerConfig{
-		Self:              appID,
-		AppServers:        c.appIDs,
-		DataServers:       c.dbIDs,
-		Placement:         c.pmap,
-		View:              c.view,
-		Endpoint:          ep,
-		Logic:             &loggedLogic{c: c, inner: c.cfg.Logic},
-		Detector:          det,
-		HeartbeatInterval: c.cfg.HeartbeatInterval,
-		SuspectTimeout:    c.cfg.SuspectTimeout,
-		ConsensusPoll:     c.cfg.ConsensusPoll,
-		ResendInterval:    c.cfg.ResendInterval,
-		CleanInterval:     c.cfg.CleanInterval,
-		ComputeTimeout:    c.cfg.ComputeTimeout,
-		Workers:           c.cfg.Workers,
-		Terminators:       c.cfg.Terminators,
-		BatchWindow:       c.cfg.BatchWindow,
-		MaxBatch:          c.maxBatch(),
-		CohortWindow:      c.cfg.CohortWindow,
-		MaxCohort:         c.cfg.MaxCohort,
-		AdaptiveWindows:   c.cfg.AdaptiveWindows,
-		RetainSlots:       c.cfg.RetainSlots,
-		Hooks:             hooks,
-	})
+	srv, err := deploy.StartAppNode(core.AppServerConfig{
+		Self:           appID,
+		AppServers:     c.appIDs,
+		DataServers:    c.dbIDs,
+		Placement:      c.pmap,
+		View:           c.view,
+		Endpoint:       ep,
+		Logic:          &loggedLogic{c: c, inner: c.cfg.Logic},
+		Detector:       det,
+		ConsensusPoll:  c.cfg.ConsensusPoll,
+		ResendInterval: c.cfg.ResendInterval,
+		CleanInterval:  c.cfg.CleanInterval,
+		ComputeTimeout: c.cfg.ComputeTimeout,
+		Terminators:    c.cfg.Terminators,
+		Hooks:          hooks,
+	}, c.cfg.Tuning)
 	if err != nil {
 		return err
 	}
-	srv.Start()
 	c.mu.Lock()
 	c.apps[appID] = srv
 	c.mu.Unlock()
@@ -583,8 +421,8 @@ func (c *Cluster) startClient(clID id.NodeID) error {
 			}
 			srvs := make([]*core.DataServer, 0, len(c.dbs))
 			for _, n := range c.dbs {
-				if n.srv != nil {
-					srvs = append(srvs, n.srv)
+				if n.serving != nil {
+					srvs = append(srvs, n.serving.Server)
 				}
 			}
 			c.mu.Unlock()
@@ -631,8 +469,8 @@ func (c *Cluster) App(i int) *core.AppServer {
 func (c *Cluster) Engine(i int) *xadb.Engine {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.dbs[id.DBServer(i)]; ok {
-		return n.engine
+	if n, ok := c.dbs[id.DBServer(i)]; ok && n.serving != nil {
+		return n.serving.Engine
 	}
 	return nil
 }
@@ -643,8 +481,8 @@ func (c *Cluster) Engine(i int) *xadb.Engine {
 func (c *Cluster) DataServer(i int) *core.DataServer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.dbs[id.DBServer(i)]; ok {
-		return n.srv
+	if n, ok := c.dbs[id.DBServer(i)]; ok && n.serving != nil {
+		return n.serving.Server
 	}
 	return nil
 }
@@ -676,8 +514,8 @@ func (c *Cluster) Groups() [][]id.NodeID {
 func (c *Cluster) Backup(i int) *repl.Backup {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r, ok := c.reps[id.DBServer(i)]; ok {
-		return r.b
+	if n, ok := c.dbs[id.DBServer(i)]; ok {
+		return n.backup
 	}
 	return nil
 }
@@ -687,8 +525,8 @@ func (c *Cluster) Backup(i int) *repl.Backup {
 func (c *Cluster) Streamer(i int) *repl.Streamer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n, ok := c.dbs[id.DBServer(i)]; ok {
-		return n.streamer
+	if n, ok := c.dbs[id.DBServer(i)]; ok && n.serving != nil {
+		return n.serving.Streamer
 	}
 	return nil
 }
@@ -762,42 +600,26 @@ func (c *Cluster) CrashDB(i int) {
 	dbID := id.DBServer(i)
 	c.Net.Crash(dbID)
 	c.mu.Lock()
-	n := c.dbs[dbID]
-	if n != nil {
-		n.srv = nilStop(n.srv, &c.stopWG)
-		n.engine = nil
-		if n.streamer != nil {
-			st := n.streamer
-			n.streamer = nil
-			c.stopWG.Add(1)
-			go func() {
-				defer c.stopWG.Done()
-				st.Stop()
-			}()
-		}
-	}
-	r := c.reps[dbID]
-	if r != nil && r.b != nil {
-		b := r.b
-		r.b = nil
+	if n := c.dbs[dbID]; n != nil {
+		stopped := *n
+		n.serving, n.backup = nil, nil
 		c.stopWG.Add(1)
 		go func() {
 			defer c.stopWG.Done()
-			b.Stop()
+			stopped.stop()
 		}()
 	}
 	c.mu.Unlock()
 }
 
-func nilStop(srv *core.DataServer, wg *sync.WaitGroup) *core.DataServer {
-	if srv != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			srv.Stop()
-		}()
+// stop stops whatever runs on the node.
+func (n *dbNode) stop() {
+	if n.serving != nil {
+		n.serving.Stop()
 	}
-	return nil
+	if n.backup != nil {
+		n.backup.Stop()
+	}
 }
 
 // RecoverDB restarts the i-th database-tier node on its surviving stable
@@ -809,16 +631,12 @@ func nilStop(srv *core.DataServer, wg *sync.WaitGroup) *core.DataServer {
 func (c *Cluster) RecoverDB(i int) error {
 	dbID := id.DBServer(i)
 	c.mu.Lock()
-	var store *stablestore.Store
-	if n, ok := c.dbs[dbID]; ok {
-		store = n.store
-	} else if r, ok := c.reps[dbID]; ok {
-		store = r.store
-	}
+	n := c.dbs[dbID]
 	c.mu.Unlock()
-	if store == nil {
+	if n == nil {
 		return fmt.Errorf("cluster: unknown database %s", dbID)
 	}
+	store := n.store
 	if c.view != nil {
 		if sh, ok := c.view.ShardOf(dbID); ok && !c.view.IsCurrent(dbID) {
 			return c.startBackup(sh, dbID, store)
@@ -849,11 +667,9 @@ func (c *Cluster) Stop() {
 		clients := c.clients
 		apps := c.apps
 		dbs := c.dbs
-		reps := c.reps
 		c.clients = map[id.NodeID]*core.Client{}
 		c.apps = map[id.NodeID]*core.AppServer{}
 		c.dbs = map[id.NodeID]*dbNode{}
-		c.reps = map[id.NodeID]*repNode{}
 		c.mu.Unlock()
 		for _, cl := range clients {
 			cl.Stop()
@@ -862,17 +678,7 @@ func (c *Cluster) Stop() {
 			a.Stop()
 		}
 		for _, d := range dbs {
-			if d.srv != nil {
-				d.srv.Stop()
-			}
-			if d.streamer != nil {
-				d.streamer.Stop()
-			}
-		}
-		for _, r := range reps {
-			if r.b != nil {
-				r.b.Stop()
-			}
+			d.stop()
 		}
 		c.Net.Close()
 		c.stopWG.Wait()
@@ -923,8 +729,8 @@ func (c *Cluster) CheckProperties() OracleReport {
 	c.mu.Lock()
 	engines := make(map[id.NodeID]*xadb.Engine, len(c.dbs))
 	for dbID, n := range c.dbs {
-		if n.engine != nil {
-			engines[dbID] = n.engine
+		if n.serving != nil {
+			engines[dbID] = n.serving.Engine
 		}
 	}
 	clients := make([]*core.Client, 0, len(c.clients))

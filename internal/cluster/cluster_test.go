@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/fd"
 	"etx/internal/id"
 	"etx/internal/kv"
@@ -474,7 +475,7 @@ func TestConcurrentClientsConserveMoney(t *testing.T) {
 		Logic:   transferLogic(),
 		Seed:    seedAccounts(1000),
 		Clients: clients,
-		Workers: 2,
+		Tuning:  deploy.Tuning{Workers: 2},
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)

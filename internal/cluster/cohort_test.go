@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"etx/internal/consensus"
+	"etx/internal/deploy"
 	"etx/internal/kv"
 )
 
@@ -112,9 +113,8 @@ func TestCohortParityWithUnbatched(t *testing.T) {
 			Shards:      1,
 			Logic:       transferKeyed(),
 			Seed:        seed,
-			Workers:     inflight,
+			Tuning:      deploy.Tuning{Workers: inflight, RetainSlots: retain},
 			Terminators: inflight,
-			RetainSlots: retain,
 		}
 		if cohort {
 			cohortKnobs(&cfg)
@@ -200,7 +200,7 @@ func TestCohortPrimaryCrashMidBatch(t *testing.T) {
 		Shards:      1,
 		Logic:       transferKeyed(),
 		Seed:        seed,
-		Workers:     inflight,
+		Tuning:      deploy.Tuning{Workers: inflight},
 		Terminators: inflight,
 	}
 	cohortKnobs(&cfg)

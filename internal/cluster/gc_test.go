@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"etx/internal/consensus"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/kv"
 	"etx/internal/msg"
@@ -73,7 +74,7 @@ func TestCheckpointCatchUpAfterPartition(t *testing.T) {
 		Shards:      1,
 		Logic:       transferKeyed(),
 		Seed:        seed,
-		Workers:     inflight,
+		Tuning:      deploy.Tuning{Workers: inflight},
 		Terminators: inflight,
 	}
 	gcKnobs(&cfg, retain)
@@ -195,17 +196,18 @@ func TestBoundedSlotMemorySoak(t *testing.T) {
 		Logic:       transferKeyed(),
 		Seed:        kvSeed,
 		Shards:      1,
-		Workers:     inflight,
+		Tuning: deploy.Tuning{
+			Workers:           inflight,
+			CohortWindow:      200 * time.Microsecond,
+			RetainSlots:       retain,
+			DrainBatch:        64,
+			HeartbeatInterval: 10 * time.Millisecond,
+			SuspectTimeout:    time.Second,
+		},
 		Terminators: inflight,
 
-		CohortWindow: 200 * time.Microsecond,
-		RetainSlots:  retain,
-		DrainBatch:   64,
-
-		// Failure-free by design: generous timers so CPU load cannot fire
-		// spurious suspicions mid-soak.
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectTimeout:    time.Second,
+		// Failure-free by design: generous timers (and the detector's, in
+		// Tuning above) so CPU load cannot fire spurious suspicions mid-soak.
 		ResendInterval:    5 * time.Second,
 		CleanInterval:     50 * time.Millisecond,
 		ClientBackoff:     5 * time.Second,
@@ -348,7 +350,7 @@ func TestRetireAbandonsUndecidedInstances(t *testing.T) {
 		Shards:      1,
 		Logic:       transferKeyed(),
 		Seed:        seed,
-		Workers:     inflight,
+		Tuning:      deploy.Tuning{Workers: inflight},
 		Terminators: inflight,
 	}
 	cohortKnobs(&cfg)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/kv"
 )
 
@@ -100,7 +101,7 @@ func TestQueueParityWithLockMode(t *testing.T) {
 			Shards:      1,
 			Logic:       transferKeyed(),
 			Seed:        seed,
-			Workers:     inflight,
+			Tuning:      deploy.Tuning{Workers: inflight},
 			Terminators: inflight,
 		}
 		if queueMode {
@@ -169,7 +170,7 @@ func TestQueuePrimaryCrashMidRun(t *testing.T) {
 		Shards:      1,
 		Logic:       transferKeyed(),
 		Seed:        seed,
-		Workers:     inflight,
+		Tuning:      deploy.Tuning{Workers: inflight},
 		Terminators: inflight,
 	}
 	queueKnobs(&cfg)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/fd"
 	"etx/internal/id"
 	"etx/internal/msg"
@@ -68,7 +69,7 @@ func waitPromotions(t *testing.T, c *Cluster, n int) {
 // unset) instantiates none of the replication machinery and behaves exactly
 // like the pre-replication deployment.
 func TestReplicaFactorOneIsUnchanged(t *testing.T) {
-	cfg := Config{Logic: transferLogic(), Seed: seedAccounts(100), ReplicaFactor: 1}
+	cfg := Config{Logic: transferLogic(), Seed: seedAccounts(100), Tuning: deploy.Tuning{ReplicaFactor: 1}}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
 	if err != nil {
@@ -95,10 +96,10 @@ func TestReplicaFactorOneIsUnchanged(t *testing.T) {
 func TestBackupsApplyStream(t *testing.T) {
 	dets := newReplDetectors()
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(100),
-		ReplicaFactor: 3,
-		DBDetector:    dets.factory(),
+		Logic:      transferLogic(),
+		Seed:       seedAccounts(100),
+		Tuning:     deploy.Tuning{ReplicaFactor: 3},
+		DBDetector: dets.factory(),
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
@@ -143,10 +144,10 @@ func TestBackupsApplyStream(t *testing.T) {
 func TestKillPrimaryPromotesBackup(t *testing.T) {
 	dets := newReplDetectors()
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(100),
-		ReplicaFactor: 3,
-		DBDetector:    dets.factory(),
+		Logic:      transferLogic(),
+		Seed:       seedAccounts(100),
+		Tuning:     deploy.Tuning{ReplicaFactor: 3},
+		DBDetector: dets.factory(),
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
@@ -192,10 +193,10 @@ func TestPromotionCommitsInDoubtBranch(t *testing.T) {
 	var fired atomic.Bool
 	var cRef atomic.Pointer[Cluster]
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(100),
-		ReplicaFactor: 2,
-		DBDetector:    dets.factory(),
+		Logic:      transferLogic(),
+		Seed:       seedAccounts(100),
+		Tuning:     deploy.Tuning{ReplicaFactor: 2},
+		DBDetector: dets.factory(),
 		Hooks: func(self id.NodeID) *core.Hooks {
 			return &core.Hooks{
 				Crash: func(p core.CrashPoint, rid id.ResultID) {
@@ -250,10 +251,10 @@ func TestFalseSuspicionFencedByEpoch(t *testing.T) {
 		return []byte("done"), nil
 	})
 	cfg := Config{
-		Logic:         slowLogic,
-		Seed:          seedAccounts(0),
-		ReplicaFactor: 2,
-		DBDetector:    dets.factory(),
+		Logic:      slowLogic,
+		Seed:       seedAccounts(0),
+		Tuning:     deploy.Tuning{ReplicaFactor: 2},
+		DBDetector: dets.factory(),
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
@@ -311,12 +312,11 @@ func TestKillPrimaryUnderLoad(t *testing.T) {
 	const perClient = 6
 	dets := newReplDetectors()
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(1000),
-		Clients:       clients,
-		Workers:       2,
-		ReplicaFactor: 2,
-		DBDetector:    dets.factory(),
+		Logic:      transferLogic(),
+		Seed:       seedAccounts(1000),
+		Clients:    clients,
+		Tuning:     deploy.Tuning{Workers: 2, ReplicaFactor: 2},
+		DBDetector: dets.factory(),
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
@@ -362,10 +362,10 @@ func TestKillPrimaryUnderLoad(t *testing.T) {
 func TestRecoveredPrimaryRejoinsAsBackup(t *testing.T) {
 	dets := newReplDetectors()
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(100),
-		ReplicaFactor: 2,
-		DBDetector:    dets.factory(),
+		Logic:      transferLogic(),
+		Seed:       seedAccounts(100),
+		Tuning:     deploy.Tuning{ReplicaFactor: 2},
+		DBDetector: dets.factory(),
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)

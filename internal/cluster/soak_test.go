@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/transport"
 )
@@ -139,11 +140,11 @@ func TestSoakReplicatedKillPrimary(t *testing.T) {
 		initial   = int64(100000)
 	)
 	cfg := Config{
-		Logic:         transferLogic(),
-		Seed:          seedAccounts(initial),
-		Clients:       clients,
-		ReplicaFactor: 3,
-		Net:           transport.Options{Jitter: 200 * time.Microsecond, Seed: 33},
+		Logic:   transferLogic(),
+		Seed:    seedAccounts(initial),
+		Clients: clients,
+		Tuning:  deploy.Tuning{ReplicaFactor: 3},
+		Net:     transport.Options{Jitter: 200 * time.Microsecond, Seed: 33},
 	}
 	fastKnobs(&cfg)
 	cfg.ComputeTimeout = 10 * time.Second

@@ -102,49 +102,52 @@ type AppServerConfig struct {
 	// CommitCacheSize caps the committed-decision cache and the cleaning
 	// thread's dedup cache (oldest entries evicted first). Defaults to 4096.
 	CommitCacheSize int
-	// BatchWindow enables outbound aggregation of the commit path's database
-	// fan-out: Prepare and Decide sends to the same participant buffer for up
-	// to this window (or until MaxBatch of them are pending) and leave as one
-	// Batch envelope, so the participant can serve them as a group-commit
-	// cohort sharing one forced log write. 0 (the default) sends every
-	// message directly — the pre-batching behaviour.
-	BatchWindow time.Duration
-	// MaxBatch caps one outbound Batch envelope. Defaults to 64 when
-	// BatchWindow is set.
-	MaxBatch int
-	// CohortWindow switches the wo-register layer to cohort consensus: the
-	// server's concurrent register writes (regA claims, regD decisions)
-	// share batch-consensus slots instead of running one consensus instance
-	// each, cutting consensus messages and instances per commit by the
-	// cohort size. The window is the extra time a fresh cohort stays open
-	// for followers (under load cohorts fill while the previous slot is in
-	// flight). 0 — the default — keeps the paper's one-instance-per-write
-	// discipline. Every application server must use the same setting.
-	CohortWindow time.Duration
-	// MaxCohort caps the register ops proposed in one consensus slot.
-	// Defaults to 64 when CohortWindow is set.
-	MaxCohort int
-	// AdaptiveWindows makes the batching caps self-tuning: the server
-	// samples its in-flight request depth (the same arrival signal the
-	// stable store's group-commit combiner observes) and collapses the
-	// outbound-batch and cohort caps to one at depth 1 — no waiting peer
-	// exists, so a window would be pure added latency — while widening them
-	// toward MaxBatch/MaxCohort under deep pipelining. When set,
-	// BatchWindow defaults to 500µs and CohortWindow to 100µs if unset.
-	// Adaptation tunes timing only; protocol semantics are unchanged (see
-	// the package comment).
+	// The batching knobs, which every process of a deployment must agree
+	// on; deploy.Tuning documents them and is where they are normally set
+	// (this struct keeps them flat for callers that build a server by hand).
+	// BatchWindow > 0 aggregates Prepare/Decide fan-out to the same
+	// participant into Batch envelopes of at most MaxBatch; CohortWindow > 0
+	// lets concurrent register writes share consensus slots of at most
+	// MaxCohort ops; AdaptiveWindows sizes both caps by the sampled
+	// in-flight depth and defaults unset windows (ResolveWindow);
+	// RetainSlots > 0 truncates decided slots behind the cluster-wide
+	// applied watermark. All zero is the paper-exact server.
+	BatchWindow     time.Duration
+	MaxBatch        int
+	CohortWindow    time.Duration
+	MaxCohort       int
 	AdaptiveWindows bool
-	// RetainSlots bounds the cohort-consensus batch log: each server
-	// piggybacks its applied slot watermark on consensus messages and
-	// heartbeats, and decided slots below the cluster-wide minimum minus
-	// this retention tail are truncated (laggards past the tail catch up
-	// via checkpoint state transfer instead of decision replay). 0 — the
-	// default — retains every decided slot forever, the pre-GC behaviour.
-	// Only meaningful with CohortWindow set; every application server must
-	// use the same setting.
-	RetainSlots int
+	RetainSlots     int
 	// Hooks carries optional instrumentation and crash injection.
 	Hooks *Hooks
+}
+
+// The defaults of the batching knobs, deployment-wide: what an adaptive
+// deployment runs when a window is left unset, and the cap a window gets
+// when its cap is left unset.
+const (
+	AdaptiveBatchWindow  = 500 * time.Microsecond
+	AdaptiveCohortWindow = 100 * time.Microsecond
+	DefaultBatchCap      = 64
+)
+
+// ResolveWindow is the defaulting rule every batching window and its cap
+// follow, on every tier (deploy.Tuning.Resolve applies it for the database
+// tier and the stores): an adaptive deployment runs an unset window at
+// adaptiveDefault; a set window with an unset cap is capped at
+// DefaultBatchCap; without a window there is no batching and the cap is 0,
+// whatever was asked for — the paper-exact configuration.
+func ResolveWindow(adaptive bool, adaptiveDefault, window time.Duration, limit int) (time.Duration, int) {
+	if adaptive && window <= 0 {
+		window = adaptiveDefault
+	}
+	if window <= 0 {
+		return 0, 0
+	}
+	if limit <= 0 {
+		limit = DefaultBatchCap
+	}
+	return window, limit
 }
 
 func (c *AppServerConfig) setDefaults() {
@@ -169,20 +172,8 @@ func (c *AppServerConfig) setDefaults() {
 	if c.CommitCacheSize <= 0 {
 		c.CommitCacheSize = 4096
 	}
-	if c.AdaptiveWindows {
-		if c.BatchWindow <= 0 {
-			c.BatchWindow = 500 * time.Microsecond
-		}
-		if c.CohortWindow <= 0 {
-			c.CohortWindow = 100 * time.Microsecond
-		}
-	}
-	if c.BatchWindow > 0 && c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.CohortWindow > 0 && c.MaxCohort <= 0 {
-		c.MaxCohort = 64
-	}
+	c.BatchWindow, c.MaxBatch = ResolveWindow(c.AdaptiveWindows, AdaptiveBatchWindow, c.BatchWindow, c.MaxBatch)
+	c.CohortWindow, c.MaxCohort = ResolveWindow(c.AdaptiveWindows, AdaptiveCohortWindow, c.CohortWindow, c.MaxCohort)
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 10 * time.Millisecond
 	}

@@ -17,6 +17,15 @@ import (
 	"etx/internal/xadb"
 )
 
+// execWorkers sizes the pool serving business-data operations. Execs run off
+// the serve loop because one blocked on a lock must not delay the
+// Decide(abort) that would release it; a fixed pool keeps that isolation
+// without spawning a goroutine per operation on the hot path (worst case a
+// pool's worth of lock-waiters delays further Execs, never votes or
+// decides). In queue mode the pool serves only keyless operations; keyed
+// ones run on per-key runners.
+const execWorkers = 64
+
 // DataServerConfig parameterizes a database-server process.
 type DataServerConfig struct {
 	// Self identifies the server.
@@ -39,14 +48,6 @@ type DataServerConfig struct {
 	// Values <= 1 (the default) serve every message individually — the
 	// pre-group-commit behaviour.
 	MaxBatch int
-	// ExecWorkers sizes the pool serving business-data operations. Execs run
-	// off the serve loop because one blocked on a lock must not delay the
-	// Decide(abort) that would release it; a fixed pool keeps that isolation
-	// without spawning a goroutine per operation on the hot path. Defaults
-	// to 64 (worst case a pool's worth of lock-waiters delays further Execs,
-	// never votes or decides). In queue mode the pool serves only keyless
-	// operations; keyed ones run on per-key runners.
-	ExecWorkers int
 	// QueueExec switches the server to queue-oriented deterministic batch
 	// execution: each mailbox drain's data operations are planned into
 	// per-key FIFO queues executed without lock-manager acquisition (per-key
@@ -158,9 +159,6 @@ func NewDataServer(cfg DataServerConfig) (*DataServer, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1
 	}
-	if cfg.ExecWorkers <= 0 {
-		cfg.ExecWorkers = 64
-	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
@@ -190,7 +188,7 @@ func (d *DataServer) Start() {
 	}
 	d.wg.Add(1)
 	go d.loop()
-	for i := 0; i < d.cfg.ExecWorkers; i++ {
+	for i := 0; i < execWorkers; i++ {
 		d.wg.Add(1)
 		go d.execWorker()
 	}

@@ -240,11 +240,9 @@ type BackupConfig struct {
 	// Drained, when set, reports whether every in-flight message from the
 	// deposed primary has reached this backup's mailbox (the in-memory
 	// network can prove it; see transport.MemNetwork.InFlightFrom). Nil falls
-	// back to a quiet period of DrainQuiet.
+	// back to a quiet period: promotion proceeds once the mailbox has been
+	// empty for 5 heartbeat intervals.
 	Drained func(oldPrimary id.NodeID) bool
-	// DrainQuiet is the quiet-period fallback: promotion proceeds once the
-	// mailbox has been empty that long. Defaults to 5 * HeartbeatInterval.
-	DrainQuiet time.Duration
 	// TakeOver makes this node the shard's serving primary: open the engine
 	// over Store and start a data server (with recovery announcement) on this
 	// node. Required. It runs after the drain, with the mailbox consumed and
@@ -256,8 +254,6 @@ type BackupConfig struct {
 	// Now is the clock (latency measurement and drain pacing). Defaults to
 	// time.Now.
 	Now func() time.Time
-	// Logf, if set, receives progress lines (defaults to log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // Backup is a shard replica: it applies the primary's record stream onto its
@@ -289,14 +285,8 @@ func NewBackup(cfg BackupConfig) *Backup {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 10 * time.Millisecond
 	}
-	if cfg.DrainQuiet <= 0 {
-		cfg.DrainQuiet = 5 * cfg.HeartbeatInterval
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = log.Printf
 	}
 	b := &Backup{
 		cfg:     cfg,
@@ -545,7 +535,7 @@ func (b *Backup) maybePromote() bool {
 // the log, open the engine via TakeOver, announce the new epoch.
 func (b *Backup) promote(old id.NodeID, epoch uint64) {
 	start := b.cfg.Now()
-	b.cfg.Logf("repl: %s: primary %s suspected, promoting to shard %d primary at epoch %d",
+	log.Printf("repl: %s: primary %s suspected, promoting to shard %d primary at epoch %d",
 		b.cfg.Self, old, b.cfg.Shard, epoch)
 	b.drain(old)
 	b.mu.Lock()
@@ -554,7 +544,7 @@ func (b *Backup) promote(old id.NodeID, epoch uint64) {
 		// primary never finished fanning out. Nothing beyond the gap was
 		// acked to the application tier before the crash (records are
 		// streamed before votes leave), so dropping them is safe.
-		b.cfg.Logf("repl: %s: dropping %d unappliable tail records past seq %d", b.cfg.Self, dropped, b.applied)
+		log.Printf("repl: %s: dropping %d unappliable tail records past seq %d", b.cfg.Self, dropped, b.applied)
 		b.buffer = make(map[uint64][]byte)
 	}
 	b.promoted = true
@@ -564,7 +554,7 @@ func (b *Backup) promote(old id.NodeID, epoch uint64) {
 	b.cfg.Store.Sync()
 	putEpoch(b.cfg.Store, epoch)
 	if err := b.cfg.TakeOver(epoch); err != nil {
-		b.cfg.Logf("repl: %s: take-over failed: %v", b.cfg.Self, err)
+		log.Printf("repl: %s: take-over failed: %v", b.cfg.Self, err)
 		return
 	}
 	// Announce after the server is up, so re-routed traffic finds it serving.
@@ -578,7 +568,7 @@ func (b *Backup) promote(old id.NodeID, epoch uint64) {
 		}
 	}
 	took := b.cfg.Now().Sub(start)
-	b.cfg.Logf("repl: %s: serving shard %d at epoch %d (promotion took %s)", b.cfg.Self, b.cfg.Shard, epoch, took)
+	log.Printf("repl: %s: serving shard %d at epoch %d (promotion took %s)", b.cfg.Self, b.cfg.Shard, epoch, took)
 	if b.cfg.OnPromote != nil {
 		b.cfg.OnPromote(took)
 	}
@@ -620,7 +610,7 @@ func (b *Backup) drain(old id.NodeID) {
 				return
 			}
 			b.handle(env.From, env.Payload)
-		case <-time.After(b.cfg.DrainQuiet):
+		case <-time.After(5 * b.cfg.HeartbeatInterval):
 			return
 		}
 	}

@@ -3,19 +3,12 @@ package tcptransport_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"etx/internal/core"
-	"etx/internal/id"
-	"etx/internal/kv"
-	"etx/internal/msg"
-	"etx/internal/rchan"
-	"etx/internal/stablestore"
+	"etx/internal/deploy"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/xadb"
 )
 
 // TestBatchedCommitPathOverTCP runs the stack over real loopback TCP with the
@@ -28,84 +21,11 @@ func TestBatchedCommitPathOverTCP(t *testing.T) {
 		t.Skip("TCP end-to-end test skipped in -short mode")
 	}
 
-	appIDs := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
-	dbID := id.DBServer(1)
-	clID := id.Client(1)
-
-	eps := make(map[id.NodeID]*tcptransport.Endpoint)
-	book := make(map[id.NodeID]string)
-	for _, n := range append(append([]id.NodeID{}, appIDs...), dbID, clID) {
-		ep, err := tcptransport.Listen(tcptransport.Config{Self: n, Listen: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		eps[n] = ep
-		book[n] = ep.Addr()
-	}
-	for _, ep := range eps {
-		ep.SetPeers(book)
-	}
-
-	store, err := stablestore.OpenFile(filepath.Join(t.TempDir(), "db.journal"), time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.CloseFile() })
-	store.SetBatchWindow(500 * time.Microsecond)
-	engine, err := xadb.Open(store, xadb.Config{Self: dbID})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers = 16
-	seed := make([]kv.Write, workers)
-	for i := range seed {
-		seed[i] = kv.Write{Key: fmt.Sprintf("acct/a%02d", i), Val: kv.EncodeInt(100)}
-	}
-	engine.Seed(seed)
-	dbSrv, err := core.NewDataServer(core.DataServerConfig{
-		Self: dbID, AppServers: appIDs, Engine: engine,
-		Endpoint: rchan.Wrap(eps[dbID], 50*time.Millisecond),
-		MaxBatch: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbSrv.Start()
-	t.Cleanup(dbSrv.Stop)
-
-	logic := core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-		rep, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpAdd, Key: string(req), Delta: -1})
-		if err != nil {
-			return nil, err
-		}
-		return []byte(fmt.Sprintf("%d", rep.Num)), nil
-	})
-	for _, appID := range appIDs {
-		srv, err := core.NewAppServer(core.AppServerConfig{
-			Self: appID, AppServers: appIDs, DataServers: []id.NodeID{dbID},
-			Endpoint:       rchan.Wrap(eps[appID], 50*time.Millisecond),
-			Logic:          logic,
-			SuspectTimeout: 300 * time.Millisecond,
-			Workers:        workers,
-			BatchWindow:    500 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		t.Cleanup(srv.Stop)
-	}
-
-	cl, err := core.NewClient(core.ClientConfig{
-		Self: clID, AppServers: appIDs,
-		Endpoint: rchan.Wrap(eps[clID], 50*time.Millisecond),
-		Backoff:  300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
+	store := journal(t, time.Millisecond)
+	cl, engine := startStack(t, tcptransport.Config{}, store,
+		deploy.Tuning{BatchWindow: 500 * time.Microsecond, Workers: workers},
+		accountSeed(workers), withdrawOne)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -3,72 +3,24 @@ package tcptransport_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
 
 	"etx/internal/core"
-	"etx/internal/id"
+	"etx/internal/deploy"
 	"etx/internal/kv"
 	"etx/internal/msg"
-	"etx/internal/rchan"
-	"etx/internal/stablestore"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/xadb"
 )
 
-// TestFullProtocolOverTCP runs the complete e-Transaction stack over real
-// loopback TCP: three application servers, one file-backed database server,
-// one client — the same wiring the cmd/ binaries use.
+// TestFullProtocolOverTCP runs the complete e-Transaction stack, in its
+// paper-exact configuration, over real loopback TCP and a file-backed
+// database.
 func TestFullProtocolOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP end-to-end test skipped in -short mode")
 	}
-
-	// Reserve addresses by listening on :0 for every node, in two passes so
-	// the address book is complete before protocol endpoints start.
-	appIDs := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
-	dbID := id.DBServer(1)
-	clID := id.Client(1)
-
-	eps := make(map[id.NodeID]*tcptransport.Endpoint)
-	book := make(map[id.NodeID]string)
-	for _, n := range append(append([]id.NodeID{}, appIDs...), dbID, clID) {
-		ep, err := tcptransport.Listen(tcptransport.Config{Self: n, Listen: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		eps[n] = ep
-		book[n] = ep.Addr()
-	}
-	for _, ep := range eps {
-		ep.SetPeers(book)
-	}
-
-	// Database server on a real journal file.
-	store, err := stablestore.OpenFile(filepath.Join(t.TempDir(), "db.journal"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.CloseFile() })
-	engine, err := xadb.Open(store, xadb.Config{Self: dbID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Seed([]kv.Write{{Key: "acct/alice", Val: kv.EncodeInt(100)}})
-	dbSrv, err := core.NewDataServer(core.DataServerConfig{
-		Self: dbID, AppServers: appIDs, Engine: engine,
-		Endpoint: rchan.Wrap(eps[dbID], 50*time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbSrv.Start()
-	t.Cleanup(dbSrv.Stop)
-
-	// Application servers.
 	logic := core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 		amount, err := strconv.ParseInt(string(req), 10, 64)
 		if err != nil {
@@ -80,30 +32,8 @@ func TestFullProtocolOverTCP(t *testing.T) {
 		}
 		return []byte(fmt.Sprintf("%d", rep.Num)), nil
 	})
-	for _, appID := range appIDs {
-		srv, err := core.NewAppServer(core.AppServerConfig{
-			Self: appID, AppServers: appIDs, DataServers: []id.NodeID{dbID},
-			Endpoint:       rchan.Wrap(eps[appID], 50*time.Millisecond),
-			Logic:          logic,
-			SuspectTimeout: 300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		t.Cleanup(srv.Stop)
-	}
-
-	// Client.
-	cl, err := core.NewClient(core.ClientConfig{
-		Self: clID, AppServers: appIDs,
-		Endpoint: rchan.Wrap(eps[clID], 50*time.Millisecond),
-		Backoff:  300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
+	cl, engine := startStack(t, tcptransport.Config{}, journal(t, 0), deploy.Tuning{},
+		[]kv.Write{{Key: "acct/alice", Val: kv.EncodeInt(100)}}, logic)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -7,14 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"etx/internal/core"
-	"etx/internal/id"
-	"etx/internal/kv"
-	"etx/internal/msg"
-	"etx/internal/rchan"
+	"etx/internal/deploy"
 	"etx/internal/stablestore"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/xadb"
 )
 
 // runBankWorkload stands up the full batched stack over loopback TCP with the
@@ -23,81 +18,11 @@ import (
 // reply in (worker, round) order plus the final balances.
 func runBankWorkload(t *testing.T, maxWritev int) (replies []string, balances []int64) {
 	t.Helper()
-	appIDs := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
-	dbID := id.DBServer(1)
-	clID := id.Client(1)
-
-	eps := make(map[id.NodeID]*tcptransport.Endpoint)
-	book := make(map[id.NodeID]string)
-	for _, n := range append(append([]id.NodeID{}, appIDs...), dbID, clID) {
-		ep, err := tcptransport.Listen(tcptransport.Config{Self: n, Listen: "127.0.0.1:0", MaxWritev: maxWritev})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		eps[n] = ep
-		book[n] = ep.Addr()
-	}
-	for _, ep := range eps {
-		ep.SetPeers(book)
-	}
-
-	store := stablestore.New(500 * time.Microsecond)
-	store.SetBatchWindow(500 * time.Microsecond)
-	engine, err := xadb.Open(store, xadb.Config{Self: dbID})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const workers = 8
 	const rounds = 3
-	seed := make([]kv.Write, workers)
-	for i := range seed {
-		seed[i] = kv.Write{Key: fmt.Sprintf("acct/a%02d", i), Val: kv.EncodeInt(100)}
-	}
-	engine.Seed(seed)
-	dbSrv, err := core.NewDataServer(core.DataServerConfig{
-		Self: dbID, AppServers: appIDs, Engine: engine,
-		Endpoint: rchan.Wrap(eps[dbID], 50*time.Millisecond),
-		MaxBatch: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbSrv.Start()
-	t.Cleanup(dbSrv.Stop)
-
-	logic := core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
-		rep, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpAdd, Key: string(req), Delta: -1})
-		if err != nil {
-			return nil, err
-		}
-		return []byte(fmt.Sprintf("%d", rep.Num)), nil
-	})
-	for _, appID := range appIDs {
-		srv, err := core.NewAppServer(core.AppServerConfig{
-			Self: appID, AppServers: appIDs, DataServers: []id.NodeID{dbID},
-			Endpoint:       rchan.Wrap(eps[appID], 50*time.Millisecond),
-			Logic:          logic,
-			SuspectTimeout: 300 * time.Millisecond,
-			Workers:        workers,
-			BatchWindow:    500 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Start()
-		t.Cleanup(srv.Stop)
-	}
-
-	cl, err := core.NewClient(core.ClientConfig{
-		Self: clID, AppServers: appIDs,
-		Endpoint: rchan.Wrap(eps[clID], 50*time.Millisecond),
-		Backoff:  300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Stop)
+	cl, engine := startStack(t, tcptransport.Config{MaxWritev: maxWritev}, stablestore.New(500*time.Microsecond),
+		deploy.Tuning{BatchWindow: 500 * time.Microsecond, Workers: workers},
+		accountSeed(workers), withdrawOne)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

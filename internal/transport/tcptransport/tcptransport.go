@@ -48,6 +48,7 @@ import (
 	"io"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,6 +211,32 @@ func Listen(cfg Config) (*Endpoint, error) {
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
+}
+
+// ListenLoopback opens one endpoint per id on 127.0.0.1:0 and then installs
+// the complete address book on every one of them: the two-pass wiring of a
+// TCP deployment inside one process, where no address is known before its
+// listener is bound. cfg supplies every setting but Self, Listen and Peers.
+// On error the endpoints already open are closed.
+func ListenLoopback(cfg Config, ids ...id.NodeID) (map[id.NodeID]*Endpoint, error) {
+	eps := make(map[id.NodeID]*Endpoint, len(ids))
+	book := make(map[id.NodeID]string, len(ids))
+	for _, n := range ids {
+		cfg.Self, cfg.Listen, cfg.Peers = n, "127.0.0.1:0", nil
+		ep, err := Listen(cfg)
+		if err != nil {
+			for _, open := range eps {
+				open.Close()
+			}
+			return nil, err
+		}
+		eps[n] = ep
+		book[n] = ep.Addr()
+	}
+	for _, ep := range eps {
+		ep.SetPeers(book)
+	}
+	return eps, nil
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -541,7 +568,10 @@ func ParsePeers(role id.Role, spec string) (map[id.NodeID]string, error) {
 	if spec == "" {
 		return out, nil
 	}
-	for _, part := range splitComma(spec) {
+	for _, part := range strings.Split(spec, ",") {
+		if part == "" {
+			continue
+		}
 		var idx int
 		var addr string
 		if n, err := fmt.Sscanf(part, "%d=%s", &idx, &addr); n != 2 || err != nil {
@@ -550,20 +580,6 @@ func ParsePeers(role id.Role, spec string) (map[id.NodeID]string, error) {
 		out[id.NodeID{Role: role, Index: idx}] = addr
 	}
 	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // SortedPeers returns the node ids of an address book ordered by (role,

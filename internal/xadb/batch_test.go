@@ -11,6 +11,16 @@ import (
 	"etx/internal/stablestore"
 )
 
+// drain serves decides and votes through the data server's drain entry point,
+// resolving gated votes through Vote as the server's serveBatch does.
+func drain(e *Engine, decides []DecideReq, votes []id.ResultID) ([]msg.Outcome, []msg.Vote) {
+	outs, vs, gated := e.DecideAndVoteBatchSpec(decides, votes)
+	for _, i := range gated {
+		vs[i] = e.Vote(votes[i])
+	}
+	return outs, vs
+}
+
 // TestVoteBatchMatchesSingleVotes: the batched entry point returns exactly
 // what per-branch Vote calls would, across yes, poisoned-no and
 // already-aborted branches, while sharing one forced write.
@@ -32,7 +42,7 @@ func TestVoteBatchMatchesSingleVotes(t *testing.T) {
 	untouched := rid(4, 1)
 
 	base := st.ForcedWrites()
-	votes := e.VoteBatch([]id.ResultID{good, poisoned, aborted, untouched})
+	_, votes := drain(e, nil, []id.ResultID{good, poisoned, aborted, untouched})
 	want := []msg.Vote{msg.VoteYes, msg.VoteNo, msg.VoteNo, msg.VoteYes}
 	for i, v := range votes {
 		if v != want[i] {
@@ -62,7 +72,7 @@ func TestDecideBatchCommitsAndRecovers(t *testing.T) {
 		rids[i] = rid(uint64(10+i), 1)
 		e.Exec(ctx, rids[i], msg.Op{Code: msg.OpAdd, Key: fmt.Sprintf("k%d", i), Delta: int64(i + 1)})
 	}
-	if votes := e.VoteBatch(rids); len(votes) != n {
+	if _, votes := drain(e, nil, rids); len(votes) != n {
 		t.Fatalf("votes = %v", votes)
 	}
 	reqs := make([]DecideReq, n)
@@ -70,7 +80,7 @@ func TestDecideBatchCommitsAndRecovers(t *testing.T) {
 		reqs[i] = DecideReq{RID: r, O: msg.OutcomeCommit}
 	}
 	base := st.ForcedWrites()
-	outs := e.DecideBatch(reqs)
+	outs, _ := drain(e, reqs, nil)
 	for i, o := range outs {
 		if o != msg.OutcomeCommit {
 			t.Errorf("outcome[%d] = %v", i, o)
@@ -136,7 +146,7 @@ func TestBatchNotStalledByLockWaitingExec(t *testing.T) {
 	}
 
 	start := time.Now()
-	outs, _ := e.DecideAndVoteBatch([]DecideReq{
+	outs, _ := drain(e, []DecideReq{
 		{RID: waiter, O: msg.OutcomeAbort}, // branch mutex busy: must be deferred, not waited on
 		{RID: holder, O: msg.OutcomeAbort}, // releases the contended lock
 	}, nil)
@@ -165,12 +175,12 @@ func TestDecideBatchMixedOutcomes(t *testing.T) {
 	unprepared := rid(23, 1)
 	e.Exec(ctx, unprepared, msg.Op{Code: msg.OpAdd, Key: "e", Delta: 11})
 
-	outs := e.DecideBatch([]DecideReq{
+	outs, _ := drain(e, []DecideReq{
 		{RID: commit, O: msg.OutcomeCommit},
 		{RID: abort, O: msg.OutcomeAbort},
 		{RID: unknown, O: msg.OutcomeAbort},
 		{RID: unprepared, O: msg.OutcomeCommit}, // never voted yes: degrades to abort
-	})
+	}, nil)
 	want := []msg.Outcome{msg.OutcomeCommit, msg.OutcomeAbort, msg.OutcomeAbort, msg.OutcomeAbort}
 	for i, o := range outs {
 		if o != want[i] {
@@ -185,7 +195,7 @@ func TestDecideBatchMixedOutcomes(t *testing.T) {
 	}
 	// Idempotence: re-deciding through the batch path returns the recorded
 	// outcomes unchanged.
-	again := e.DecideBatch([]DecideReq{{RID: commit, O: msg.OutcomeCommit}, {RID: abort, O: msg.OutcomeAbort}})
+	again, _ := drain(e, []DecideReq{{RID: commit, O: msg.OutcomeCommit}, {RID: abort, O: msg.OutcomeAbort}}, nil)
 	if again[0] != msg.OutcomeCommit || again[1] != msg.OutcomeAbort {
 		t.Errorf("re-decide = %v", again)
 	}

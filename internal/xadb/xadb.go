@@ -436,23 +436,16 @@ func (b *branch) write(key string, val []byte) {
 // branch prepares an empty branch and votes yes (this server was simply not
 // touched by the try). Poisoned branches vote no and abort immediately. In
 // queue mode the vote additionally waits for every chain predecessor to
-// decide, bounded by the lock-timeout (expiry poisons and votes no).
+// decide, bounded by Config.LockTimeout: expiry poisons the branch — the
+// vote-gate analogue of a lock-wait timeout, resolving cross-shard
+// chain-order inversions (distributed deadlock) by mutual abort — and the
+// next pass votes no.
 func (e *Engine) Vote(rid id.ResultID) msg.Vote {
-	v := e.voteWait(rid, false)
-	e.syncIfBehind()
-	return v
-}
-
-// voteWait runs vote, waiting out queue-mode vote gates. The total wait is
-// bounded by Config.LockTimeout: expiry poisons the branch — the vote-gate
-// analogue of a lock-wait timeout, resolving cross-shard chain-order
-// inversions (distributed deadlock) by mutual abort — and the next pass
-// votes no.
-func (e *Engine) voteWait(rid id.ResultID, deferSync bool) msg.Vote {
 	var expire <-chan time.Time
 	for {
-		v, ok, gate := e.vote(rid, deferSync, false)
+		v, ok, gate := e.vote(rid, false, false)
 		if ok {
+			e.syncIfBehind()
 			return v
 		}
 		if expire == nil {
@@ -466,16 +459,6 @@ func (e *Engine) voteWait(rid id.ResultID, deferSync bool) msg.Vote {
 			e.Poison(rid, "spec: vote gate timed out waiting for chain predecessors")
 		}
 	}
-}
-
-// VoteBatch runs Vote for every rid, sharing one forced log write across
-// every yes vote of the batch (group commit at the engine level): the
-// prepared records are appended unforced and a single Sync makes them all
-// durable before any vote is returned — the callers' votes may only leave
-// the server after VoteBatch returns.
-func (e *Engine) VoteBatch(rids []id.ResultID) []msg.Vote {
-	_, vs := e.DecideAndVoteBatch(nil, rids)
-	return vs
 }
 
 // syncIfBehind pays one (combined) device force iff some deferred record may
@@ -567,30 +550,22 @@ func (e *Engine) Decide(rid id.ResultID, outcome msg.Outcome) msg.Outcome {
 	return o
 }
 
-// DecideReq is one element of a DecideBatch: the requested outcome for one
-// branch.
+// DecideReq is one decide of a drain: the requested outcome for one branch.
 type DecideReq struct {
 	RID id.ResultID
 	O   msg.Outcome
 }
 
-// DecideBatch runs Decide for every request, sharing one forced log write
-// across every commit record of the batch. Outcomes become visible to
-// concurrent readers before the shared force completes, which is safe
-// because the log is totally ordered — any later force covers these records,
-// every entry point syncs-if-behind before returning — and because the
-// acknowledgements that make an outcome externally meaningful may only be
-// sent after DecideBatch returns.
-func (e *Engine) DecideBatch(reqs []DecideReq) []msg.Outcome {
-	outs, _ := e.DecideAndVoteBatch(reqs, nil)
-	return outs
-}
-
-// DecideAndVoteBatch serves one mailbox drain in a single durability unit:
-// the decides first (so an abort releases locks a vote in the same drain may
-// be queued behind), then the votes, with one shared device force covering
-// every deferred record of both groups — a mixed drain pays one fsync, not
-// two. No outcome or vote may leave the server before the call returns.
+// DecideAndVoteBatchSpec is the data server's drain entry point, the batched
+// form of Decide and Vote: it serves one mailbox drain in a single durability
+// unit — the decides first (so an abort releases locks a vote in the same
+// drain may be queued behind), then the votes, every record appended
+// unforced and one shared device force covering them all, so a mixed drain
+// pays one fsync, not one per record. No outcome or vote may leave the
+// server before the call returns. Outcomes become visible to concurrent
+// readers before the shared force completes, which is safe because the log
+// is totally ordered — any later force covers these records, and every entry
+// point syncs-if-behind before returning.
 //
 // Each group runs a try-lock pass first: a branch whose mutex is busy —
 // typically an Exec holding it while it waits out a data-lock acquisition —
@@ -598,31 +573,14 @@ func (e *Engine) DecideBatch(reqs []DecideReq) []msg.Outcome {
 // behind it. The per-message-goroutine property this preserves: a
 // Decide(abort) later in the drain that would release the contended lock is
 // served before anything waits on the Exec-held branch.
-func (e *Engine) DecideAndVoteBatch(decides []DecideReq, votes []id.ResultID) ([]msg.Outcome, []msg.Vote) {
-	outs, vs, gated := e.decideAndVoteBatch(decides, votes)
-	// Queue-mode vote gates are waited out inline (bounded by the
-	// lock-timeout), preserving this entry point's votes-are-final contract.
-	for _, i := range gated {
-		vs[i] = e.voteWait(votes[i], true)
-	}
-	e.syncIfBehind()
-	return outs, vs
-}
-
-// DecideAndVoteBatchSpec is the data server's drain entry point: like
-// DecideAndVoteBatch, but queue-mode votes gated on undecided chain
-// predecessors are returned as indices into votes (gated) instead of being
-// waited for inline, so one gated vote cannot stall the whole drain's
-// replies. Gated entries of the vote slice are zero and must not be sent;
-// the caller resolves each with a later Vote call (which waits out the gate
-// and syncs itself). In lock mode gated is always empty.
-func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []id.ResultID) ([]msg.Outcome, []msg.Vote, []int) {
-	outs, vs, gated := e.decideAndVoteBatch(decides, votes)
-	e.syncIfBehind()
-	return outs, vs, gated
-}
-
-func (e *Engine) decideAndVoteBatch(decides []DecideReq, votes []id.ResultID) (outs []msg.Outcome, vs []msg.Vote, gated []int) {
+//
+// Queue-mode votes gated on undecided chain predecessors are returned as
+// indices into votes (gated) instead of being waited for inline, so one
+// gated vote cannot stall the whole drain's replies. Gated entries of the
+// vote slice are zero and must not be sent; the caller resolves each with a
+// later Vote call (which waits out the gate and syncs itself). In lock mode
+// gated is always empty.
+func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []id.ResultID) (outs []msg.Outcome, vs []msg.Vote, gated []int) {
 	outs = make([]msg.Outcome, len(decides))
 	vs = make([]msg.Vote, len(votes))
 	var retryD, retryV []int
@@ -655,13 +613,15 @@ func (e *Engine) decideAndVoteBatch(decides []DecideReq, votes []id.ResultID) (o
 			gated = append(gated, i)
 		}
 	}
+	e.syncIfBehind()
 	return outs, vs, gated
 }
 
 // decide is the shared Decide implementation. With deferSync commit records
 // are appended unforced and numbered; the caller must run syncIfBehind
 // before acknowledging any outcome. With tryLock a busy branch mutex makes
-// the call return ok=false for the caller to retry (see DecideAndVoteBatch).
+// the call return ok=false for the caller to retry (see
+// DecideAndVoteBatchSpec).
 func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync, tryLock bool) (msg.Outcome, bool) {
 	b, prev, done := e.getBranch(rid, false)
 	if done {
@@ -792,10 +752,9 @@ func (e *Engine) Outcomes() map[id.ResultID]msg.Outcome {
 	return out
 }
 
-// AbortExpired aborts every active (unprepared) branch older than the given
-// status — exposed for future lock-reaping policies; the protocol itself
-// aborts stale tries through the cleaning thread, so this is a safety net
-// used by tests.
+// AbortActiveBranches aborts every active (unprepared) branch, releasing its
+// locks, and returns how many it aborted. The protocol itself aborts stale
+// tries through the cleaning thread; this is a safety net used by tests.
 func (e *Engine) AbortActiveBranches() int {
 	e.mu.Lock()
 	var stale []*branch

@@ -12,13 +12,14 @@ import (
 
 	"etx"
 	"etx/internal/core"
+	"etx/internal/deploy"
 	"etx/internal/id"
 	"etx/internal/kv"
 	"etx/internal/msg"
 	"etx/internal/rchan"
 	"etx/internal/stablestore"
+	"etx/internal/transport"
 	"etx/internal/transport/tcptransport"
-	"etx/internal/xadb"
 )
 
 // TestClientPipelinesUnderAppServerCrash drives 16 goroutines through ONE
@@ -27,8 +28,8 @@ import (
 func TestClientPipelinesUnderAppServerCrash(t *testing.T) {
 	const goroutines = 16
 	c := newCluster(t, etx.Config{
-		Seed:    map[string]int64{"counter": 0},
-		Workers: 8,
+		Seed:   map[string]int64{"counter": 0},
+		Tuning: etx.Tuning{Workers: 8},
 		Logic: func(ctx context.Context, tx *etx.Tx, req []byte) ([]byte, error) {
 			if err := tx.SimulateWork(ctx, 0, 10*time.Millisecond); err != nil {
 				return nil, err
@@ -120,40 +121,31 @@ func TestDialConcurrentOverTCP(t *testing.T) {
 
 	appIDs := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
 	dbID := id.DBServer(1)
-
-	// Two-pass wiring for the servers: listen on :0 everywhere, then install
-	// the complete address book.
-	eps := make(map[id.NodeID]*tcptransport.Endpoint)
-	book := make(map[id.NodeID]string)
-	for _, n := range append(append([]id.NodeID{}, appIDs...), dbID) {
-		ep, err := tcptransport.Listen(tcptransport.Config{Self: n, Listen: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		eps[n] = ep
-		book[n] = ep.Addr()
+	eps, err := tcptransport.ListenLoopback(tcptransport.Config{}, append(append([]id.NodeID{}, appIDs...), dbID)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	reliable := func(n id.NodeID) transport.Endpoint {
+		ep := rchan.Wrap(eps[n], 50*time.Millisecond)
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	tuning := deploy.Tuning{SuspectTimeout: 300 * time.Millisecond, Workers: pipelined}
 
 	store, err := stablestore.OpenFile(filepath.Join(t.TempDir(), "db.journal"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.CloseFile() })
-	engine, err := xadb.Open(store, xadb.Config{Self: dbID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Seed([]kv.Write{{Key: "counter", Val: kv.EncodeInt(0)}})
-	dbSrv, err := core.NewDataServer(core.DataServerConfig{
-		Self: dbID, AppServers: appIDs, Engine: engine,
-		Endpoint: rchan.Wrap(eps[dbID], 50*time.Millisecond),
+	db, err := deploy.StartDataNode(deploy.DataNodeConfig{
+		Self: dbID, AppServers: appIDs, Endpoint: reliable(dbID),
+		Store: store, Tuning: tuning,
+		Seed: []kv.Write{{Key: "counter", Val: kv.EncodeInt(0)}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbSrv.Start()
-	t.Cleanup(dbSrv.Stop)
+	t.Cleanup(db.Stop)
 
 	logic := core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 		rep, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpAdd, Key: "counter", Delta: 1})
@@ -163,22 +155,22 @@ func TestDialConcurrentOverTCP(t *testing.T) {
 		return []byte(fmt.Sprintf("%d", rep.Num)), nil
 	})
 	for _, appID := range appIDs {
-		srv, err := core.NewAppServer(core.AppServerConfig{
+		srv, err := deploy.StartAppNode(core.AppServerConfig{
 			Self: appID, AppServers: appIDs, DataServers: []id.NodeID{dbID},
-			Endpoint:       rchan.Wrap(eps[appID], 50*time.Millisecond),
-			Logic:          logic,
-			SuspectTimeout: 300 * time.Millisecond,
-			Workers:        pipelined,
-		})
+			Endpoint: reliable(appID), Logic: logic,
+		}, tuning)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.Start()
 		t.Cleanup(srv.Stop)
 	}
 
 	// Connect through the public API, then teach the servers the client's
 	// bound address (the cmd/ deployments do this with the -clients flag).
+	book := make(map[id.NodeID]string)
+	for n, ep := range eps {
+		book[n] = ep.Addr()
+	}
 	appBook := ""
 	for i, appID := range appIDs {
 		if i > 0 {
@@ -215,7 +207,7 @@ func TestDialConcurrentOverTCP(t *testing.T) {
 			t.Errorf("result %d malformed: %q", i, r)
 		}
 	}
-	if n, _ := engine.Store().GetInt("counter"); n != pipelined {
+	if n, _ := db.Engine.Store().GetInt("counter"); n != pipelined {
 		t.Fatalf("counter = %d, want %d (each pipelined TCP request exactly once)", n, pipelined)
 	}
 }

@@ -44,11 +44,10 @@ func TestRandomSeqBaseIsFreshPerIncarnation(t *testing.T) {
 func TestReplayedResultsSurvivePromotion(t *testing.T) {
 	var executions atomic.Int64
 	c, err := New(Config{
-		DataServers:      1,
-		ReplicaFactor:    2,
-		Seed:             map[string]int64{"acct/alice": 100},
-		SuspicionTimeout: 40 * time.Millisecond,
-		ClientBackoff:    50 * time.Millisecond,
+		DataServers:   1,
+		Tuning:        Tuning{ReplicaFactor: 2, SuspectTimeout: 40 * time.Millisecond},
+		Seed:          map[string]int64{"acct/alice": 100},
+		ClientBackoff: 50 * time.Millisecond,
 		Logic: func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
 			executions.Add(1)
 			bal, err := tx.Add(ctx, 0, "acct/alice", -10)
