@@ -16,7 +16,7 @@ func regKey(array msg.RegArray, try uint64) msg.RegKey {
 }
 
 // waitDecided polls until key is decided at node (decisions propagate
-// asynchronously via the slot relay).
+// asynchronously, in the coordinator's broadcast).
 func waitDecided(t *testing.T, n *Node, key msg.RegKey) []byte {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

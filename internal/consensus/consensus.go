@@ -28,8 +28,27 @@
 //	          highest ts, and proposes it to all
 //	 phase 3: each process waits for c's proposal (adopt + ack) or until it
 //	          suspects c (nack), then moves to round r+1
-//	 phase 4: if c gathers a majority of acks it decides and reliably
-//	          broadcasts the decision
+//	 phase 4: if c gathers a majority of acks it decides and broadcasts the
+//	          decision; laggards pull
+//
+// Phase 4 is the coordinator's broadcast alone. A process that learns a
+// decision from a CDecision, a checkpoint or slot application records it
+// and relays nothing, and a decided process ignores a late ack or nack (the
+// decision is already on its way to its sender). A process the broadcast
+// missed pulls the decision, on paths that exist anyway:
+//
+//   - a participant that acked re-acks on its blocked-phase timer, as an
+//     estimate locked at the round: a coordinator still tallying counts it
+//     as the ack, and a decided one answers it with the decision;
+//   - if the coordinator is gone, round r+1 re-decides the same value,
+//     because the acking majority is locked on it (CT's locking argument —
+//     an echo of the decision adds nothing to safety);
+//   - a node that missed a batch-log slot entirely probes for it once a
+//     peer's watermark passes it (ObserveWatermark).
+//
+// A failure-free instance costs 3(n-1) remote messages — a proposal, an ack
+// and the decision per peer — where every learner echoing the decision cost
+// (n-1)^2 more.
 //
 // Two refinements shape the failure-free cost:
 //
@@ -457,7 +476,8 @@ func (n *Node) Propose(ctx context.Context, key msg.RegKey, val []byte) ([]byte,
 
 // Decided returns the decided value of an instance, if any. It implements
 // the weak read of the paper's wo-register: it may lag behind a decision made
-// elsewhere, but repeated calls eventually observe it (decision broadcasts).
+// elsewhere — the coordinator's broadcast, or the pull of a node it missed,
+// brings it here.
 func (n *Node) Decided(key msg.RegKey) ([]byte, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -594,8 +614,10 @@ func (n *Node) Handle(from id.NodeID, p msg.Payload) {
 	//etxlint:allow kindswitch — Handle's contract is the five consensus kinds; the owning demux routes everything else
 	switch m := p.(type) {
 	case msg.CDecision:
+		// Record first: a slot decision carries the sender's watermark,
+		// which already covers the slot itself and must not read as a gap.
+		n.learn(m.Reg, m.Val, false)
 		n.ObserveWatermark(from, m.WM)
-		n.learn(m.Reg, m.Val)
 	case msg.Estimate:
 		n.ObserveWatermark(from, m.WM)
 		n.dispatch(from, m.Reg, p)
@@ -801,7 +823,17 @@ func (n *Node) installCheckpoint(m msg.Checkpoint) {
 
 func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 	n.mu.Lock()
-	if key.Array == msg.RegBatch && key.Slot <= n.floor {
+	v, decided := n.decided[key]
+	truncated := key.Array == msg.RegBatch && key.Slot <= n.floor
+	if k := p.Kind(); (k == msg.KindAck || k == msg.KindNack) && (decided || truncated) {
+		// A reply reaching a finished instance is a late original: the
+		// deciding coordinator's decision is already on its way to the
+		// sender. A participant that lost it pulls with its blocked-phase
+		// re-ack, an estimate, which is answered below.
+		n.mu.Unlock()
+		return
+	}
+	if truncated {
 		// The slot is truncated history: state transfer instead of replay.
 		if n.now().Sub(n.lastCkpt[from]) < ckptServeInterval {
 			n.mu.Unlock()
@@ -814,11 +846,11 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 		n.send(from, ck)
 		return
 	}
-	if v, ok := n.decided[key]; ok {
-		// Help laggards: answer any chatter about a decided instance with
-		// the decision itself. For batch-log slots, replay a burst of
-		// consecutive decided slots: the asker is applying in slot order,
-		// so the successors are its next questions.
+	if decided {
+		// Help laggards: answer an estimate or proposal for a decided
+		// instance with the decision itself. For batch-log slots, replay a
+		// burst of consecutive decided slots: the asker is applying in slot
+		// order, so the successors are its next questions.
 		answers := []msg.CDecision{{Reg: key, Val: v}}
 		if key.Array == msg.RegBatch {
 			for s := key.Slot + 1; len(answers) < gapBurst; s++ {
@@ -844,7 +876,7 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 }
 
 // decideEffect is one deferred side effect of recording a decision: waiters
-// to resolve and, when relay is set, the reliable-broadcast echo to emit.
+// to resolve and, when relay is set, the decision to send to every peer.
 type decideEffect struct {
 	key   msg.RegKey
 	val   []byte
@@ -853,14 +885,18 @@ type decideEffect struct {
 	relay bool
 }
 
-// learn records a decision (local or remote) and relays it once to all peers
-// (the reliable-broadcast echo). A batch-log slot decision additionally
-// triggers in-order application of every ready slot: the registers named by
-// the batches decide first-write-wins, resolving their waiters — without a
-// per-register relay, since the slot's own echo carries the information.
-func (n *Node) learn(key msg.RegKey, val []byte) {
+// learn records a decision. relay is the caller's role: phase 4 of the
+// coordinator that gathered the ack majority passes true and sends the
+// decision to every peer; a decision received from a peer (Handle) passes
+// false and is recorded only — the coordinator already sent it to every
+// other peer, and a peer it did not reach pulls it (re-ack, round r+1, or
+// the slot gap probe), so a learner never echoes. A batch-log slot decision
+// additionally triggers in-order application of every ready slot: the
+// registers named by the batches decide first-write-wins, resolving their
+// waiters, without a message of their own (the slot decision carries them).
+func (n *Node) learn(key msg.RegKey, val []byte, relay bool) {
 	n.mu.Lock()
-	effects := n.recordLocked(key, val)
+	effects := n.recordLocked(key, val, relay)
 	if key.Array == msg.RegBatch {
 		// Applying slots moved our watermark; the floor may follow.
 		n.gcLocked()
@@ -870,31 +906,35 @@ func (n *Node) learn(key msg.RegKey, val []byte) {
 }
 
 // deliver resolves the deferred side effects of recorded decisions outside
-// the node lock: finishing instances, waking watchers, and emitting the
-// reliable-broadcast echo where recordLocked asked for one.
+// the node lock: sending the deciding coordinator's decision to its peers,
+// finishing instances and waking watchers, in that order. The decision
+// leaves before the deciding instance finishes, so a proposer that chains
+// instances (the cohort sequencer) cannot put slot s+1 on a link ahead of
+// slot s's decision, and over FIFO links no peer holds decided slots above
+// a gap of that proposer's making.
 func (n *Node) deliver(effects []decideEffect) {
 	for _, e := range effects {
+		if e.relay {
+			for _, p := range n.cfg.Peers {
+				if p != n.cfg.Self {
+					n.send(p, msg.CDecision{Reg: e.key, Val: e.val})
+				}
+			}
+		}
 		if e.inst != nil {
 			e.inst.finish(e.val)
 		}
 		for _, ch := range e.subs {
 			ch <- e.val
 		}
-		if e.relay {
-			for _, p := range n.cfg.Peers {
-				if p == n.cfg.Self {
-					continue
-				}
-				n.send(p, msg.CDecision{Reg: e.key, Val: e.val})
-			}
-		}
 	}
 }
 
-// recordLocked stores a decision and collects its deferred side effects.
-// The decided guard also dedups the reliable-broadcast echo: a key relays
-// exactly once, when it is first recorded. Caller holds n.mu.
-func (n *Node) recordLocked(key msg.RegKey, val []byte) []decideEffect {
+// recordLocked stores a decision and collects its deferred side effects;
+// relay asks for the decision to be sent to every peer (the deciding
+// coordinator only). A key is recorded, and so relayed, at most once.
+// Caller holds n.mu.
+func (n *Node) recordLocked(key msg.RegKey, val []byte, relay bool) []decideEffect {
 	if key.Array == msg.RegBatch && key.Slot <= n.floor {
 		// A straggling replay of a truncated slot (e.g. a tail-retaining
 		// peer's CDecision racing a checkpoint install): its effects are
@@ -906,7 +946,7 @@ func (n *Node) recordLocked(key msg.RegKey, val []byte) []decideEffect {
 		return nil
 	}
 	n.decided[key] = val
-	e := decideEffect{key: key, val: val, inst: n.instances[key], subs: n.subs[key], relay: true}
+	e := decideEffect{key: key, val: val, inst: n.instances[key], subs: n.subs[key], relay: relay}
 	delete(n.subs, key)
 	out := []decideEffect{e}
 	if key.Array == msg.RegBatch {
@@ -921,7 +961,7 @@ func (n *Node) recordLocked(key msg.RegKey, val []byte) []decideEffect {
 // unless an earlier slot (or a direct per-register decision learned from a
 // peer) got there first — the first-write-wins race is resolved by the
 // agreed slot order, so every node computes the same winner. Registers
-// decided here do not relay (the slot's own echo carries them), so an effect
+// decided here send nothing (the slot decision carries them), so an effect
 // is only recorded when a local instance or watcher is waiting. Caller holds
 // n.mu.
 func (n *Node) applyLocked(out []decideEffect) []decideEffect {
@@ -986,23 +1026,22 @@ func (n *Node) getInstance(key msg.RegKey, create bool) *instance {
 	return inst
 }
 
-// forget drops the instance bookkeeping after it decided (its memory of
-// per-round tallies is released; the decided value stays).
-func (n *Node) forget(key msg.RegKey) {
+// forget drops inst's bookkeeping once its run goroutine exits (its memory
+// of per-round tallies is released; the decided value stays). Only inst
+// itself is removed: after Abandon the key may name another instance.
+func (n *Node) forget(inst *instance) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.instances, key)
+	if n.instances[inst.key] == inst {
+		delete(n.instances, inst.key)
+	}
 }
 
-// send transmits to a peer, short-circuiting self-sends straight back into
-// Handle so a register write by the round-1 coordinator costs exactly one
-// network round trip, as the paper's analysis assumes. Remote sends are
-// stamped with the applied watermark (the truncation protocol's piggyback).
+// send transmits to another node, stamped with the applied watermark (the
+// truncation protocol's piggyback). Its callers never address this node:
+// the only messages a node sends itself are an instance's own, and those go
+// through inst.send.
 func (n *Node) send(to id.NodeID, p msg.Payload) {
-	if to == n.cfg.Self {
-		n.Handle(n.cfg.Self, p)
-		return
-	}
 	n.counters.Messages.Inc()
 	_ = n.cfg.Send(to, n.stamp(p))
 }
@@ -1122,6 +1161,21 @@ func (inst *instance) finish(val []byte) {
 	})
 }
 
+// send transmits one of this instance's protocol messages. A message to
+// self never touches the network — it goes straight into the instance's own
+// inbox, so a register write by the round-1 coordinator costs exactly one
+// network round trip, as the paper's analysis assumes. It does not go
+// through Handle: routing it by key would re-create the instance if Abandon
+// removed it meanwhile — a zombie that retransmits for ever — and this
+// instance is the only receiver a self-send of its own could have had.
+func (inst *instance) send(to id.NodeID, p msg.Payload) {
+	if to == inst.node.cfg.Self {
+		inst.inbox.Push(inMsg{from: to, p: p})
+		return
+	}
+	inst.node.send(to, p)
+}
+
 func (inst *instance) coord(r uint32) id.NodeID {
 	peers := inst.node.cfg.Peers
 	return peers[int((r-1)%uint32(len(peers)))]
@@ -1155,6 +1209,12 @@ func (inst *instance) drain() bool {
 			}
 			if _, dup := byNode[m.from]; !dup {
 				byNode[m.from] = estVal{val: p.Est, ts: p.TS}
+			}
+			if p.TS == p.Round {
+				// A phase-1 estimate carries a timestamp below its round;
+				// one locked at its own round is a participant's re-ack
+				// (see run), and counts as the ack it repeats.
+				inst.reply(p.Round, m.from, true)
 			}
 		case msg.Propose:
 			if _, dup := inst.proposals[p.Round]; !dup {
@@ -1245,7 +1305,7 @@ func (inst *instance) block(ctx context.Context, timer *time.Timer) blockEvent {
 // node stops.
 func (inst *instance) run(ctx context.Context) {
 	defer inst.node.wg.Done()
-	defer inst.node.forget(inst.key)
+	defer inst.node.forget(inst)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 
@@ -1302,7 +1362,7 @@ func (inst *instance) run(ctx context.Context) {
 			}
 			inst.node.counters.FastPath.Inc()
 			for _, p := range inst.node.cfg.Peers {
-				inst.node.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
+				inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
 			}
 		case haveProposal:
 			// The round's proposal is already in hand (we joined late): our
@@ -1310,7 +1370,7 @@ func (inst *instance) run(ctx context.Context) {
 			// broadcast and fall through to phase 3.
 		default:
 			for _, p := range inst.node.cfg.Peers {
-				inst.node.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
+				inst.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
 			}
 			if c == self {
 				// Phase 2: gather a majority of estimates, propose the freshest.
@@ -1349,7 +1409,7 @@ func (inst *instance) run(ctx context.Context) {
 					proposedVal = mergeBatches(proposedVal, inst.estimates[r])
 				}
 				for _, p := range inst.node.cfg.Peers {
-					inst.node.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
+					inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
 				}
 			}
 		}
@@ -1363,12 +1423,12 @@ func (inst *instance) run(ctx context.Context) {
 			}
 			if v, ok := inst.proposals[r]; ok {
 				inst.est, inst.ts = v, r
-				inst.node.send(c, msg.CAck{Reg: inst.key, Round: r})
+				inst.send(c, msg.CAck{Reg: inst.key, Round: r})
 				acked = true
 				break
 			}
 			if c != self && inst.node.cfg.Detector.Suspects(c) {
-				inst.node.send(c, msg.CNack{Reg: inst.key, Round: r})
+				inst.send(c, msg.CNack{Reg: inst.key, Round: r})
 				break
 			}
 			switch inst.block(ctx, timer) {
@@ -1402,12 +1462,14 @@ func (inst *instance) run(ctx context.Context) {
 				case blockExit:
 					return
 				case blockTimeout:
-					// Our ack (or the decision itself) may have been lost:
-					// re-ack. A coordinator still tallying deduplicates; one
-					// that already decided answers with the decision.
+					// Our ack (or the decision, which only the coordinator
+					// sends) may have been lost: re-ack, as an estimate
+					// locked at this round. A coordinator still tallying
+					// counts it as the ack; one that already decided
+					// answers it with the decision — the laggard's pull.
 					if inst.shouldResend() {
 						inst.node.counters.Resends.Inc()
-						inst.node.send(c, msg.CAck{Reg: inst.key, Round: r})
+						inst.send(c, msg.Estimate{Reg: inst.key, Round: r, TS: r, Est: inst.est})
 					}
 				}
 			}
@@ -1431,7 +1493,7 @@ func (inst *instance) run(ctx context.Context) {
 					}
 				}
 				if acks >= maj {
-					inst.node.learn(inst.key, proposedVal)
+					inst.node.learn(inst.key, proposedVal, true)
 					return
 				}
 				if acks+nacks >= maj {
@@ -1446,7 +1508,7 @@ func (inst *instance) run(ctx context.Context) {
 					if inst.shouldResend() {
 						inst.node.counters.Resends.Inc()
 						for _, p := range inst.node.cfg.Peers {
-							inst.node.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
+							inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
 						}
 					}
 				}
@@ -1485,7 +1547,7 @@ func (inst *instance) resendEstimates(r uint32) {
 	}
 	inst.node.counters.Resends.Inc()
 	for _, p := range inst.node.cfg.Peers {
-		inst.node.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
+		inst.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
 	}
 }
 

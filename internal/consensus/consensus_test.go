@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +26,21 @@ type rig struct {
 	eps   map[id.NodeID]transport.Endpoint
 	dets  map[id.NodeID]*fd.Scripted
 	wg    sync.WaitGroup
+	// hook, when set, sees every remote consensus send before the network
+	// does; returning true drops the message. It runs on the sender's
+	// goroutine, so a hook may also block to pin a schedule.
+	hook atomic.Pointer[sendHook]
+}
+
+type sendHook func(from, to id.NodeID, p msg.Payload) (drop bool)
+
+// setHook installs h (nil removes it).
+func (r *rig) setHook(h sendHook) {
+	if h == nil {
+		r.hook.Store(nil)
+		return
+	}
+	r.hook.Store(&h)
 }
 
 func newRig(t *testing.T, n int, opts transport.Options) *rig {
@@ -65,6 +81,9 @@ func newRigRetain(t *testing.T, n int, opts transport.Options, poll time.Duratio
 			Poll:        poll,
 			RetainSlots: retain,
 			Send: func(to id.NodeID, pl msg.Payload) error {
+				if h := r.hook.Load(); h != nil && (*h)(p, to, pl) {
+					return nil
+				}
 				return ep.Send(msg.Envelope{To: to, Payload: pl})
 			},
 		})

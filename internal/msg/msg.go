@@ -472,8 +472,10 @@ type CNack struct {
 // Kind implements Payload.
 func (CNack) Kind() Kind { return KindNack }
 
-// CDecision reliably broadcasts the decided value of a consensus instance.
-// WM piggybacks the sender's applied batch-log watermark.
+// CDecision carries the decided value of a consensus instance: the deciding
+// coordinator sends it to every peer, and any node that holds a decision
+// answers a laggard's estimate or proposal with it. WM piggybacks the
+// sender's applied batch-log watermark.
 type CDecision struct {
 	Reg RegKey
 	Val []byte

@@ -25,7 +25,7 @@ type Collector struct {
 
 // New creates a collector and attaches it to the network. The optional
 // filter limits which events are recorded (nil records protocol messages,
-// skipping heartbeats, consensus decisions relays are kept).
+// skipping heartbeats; consensus decisions are kept).
 func New(net *transport.MemNetwork, filter func(transport.SniffEvent) bool) *Collector {
 	c := &Collector{filter: filter}
 	net.AddSniffer(func(ev transport.SniffEvent) {

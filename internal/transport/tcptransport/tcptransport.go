@@ -7,19 +7,33 @@
 //
 // # Send path
 //
-// Send never touches the socket. It encodes the envelope into a pooled
-// frame and hands the frame to the destination peer's writer goroutine
-// through a bounded queue, returning immediately: a stalled or unreachable
-// peer can never wedge a sending goroutine. The writer drains whatever is
-// queued and flushes the whole drain to the kernel in one scatter-gather
-// writev (net.Buffers) without coalescing the frames through a copy; a
-// build-tagged fallback (-tags etx_nowritev, writev_fallback.go) coalesces
-// into a single buffered write for platforms where writev buys nothing.
-// Every kernel flush runs under Config.WriteTimeout — a peer that accepts
-// the connection but stops reading trips the deadline, the connection is
-// dropped (fair loss, same as the redial-on-error path) and the next drain
-// redials. A full queue likewise drops the frame rather than blocking the
-// sender.
+// Send encodes the envelope into a pooled frame and never blocks: a stalled
+// or unreachable peer can never wedge a sending goroutine. Where the frame
+// goes depends on the link.
+//
+// An idle link — connected, nothing queued or partly written ahead of the
+// frame, no write in progress — is written inline: Send makes one
+// non-blocking write on its own goroutine and returns, so a request/reply
+// hop costs no goroutine wake-up. If the kernel takes only part of the
+// frame, the tail stays behind as the link's residual and the writer
+// finishes it before anything else, so frames stay whole and in order.
+//
+// Otherwise the frame goes through a bounded queue to the peer's writer
+// goroutine. Once woken, the writer yields the processor once, so the
+// goroutines already runnable — the senders of a busy link's next frames —
+// run first; then it drains whatever is queued and flushes the drain to the
+// kernel in one scatter-gather writev (net.Buffers) without coalescing the
+// frames through a copy; a build-tagged fallback (-tags etx_nowritev,
+// writev_fallback.go) coalesces into a single buffered write for platforms
+// where writev buys nothing. Every writer flush runs under
+// Config.WriteTimeout — a peer that accepts the connection but stops
+// reading trips the deadline, the connection is dropped (fair loss, same as
+// the redial-on-error path) and the next drain redials. A full queue
+// likewise drops the frame rather than blocking the sender. The writer also
+// dials: a link's first frame, and the first after a drop, is always queued.
+//
+// Inline writes switch themselves off on a busy link, where the writer's
+// batching is worth more than the saved wake-up; see writerTurn.
 //
 // # Receive path
 //
@@ -47,10 +61,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"etx/internal/id"
@@ -78,10 +94,11 @@ type Config struct {
 	Peers map[id.NodeID]string
 	// DialTimeout bounds connection attempts. Default 2s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one kernel flush (the writev covering a whole
-	// queue drain). A peer that stops reading trips the deadline and the
-	// connection is dropped — fair loss — instead of wedging the writer
-	// while frames pile up behind it. Default 5s.
+	// WriteTimeout bounds one writer flush (the writev covering a whole
+	// queue drain; an inline write never blocks, so it needs none). A peer
+	// that stops reading trips the deadline and the connection is dropped —
+	// fair loss — instead of wedging the writer while frames pile up behind
+	// it. Default 5s.
 	WriteTimeout time.Duration
 	// QueueDepth bounds each peer's outbound frame queue; a send finding
 	// the queue full drops the frame (fair loss, counted). Default 1024.
@@ -133,33 +150,88 @@ type Endpoint struct {
 	bytesSent   metrics.Counter
 	framesRecv  metrics.Counter
 	bytesRecv   metrics.Counter
-	writevCalls metrics.Counter // kernel flushes (one writev per queue drain)
+	writevCalls metrics.Counter // kernel writes: writer flushes and inline writes
+	inline      metrics.Counter // frames Send wrote whole on its own goroutine
 	coalesced   metrics.Counter // frames copied into a coalescing buffer (fallback only)
 	queueDrops  metrics.Counter // frames dropped on a full peer queue
 	connDrops   metrics.Counter // connections dropped on write error or deadline
 	queued      metrics.Gauge   // frames currently queued across peers
 }
 
-// peerConn is one peer's writer: a bounded frame queue drained by a
-// dedicated goroutine that owns the outgoing connection. The writer
-// persists across redials; only the connection is dropped on error.
+// The inline gate. Inline writes save a wake-up per frame but give up the
+// writer's batching, so a busy link belongs to the writer. Busy is judged by
+// counts, never by time. A Send that finds frames ahead of it, or another
+// write in progress, queues its own frame; if the link really is busy, the
+// frames pile up behind it while the writer yields, and the writer's drain
+// coalesces them. A drain that coalesced more than one frame, or an inline
+// write the kernel took only part of (or none of: EAGAIN), leaves the next
+// writerTurn frames to the writer, and a link that stays busy keeps renewing
+// the turn. A lone collision does not: two senders meeting once on an idle
+// link cost one frame its inline write, not the next sixteen.
+const writerTurn = 16
+
+// peerConn is one peer's write side: a bounded frame queue drained by a
+// dedicated writer goroutine that owns dialing, and the inline path Send
+// takes on an idle link. The writer persists across redials; only the
+// connection is dropped on error.
 type peerConn struct {
 	peer id.NodeID
 	q    chan *[]byte
+	kick chan struct{} // wakes the writer to finish a residual
 
 	mu sync.Mutex
-	c  net.Conn // guarded by mu — live conn, nil between drops and redials
+	c  net.Conn        // guarded by mu — live conn, nil between drops and redials
+	rc syscall.RawConn // guarded by mu — c's descriptor, for the inline write
+
+	// wmu serializes kernel writes on the link: the writer holds it for a
+	// flush, an inline Send for its one attempt (TryLock: a Send never
+	// waits for it).
+	wmu      sync.Mutex
+	residual []byte   // guarded by wmu — unwritten tail of a short inline write
+	resFrame *[]byte  // guarded by wmu — the pooled frame residual lies in
+	resConn  net.Conn // guarded by wmu — the connection the frame's head went to
+	out      []byte   // guarded by wmu — the inline attempt's frame, for writeOnce
+	outN     int      // guarded by wmu — writeOnce's result
+	outErr   error    // guarded by wmu — writeOnce's result
+	// writeOnce is the inline attempt's raw-write callback: a single
+	// write(2) that reports done whatever happened, so EAGAIN comes back
+	// to the caller instead of parking it on the poller. Built once per
+	// link so an attempt allocates nothing.
+	writeOnce func(fd uintptr) bool
+
+	// unsent counts frames handed to the link but not yet to the kernel:
+	// queued, drained by the writer and not yet flushed, or a residual.
+	// Send writes inline only at zero, which keeps the link FIFO.
+	unsent atomic.Int64
+	// turns is how many more frames Send leaves to the writer before it
+	// tries inline again (the inline gate).
+	turns atomic.Int32
 }
 
-func (pc *peerConn) conn() net.Conn {
+func newPeerConn(peer id.NodeID, depth int) *peerConn {
+	pc := &peerConn{peer: peer, q: make(chan *[]byte, depth), kick: make(chan struct{}, 1)}
+	pc.writeOnce = func(fd uintptr) bool {
+		pc.outN, pc.outErr = syscall.Write(int(fd), pc.out)
+		return true
+	}
+	return pc
+}
+
+// link returns the live connection and its descriptor (nil, nil between a
+// drop and the redial).
+func (pc *peerConn) link() (net.Conn, syscall.RawConn) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.c
+	return pc.c, pc.rc
 }
 
 func (pc *peerConn) setConn(c net.Conn) {
+	var rc syscall.RawConn
+	if sc, ok := c.(syscall.Conn); ok {
+		rc, _ = sc.SyscallConn() // no descriptor: every frame goes through the writer
+	}
 	pc.mu.Lock()
-	pc.c = c
+	pc.c, pc.rc = c, rc
 	pc.mu.Unlock()
 }
 
@@ -168,9 +240,25 @@ func (pc *peerConn) setConn(c net.Conn) {
 func (pc *peerConn) closeConn() {
 	pc.mu.Lock()
 	c := pc.c
-	pc.c = nil
+	pc.c, pc.rc = nil, nil
 	pc.mu.Unlock()
 	if c != nil {
+		c.Close()
+	}
+}
+
+// dropConn drops c after a failed write, if it is still the live
+// connection: the drop is counted once, and the writer redials on its next
+// drain.
+func (ep *Endpoint) dropConn(pc *peerConn, c net.Conn) {
+	pc.mu.Lock()
+	live := c != nil && pc.c == c
+	if live {
+		pc.c, pc.rc = nil, nil
+	}
+	pc.mu.Unlock()
+	if live {
+		ep.connDrops.Inc()
 		c.Close()
 	}
 }
@@ -179,7 +267,8 @@ func (pc *peerConn) closeConn() {
 // thousands of envelopes per second and must not allocate one slice each.
 // Ownership transfers with the frame: Send fills a frame and enqueues it,
 // the writer returns it to the pool only after the kernel flush that
-// consumed it (or Send itself, when the queue is full).
+// consumed it (or Send itself, when the queue is full or it wrote the frame
+// inline; a short inline write passes the frame on as the residual).
 var framePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -309,8 +398,9 @@ func (ep *Endpoint) Close() error {
 }
 
 // Send implements transport.Endpoint. It encodes the envelope into a pooled
-// frame and enqueues it on the destination's writer without ever blocking:
-// an unreachable, stalled or backlogged peer silently drops the message
+// frame and either writes it inline, when the destination's link is idle,
+// or enqueues it on the destination's writer — without ever blocking: an
+// unreachable, stalled or backlogged peer silently drops the message
 // (fair-loss link). The steady state allocates nothing per send.
 func (ep *Endpoint) Send(env msg.Envelope) error {
 	select {
@@ -334,15 +424,77 @@ func (ep *Endpoint) Send(env msg.Envelope) error {
 		putFrame(bufp)
 		return err
 	}
+	if ep.writeInline(pc, bufp) {
+		return nil
+	}
+	pc.unsent.Add(1)
 	select {
 	case pc.q <- bufp:
 		ep.queued.Inc()
 	default:
 		// Bounded queue full: the peer is slower than the senders. Fair loss.
+		pc.unsent.Add(-1)
 		ep.queueDrops.Inc()
 		putFrame(bufp)
 	}
 	return nil
+}
+
+// writeInline hands frame f to the kernel on the caller's goroutine if the
+// link is idle and the inline gate is open, making exactly one
+// non-blocking write: it never parks, whatever the socket's state. It
+// reports whether it took the frame; false means nothing was written and
+// the caller queues f for the writer. A short write leaves the tail as the
+// link's residual and kicks the writer to finish it.
+func (ep *Endpoint) writeInline(pc *peerConn, f *[]byte) bool {
+	if pc.turns.Load() > 0 {
+		pc.turns.Add(-1)
+		return false
+	}
+	if pc.unsent.Load() != 0 || !pc.wmu.TryLock() {
+		return false // frames ahead, or another write in progress
+	}
+	defer pc.wmu.Unlock()
+	if pc.unsent.Load() != 0 {
+		return false // the writer got in first
+	}
+	c, rc := pc.link()
+	if rc == nil {
+		return false // not connected: the writer dials
+	}
+	pc.out = *f
+	err := rc.Write(pc.writeOnce) // calls writeOnce at most once, synchronously
+	n := pc.outN
+	if err == nil {
+		err = pc.outErr
+	}
+	pc.out, pc.outErr = nil, nil
+	if n <= 0 || err != nil {
+		// Nothing written. The writer's blocking, deadline-bounded flush
+		// deals with whatever it was: a full socket buffer (EAGAIN, which
+		// also means the link is busy), the expired deadline of its own
+		// last flush, or a broken connection.
+		if err == syscall.EAGAIN {
+			pc.turns.Store(writerTurn)
+		}
+		return false
+	}
+	ep.writevCalls.Inc()
+	ep.bytesSent.Add(uint64(n))
+	if n < len(*f) {
+		pc.residual, pc.resFrame, pc.resConn = (*f)[n:], f, c
+		pc.unsent.Add(1)
+		pc.turns.Store(writerTurn)
+		select {
+		case pc.kick <- struct{}{}:
+		default:
+		}
+		return true
+	}
+	ep.framesSent.Inc()
+	ep.inline.Inc()
+	putFrame(f)
+	return true
 }
 
 // writer returns (starting if needed) the writer goroutine for peer. The
@@ -356,7 +508,7 @@ func (ep *Endpoint) writer(peer id.NodeID) (*peerConn, error) {
 	}
 	pc := ep.writers[peer]
 	if pc == nil {
-		pc = &peerConn{peer: peer, q: make(chan *[]byte, ep.cfg.QueueDepth)}
+		pc = newPeerConn(peer, ep.cfg.QueueDepth)
 		ep.writers[peer] = pc
 		ep.wg.Add(1)
 		go ep.writeLoop(pc)
@@ -365,9 +517,15 @@ func (ep *Endpoint) writer(peer id.NodeID) (*peerConn, error) {
 }
 
 // writeLoop drains one peer's frame queue and flushes each drain to the
-// kernel in a single vectored write. Dial failures and write errors drop
-// the drained frames (fair loss) and the next drain starts over with a
-// fresh connection attempt.
+// kernel in a single vectored write, after finishing any residual an inline
+// write left. Dial failures and write errors drop the drained frames (fair
+// loss) and the next drain starts over with a fresh connection attempt.
+//
+// A woken writer yields once before it drains. On a busy link the frames'
+// senders are runnable, and they run first: their frames join this drain
+// instead of each waking the writer again. On an idle link the yield costs
+// nothing that matters — the writer only wakes for a frame Send could not
+// write inline.
 func (ep *Endpoint) writeLoop(pc *peerConn) {
 	defer ep.wg.Done()
 	defer pc.closeConn()
@@ -377,11 +535,13 @@ func (ep *Endpoint) writeLoop(pc *peerConn) {
 		select {
 		case f := <-pc.q:
 			frames = append(frames, f)
+		case <-pc.kick:
 		case <-ep.done:
 			return
 		}
-		// Opportunistic drain: everything queued behind the first frame
-		// rides the same kernel flush.
+		// Opportunistic drain: everything queued behind the first frame,
+		// once the yield let it arrive, rides the same kernel flush.
+		runtime.Gosched()
 	drain:
 		for len(frames) < ep.cfg.MaxWritev {
 			select {
@@ -392,21 +552,45 @@ func (ep *Endpoint) writeLoop(pc *peerConn) {
 			}
 		}
 		ep.queued.Add(-int64(len(frames)))
-		c := pc.conn()
-		if c == nil {
+		if len(frames) > 1 {
+			pc.turns.Store(writerTurn) // batching pays on this link
+		}
+		c, _ := pc.link()
+		if c == nil && len(frames) > 0 {
 			c = ep.dial(pc)
 		}
-		if c != nil {
-			if err := ep.flush(c, frames); err != nil {
-				// Broken or stalled link (the deadline fired): fair loss.
-				ep.connDrops.Inc()
-				pc.closeConn()
-			}
-		}
+		ep.writeDrain(pc, c, frames)
 		for _, f := range frames {
 			putFrame(f)
 		}
 	}
+}
+
+// writeDrain writes the link's residual, if any, and then frames to c
+// (nil: the dial failed, and everything is dropped).
+func (ep *Endpoint) writeDrain(pc *peerConn, c net.Conn, frames []*[]byte) {
+	pc.wmu.Lock()
+	defer pc.wmu.Unlock()
+	var err error
+	if res := pc.resFrame; res != nil {
+		// The tail means something only on the connection its head went
+		// to; after a drop the frame is lost like any other.
+		if c != nil && c == pc.resConn {
+			tail := pc.residual
+			err = ep.flush(c, []*[]byte{&tail})
+		}
+		pc.residual, pc.resFrame, pc.resConn = nil, nil, nil
+		pc.unsent.Add(-1)
+		putFrame(res)
+	}
+	if err == nil && c != nil && len(frames) > 0 {
+		err = ep.flush(c, frames)
+	}
+	if err != nil {
+		// Broken or stalled link (the deadline fired): fair loss.
+		ep.dropConn(pc, c)
+	}
+	pc.unsent.Add(-int64(len(frames)))
 }
 
 // dial attempts the outgoing connection for pc, returning nil on failure
@@ -508,35 +692,39 @@ func nextFrame(br *bufio.Reader) (b []byte, held int, err error) {
 
 // Stats is a point-in-time snapshot of an endpoint's wire counters.
 type Stats struct {
-	FramesSent  uint64 // frames handed to the kernel
-	BytesSent   uint64 // bytes handed to the kernel (prefix included)
-	FramesRecv  uint64 // frames read off incoming connections
-	BytesRecv   uint64 // bytes read off incoming connections (prefix included)
-	WritevCalls uint64 // kernel flushes: one vectored write per queue drain
-	Coalesced   uint64 // frames copied through a coalescing buffer (0 on the writev path)
-	QueueDrops  uint64 // frames dropped because a peer queue was full
-	ConnDrops   uint64 // connections dropped on write error or expired deadline
-	Queued      int64  // frames currently queued across all peers
+	FramesSent uint64 // frames handed to the kernel
+	BytesSent  uint64 // bytes handed to the kernel (prefix included)
+	FramesRecv uint64 // frames read off incoming connections
+	BytesRecv  uint64 // bytes read off incoming connections (prefix included)
+	// WritevCalls counts every kernel write that moved bytes: one vectored
+	// write per writer drain, and each inline write, which is one frame.
+	WritevCalls  uint64
+	InlineWrites uint64 // frames Send wrote whole on its own goroutine (each also one of WritevCalls)
+	Coalesced    uint64 // frames copied through a coalescing buffer (0 on the writev path)
+	QueueDrops   uint64 // frames dropped because a peer queue was full
+	ConnDrops    uint64 // connections dropped on write error or expired deadline
+	Queued       int64  // frames currently queued across all peers
 }
 
 // Stats snapshots the endpoint's wire counters.
 func (ep *Endpoint) Stats() Stats {
 	return Stats{
-		FramesSent:  ep.framesSent.Load(),
-		BytesSent:   ep.bytesSent.Load(),
-		FramesRecv:  ep.framesRecv.Load(),
-		BytesRecv:   ep.bytesRecv.Load(),
-		WritevCalls: ep.writevCalls.Load(),
-		Coalesced:   ep.coalesced.Load(),
-		QueueDrops:  ep.queueDrops.Load(),
-		ConnDrops:   ep.connDrops.Load(),
-		Queued:      ep.queued.Load(),
+		FramesSent:   ep.framesSent.Load(),
+		BytesSent:    ep.bytesSent.Load(),
+		FramesRecv:   ep.framesRecv.Load(),
+		BytesRecv:    ep.bytesRecv.Load(),
+		WritevCalls:  ep.writevCalls.Load(),
+		InlineWrites: ep.inline.Load(),
+		Coalesced:    ep.coalesced.Load(),
+		QueueDrops:   ep.queueDrops.Load(),
+		ConnDrops:    ep.connDrops.Load(),
+		Queued:       ep.queued.Load(),
 	}
 }
 
-// FramesPerWritev returns the mean frames one kernel flush covered — the
+// FramesPerWritev returns the mean frames one kernel write covered — the
 // vectored-write amortization factor (1.0 means every frame paid its own
-// syscall).
+// syscall, as each inline write does).
 func (s Stats) FramesPerWritev() float64 {
 	if s.WritevCalls == 0 {
 		return 0
@@ -546,9 +734,9 @@ func (s Stats) FramesPerWritev() float64 {
 
 // String renders the snapshot on one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("sent=%d/%dB recv=%d/%dB writev=%d (%.1f frames/call) coalesced=%d qdrop=%d cdrop=%d queued=%d",
+	return fmt.Sprintf("sent=%d/%dB recv=%d/%dB writev=%d (%.1f frames/call) inline=%d coalesced=%d qdrop=%d cdrop=%d queued=%d",
 		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv,
-		s.WritevCalls, s.FramesPerWritev(), s.Coalesced, s.QueueDrops, s.ConnDrops, s.Queued)
+		s.WritevCalls, s.FramesPerWritev(), s.InlineWrites, s.Coalesced, s.QueueDrops, s.ConnDrops, s.Queued)
 }
 
 // Vectored reports whether this binary's flush path is the scatter-gather

@@ -462,8 +462,10 @@ func (s *sequencer) run() {
 			continue
 		}
 		// Not the preferred sequencer: forward the cohort and wait for its
-		// registers to decide (via the slot relay), for new local writes, or
-		// for the retry timer — whichever first.
+		// registers to decide (the slot coordinator's decision), for new
+		// local writes, or for the retry timer — whichever first. A retry
+		// also pulls: the target answers already-decided ops with their
+		// decision (enqueueRemote), which a missed slot decision needs.
 		_ = s.opts.Send(target, msg.RegOps{Ops: batch})
 		s.requeue(batch)
 		t := time.NewTimer(s.opts.RetryInterval)
