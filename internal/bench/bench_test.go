@@ -232,12 +232,11 @@ func TestPatienceSweepMorphsRegimes(t *testing.T) {
 var commonMetrics = []string{
 	"consensus.proposes_per_commit", "consensus.msgs_per_commit",
 	"stablestore.syncs_per_commit", "stablestore.forces_per_commit",
-	"lockmgr.acquires_per_commit", "lockmgr.wait_ms_per_commit",
 	"xadb.spec_execs_per_commit", "xadb.deferred_votes_per_commit",
-	"core.planned_ops_per_commit", "core.gated_votes_per_commit",
+	"core.planned_ops_per_commit",
 	"consensus.rounds_per_propose", "consensus.fastpath_share", "consensus.resends",
 	"consensus.slots_pruned", "consensus.checkpoints_served", "consensus.live_slots",
-	"stablestore.forced_per_sync", "lockmgr.wait_share", "lockmgr.timeouts", "proc.heap_delta_kb",
+	"stablestore.forced_per_sync", "proc.heap_delta_kb",
 }
 
 // shapeT collects a sweep's timing claims apart from its counter claims: a
@@ -331,15 +330,6 @@ var sweepShapes = map[string]func(t *shapeT, rep *Report){
 		if on.Metric("consensus.live_slots_max") >= off.Metric("consensus.live_slots_max") {
 			t.Errorf("retention tail did not bound the batch log: max %v slots vs %v without",
 				on.Metric("consensus.live_slots_max"), off.Metric("consensus.live_slots_max"))
-		}
-	},
-	"queue": func(t *shapeT, rep *Report) {
-		wantRows(t, rep, 8)
-		for _, r := range rep.Rows {
-			want := map[string]float64{"lock": 2, "queue": 0}[r.Params["mode"]]
-			if v := r.Metric("lockmgr.acquires_per_commit"); v != want {
-				t.Errorf("%v depth %d: %.2f lock acquisitions/commit, want %.2f", r.Params, r.Depth, v, want)
-			}
 		}
 	},
 	"wire": func(t *shapeT, rep *Report) { wantRows(t, rep, 8) },

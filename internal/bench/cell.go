@@ -66,7 +66,7 @@ type Report struct {
 }
 
 // Find returns the row whose labels match the given name, value pairs
-// ("depth", "32", "mode", "queue"), or nil.
+// ("depth", "32", "retain", "64"), or nil.
 func (r *Report) Find(labels ...string) *Row {
 next:
 	for i := range r.Rows {
@@ -250,12 +250,9 @@ func run(c cell) (Row, error) {
 			"consensus.msgs_per_commit":      d["consensus.msgs"] / n,
 			"stablestore.syncs_per_commit":   d["stablestore.syncs"] / n,
 			"stablestore.forces_per_commit":  d["stablestore.forces"] / n,
-			"lockmgr.acquires_per_commit":    d["lockmgr.acquires"] / n,
-			"lockmgr.wait_ms_per_commit":     d["lockmgr.wait_ms"] / n,
 			"xadb.spec_execs_per_commit":     d["xadb.spec_execs"] / n,
 			"xadb.deferred_votes_per_commit": d["xadb.deferred_votes"] / n,
 			"core.planned_ops_per_commit":    d["core.planned_ops"] / n,
-			"core.gated_votes_per_commit":    d["core.gated_votes"] / n,
 		},
 		Gauges: map[string]float64{
 			"consensus.rounds_per_propose": ratio(d["consensus.rounds"], d["consensus.instances"]),
@@ -266,8 +263,6 @@ func run(c cell) (Row, error) {
 			// Journal appends per device sync, as in BENCHMARK.json: the
 			// batched vote/decide path appends unforced and syncs once.
 			"stablestore.forced_per_sync": ratio(d["stablestore.writes"], d["stablestore.syncs"]),
-			"lockmgr.wait_share":          ratio(d["lockmgr.waits"], d["lockmgr.acquires"]),
-			"lockmgr.timeouts":            d["lockmgr.timeouts"],
 		},
 	}
 	if finish != nil {
@@ -332,17 +327,11 @@ func snapshot(c *cluster.Cluster) map[string]float64 {
 		s["stablestore.syncs"] += float64(store.Syncs())
 		s["stablestore.forces"] += float64(store.ForcedWrites())
 		s["stablestore.writes"] += float64(store.TotalWrites())
-		ls := e.LockStats()
-		s["lockmgr.acquires"] += float64(ls.Acquires)
-		s["lockmgr.waits"] += float64(ls.Waits)
-		s["lockmgr.timeouts"] += float64(ls.Timeouts)
-		s["lockmgr.wait_ms"] += float64(ls.WaitTime) / float64(time.Millisecond)
 		ss := e.SpecStats()
 		s["xadb.spec_execs"] += float64(ss.Execs)
 		s["xadb.deferred_votes"] += float64(ss.Deferred)
 		ds := srv.Stats()
 		s["core.planned_ops"] += float64(ds.PlannedOps)
-		s["core.gated_votes"] += float64(ds.GatedVotes)
 	}
 	return s
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -362,52 +361,6 @@ var sweeps = []sweep{
 			" retention off (the paper's deferred Section-5 leak, relocated to the batch log), flat with a retention tail",
 	},
 	{
-		name:   "queue",
-		title:  "Queue-oriented execution vs strict 2PL: uniform vs Zipf(1.5) keys (1 shard, 500us/hop LAN, free log)",
-		params: []string{"depth", "keys", "mode"},
-		metrics: []string{"lockmgr.acquires_per_commit", "lockmgr.wait_ms_per_commit",
-			"xadb.deferred_votes_per_commit"},
-		full:  size{0, 400, []int{1, 8, 32, 64}},
-		quick: size{0, 120, []int{1, 32}},
-		runs:  2,
-		cells: func(scale float64, depth, requests int) (out []cell) {
-			accounts := pool(8 * depth)
-			for _, keys := range []string{"uniform", "zipf"} {
-				// The lock and queue cells of one (depth, keys) pair replay
-				// the identical stream (the four clients' warm-up requests
-				// at its tail): the fair comparison.
-				stream := keyStream(keys == "zipf", requests+4, len(accounts), int64(depth)*7919+int64(len(keys)))
-				for _, mode := range []string{"lock", "queue"} {
-					cfg := deployment(depth, accounts, 0)
-					// The lock's cost is critical-path message delays (a hot
-					// key's tries serialize across Exec..Decide), so the
-					// substrate must charge for them.
-					cfg.Net.DefaultLatency = 500 * time.Microsecond
-					cfg.QueueExec = mode == "queue"
-					cfg.DrainBatch = 64
-					// The sweep measures steady-state throughput, not
-					// timeout-abort churn on a deep hot-key queue.
-					cfg.LockTimeout = 10 * time.Second
-					out = append(out, cell{
-						params: map[string]string{"keys": keys, "mode": mode},
-						config: cfg, depth: depth, requests: requests,
-						account: func(i int) string { return accounts[stream[i%len(stream)]] },
-					})
-				}
-			}
-			return out
-		},
-		check: func(r Row) error {
-			if n := r.Metric("lockmgr.acquires_per_commit"); r.Params["mode"] == "queue" && n != 0 {
-				return errf("queue mode acquired %.2f locks per commit", n)
-			}
-			return nil
-		},
-		note: "lock mode holds a hot key's exclusive lock from Exec to Decide, so conflicting tries serialize across\n" +
-			" the whole commit path; queue mode runs per-key FIFO queues speculatively with zero lock acquisitions,\n" +
-			" counter-verified every run, and only the commit decision stays ordered, via vote gates",
-	},
-	{
 		name:   "wire",
 		title:  "Batching windows: static 0 / 100us / 2ms vs adaptive (1 shard, zero-latency net, 500us force)",
 		params: []string{"depth", "policy"},
@@ -442,22 +395,6 @@ var sweeps = []sweep{
 		note: "no static window wins both ends: window 0 loses throughput at depth, a wide window pays its full\n" +
 			" width at depth 1; adaptive collapses its caps at depth 1 and widens them under pipelining",
 	},
-}
-
-// keyStream precomputes the account index of n requests over a pool:
-// uniform, or Zipf(1.5), where the hottest account takes ~40% of them.
-func keyStream(zipf bool, n, poolSize int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	draw := func() int { return rng.Intn(poolSize) }
-	if zipf {
-		z := rand.NewZipf(rng, 1.5, 1, uint64(poolSize-1))
-		draw = func() int { return int(z.Uint64()) }
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = draw()
-	}
-	return out
 }
 
 // commitFanOut counts, on the wire, the Prepares and Decides sent to the

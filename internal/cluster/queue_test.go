@@ -14,29 +14,21 @@ import (
 	"etx/internal/kv"
 )
 
-// queueTimers widens the fast test timings for hot-key speculative runs.
+// queueKnobs widens the fast test timings for hot-key speculative runs.
 // Chains stretch a try's prepare→vote path across its predecessors' whole
 // commit paths, so the retry machinery must sit well above the chain commit
 // latency: a rebroadcast below it spawns duplicate tries that are guaranteed
-// to abort (exactly-once picks one winner per request), and in queue mode
-// every such abort cascades to the whole dependent chain — a retry storm,
-// not liveness. Same discipline as the queue bench's generous timers. The
-// vote-gate bound gets a wider berth than the lock timeout for the same
-// reason: gates wait on whole commit paths, and these tests measure
-// behaviour, not timeout churn.
-func queueTimers(cfg *Config) {
+// to abort (exactly-once picks one winner per request), and every such abort
+// cascades to the whole dependent chain — a retry storm, not liveness. The
+// vote-gate bound gets a wide berth for the same reason: gates wait on whole
+// commit paths, and these tests measure behaviour, not timeout churn.
+func queueKnobs(cfg *Config) {
 	fastKnobs(cfg)
 	cfg.LockTimeout = 2 * time.Second
 	cfg.SuspectTimeout = 300 * time.Millisecond
 	cfg.ResendInterval = 500 * time.Millisecond
 	cfg.ClientBackoff = time.Second
 	cfg.ClientRebroadcast = time.Second
-}
-
-// queueKnobs is queueTimers with queue-oriented deterministic execution on.
-func queueKnobs(cfg *Config) {
-	queueTimers(cfg)
-	cfg.QueueExec = true
 }
 
 // queueWorkload drives `requests` pipelined transfers over a deliberately hot
@@ -77,13 +69,11 @@ func queueWorkload(t *testing.T, c *Cluster, accts []string, requests, inflight 
 	return balances
 }
 
-// TestQueueParityWithLockMode runs the same hot-key bank workload through
-// strict 2PL and through queue-oriented deterministic execution, and asserts
-// they are observationally identical: same final balances, both oracle-clean.
-// The queue run must never touch the lock manager (counter-verified) while
-// actually planning batches; the lock run must show the acquisitions that
-// define today's behaviour — QueueExec off reproduces it exactly.
-func TestQueueParityWithLockMode(t *testing.T) {
+// TestQueueConservesWithoutLocks runs a hot-key bank workload — every
+// transfer debits the same account — through the speculative executor and
+// asserts the exact final balances, the A.1 oracle, and that the run was
+// carried by the planner and the per-key chains with zero lock acquisitions.
+func TestQueueConservesWithoutLocks(t *testing.T) {
 	const (
 		requests = 48
 		inflight = 16
@@ -95,61 +85,47 @@ func TestQueueParityWithLockMode(t *testing.T) {
 		accts[i] = fmt.Sprintf("qp%02d", i)
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(100)})
 	}
+	cfg := Config{
+		Shards:      1,
+		Logic:       transferKeyed(),
+		Seed:        seed,
+		Tuning:      deploy.Tuning{Workers: inflight},
+		Terminators: inflight,
+	}
+	queueKnobs(&cfg)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	balances := queueWorkload(t, c, accts, requests, inflight)
+	mustOracle(t, c)
 
-	run := func(queueMode bool) (map[string]int64, core.DataServerStats, uint64) {
-		cfg := Config{
-			Shards:      1,
-			Logic:       transferKeyed(),
-			Seed:        seed,
-			Tuning:      deploy.Tuning{Workers: inflight},
-			Terminators: inflight,
-		}
-		if queueMode {
-			queueKnobs(&cfg)
-		} else {
-			queueTimers(&cfg) // same timers and conflict bound, fair comparison
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Stop()
-		balances := queueWorkload(t, c, accts, requests, inflight)
-		mustOracle(t, c)
-		return balances, c.DataServer(1).Stats(), c.Engine(1).LockStats().Acquires
+	want := map[string]int64{accts[0]: 100 - requests}
+	for i := 0; i < requests; i++ {
+		want[accts[1+i%(accounts-1)]]++
 	}
-
-	lockBal, lockStats, lockAcquires := run(false)
-	queueBal, queueStats, queueAcquires := run(true)
-
-	for a, want := range lockBal {
-		if got := queueBal[a]; got != want {
-			t.Errorf("balance of %s diverged: lock = %d, queue = %d", a, want, got)
+	for _, a := range accts[1:] {
+		want[a] += 100
+	}
+	for a, w := range want {
+		if got := balances[a]; got != w {
+			t.Errorf("balance of %s = %d, want %d", a, got, w)
 		}
 	}
-	// The property the mode exists for, end to end: a whole contended run
-	// without one lock acquisition — and not vacuously, the planner really
-	// carried the operations.
-	if queueAcquires != 0 {
-		t.Errorf("queue mode acquired %d locks, want 0", queueAcquires)
+	st, spec := c.DataServer(1).Stats(), c.Engine(1).SpecStats()
+	if acq := c.Engine(1).LockStats().Acquires; acq != 0 {
+		t.Errorf("acquired %d locks, want 0", acq)
 	}
-	if queueStats.PlannedBatches == 0 || queueStats.PlannedOps == 0 {
-		t.Errorf("queue mode planned nothing: %s", queueStats)
+	// Not vacuously: the planner and the chains really carried the run.
+	if st.PlannedBatches == 0 || st.PlannedOps == 0 || spec.Execs < 3*requests {
+		t.Errorf("run not carried by the speculative executor: %s %s", st, spec)
 	}
-	// Off means off: the lock path runs exactly as before — three keyed
-	// operations per commit, each an acquisition — and no batch planning.
-	if lockAcquires < 3*requests {
-		t.Errorf("lock mode acquired %d locks for %d requests, want >= %d", lockAcquires, requests, 3*requests)
-	}
-	if lockStats.PlannedBatches != 0 || lockStats.PlannedOps != 0 {
-		t.Errorf("lock mode ran the planner: %s", lockStats)
-	}
-	t.Logf("lock:  %d acquires, %s", lockAcquires, lockStats)
-	t.Logf("queue: %d acquires, %s", queueAcquires, queueStats)
+	t.Logf("%s %s", st, spec)
 }
 
 // TestQueuePrimaryCrashMidRun crashes the primary application server while a
-// pipelined hot-key run executes in queue mode. Clients must still commit
+// pipelined hot-key run executes. Clients must still commit
 // every request exactly once (surviving servers finish or re-execute orphaned
 // tries; speculative chains built on aborted tries cascade and retry), money
 // must be conserved, the A.1 oracle must hold — and the lock manager must
@@ -218,7 +194,7 @@ func TestQueuePrimaryCrashMidRun(t *testing.T) {
 		t.Errorf("total balance = %d, want %d (money not conserved across the crash)", total, accounts*1000)
 	}
 	if acq := c.Engine(1).LockStats().Acquires; acq != 0 {
-		t.Errorf("queue mode acquired %d locks across the crash, want 0", acq)
+		t.Errorf("acquired %d locks across the crash, want 0", acq)
 	}
 	mustOracle(t, c)
 }
@@ -241,50 +217,41 @@ func snapLogic() core.Logic {
 }
 
 // TestQueueSnapReadFastPath commits transfers and then reads a balance
-// through the speculative read-only fast path, in both modes: the answer
-// must reflect every committed transfer, and in queue mode the read must be
-// served as a snapshot read at the batch boundary (counter-verified) — still
-// without lock acquisitions.
+// through the read-only fast path: the answer must reflect every committed
+// transfer, and the read must be served as a snapshot read at the batch
+// boundary (counter-verified) without lock acquisitions. The subtest keeps
+// the name of the execution mode it runs in, the queue executor.
 func TestQueueSnapReadFastPath(t *testing.T) {
-	for _, mode := range []string{"lock", "queue"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := Config{
-				Shards: 1,
-				Logic:  snapLogic(),
-				Seed: []kv.Write{
-					{Key: "acct/sa", Val: kv.EncodeInt(100)},
-					{Key: "acct/sb", Val: kv.EncodeInt(100)},
-				},
-			}
-			if mode == "queue" {
-				queueKnobs(&cfg)
-			} else {
-				fastKnobs(&cfg)
-			}
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Stop()
+	t.Run("queue", func(t *testing.T) {
+		cfg := Config{
+			Shards: 1,
+			Logic:  snapLogic(),
+			Seed: []kv.Write{
+				{Key: "acct/sa", Val: kv.EncodeInt(100)},
+				{Key: "acct/sb", Val: kv.EncodeInt(100)},
+			},
+		}
+		queueKnobs(&cfg)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
 
-			issue(t, c, 1, "sa:sb:10")
-			issue(t, c, 1, "sa:sb:5")
-			if got := issue(t, c, 1, "read:sa"); string(got) != "85" {
-				t.Errorf("fast read of sa = %s, want 85", got)
-			}
-			if got := issue(t, c, 1, "read:sb"); string(got) != "115" {
-				t.Errorf("fast read of sb = %s, want 115", got)
-			}
-			mustOracle(t, c)
-			st := c.DataServer(1).Stats()
-			if mode == "queue" {
-				if st.SnapReads < 2 {
-					t.Errorf("served %d snapshot reads, want >= 2 (%s)", st.SnapReads, st)
-				}
-				if acq := c.Engine(1).LockStats().Acquires; acq != 0 {
-					t.Errorf("queue mode acquired %d locks, want 0", acq)
-				}
-			}
-		})
-	}
+		issue(t, c, 1, "sa:sb:10")
+		issue(t, c, 1, "sa:sb:5")
+		if got := issue(t, c, 1, "read:sa"); string(got) != "85" {
+			t.Errorf("fast read of sa = %s, want 85", got)
+		}
+		if got := issue(t, c, 1, "read:sb"); string(got) != "115" {
+			t.Errorf("fast read of sb = %s, want 115", got)
+		}
+		mustOracle(t, c)
+		if st := c.DataServer(1).Stats(); st.SnapReads < 2 {
+			t.Errorf("served %d snapshot reads, want >= 2 (%s)", st.SnapReads, st)
+		}
+		if acq := c.Engine(1).LockStats().Acquires; acq != 0 {
+			t.Errorf("acquired %d locks, want 0", acq)
+		}
+	})
 }

@@ -17,13 +17,10 @@ import (
 	"etx/internal/xadb"
 )
 
-// execWorkers sizes the pool serving business-data operations. Execs run off
-// the serve loop because one blocked on a lock must not delay the
-// Decide(abort) that would release it; a fixed pool keeps that isolation
-// without spawning a goroutine per operation on the hot path (worst case a
-// pool's worth of lock-waiters delays further Execs, never votes or
-// decides). In queue mode the pool serves only keyless operations; keyed
-// ones run on per-key runners.
+// execWorkers sizes the pool serving keyless business-data operations (the
+// cost model's simulated work), which run off the serve loop so their
+// duration never delays votes or decides; keyed operations run on per-key
+// runners (planner.go).
 const execWorkers = 64
 
 // DataServerConfig parameterizes a database-server process.
@@ -48,15 +45,6 @@ type DataServerConfig struct {
 	// Values <= 1 (the default) serve every message individually — the
 	// pre-group-commit behaviour.
 	MaxBatch int
-	// QueueExec switches the server to queue-oriented deterministic batch
-	// execution: each mailbox drain's data operations are planned into
-	// per-key FIFO queues executed without lock-manager acquisition (per-key
-	// serial, disjoint keys parallel; see planner.go), and snapshot reads
-	// are answered at the batch boundary. Forced on when the engine itself
-	// runs in queue mode — a speculative engine without the planner's
-	// per-key serialization would be unsound. Off — the default — keeps the
-	// paper-exact lock-managed execution.
-	QueueExec bool
 	// Repl, when the shard is replicated, is the primary's record streamer:
 	// the server routes incoming msg.ReplAck to it. Nil on an unreplicated
 	// server (and on every deployment with ReplicaFactor 1).
@@ -77,7 +65,7 @@ type DataServer struct {
 
 	execQ *queue.Queue[execJob]
 
-	// Per-key run queues of the queue-execution mode (planner.go).
+	// Per-key run queues (planner.go).
 	runMu sync.Mutex
 	runs  map[string]*keyRun
 
@@ -85,7 +73,6 @@ type DataServer struct {
 	plannedBatches metrics.Counter
 	plannedOps     metrics.Counter
 	snapReads      metrics.Counter
-	gatedVotes     metrics.Counter
 
 	// lastServe is the wall-clock nanosecond of the most recent mailbox
 	// activity, read by Drain to find a quiet point for graceful shutdown.
@@ -112,34 +99,28 @@ type DataServerStats struct {
 	// SnapReads counts read-only fast-path answers served at batch
 	// boundaries.
 	SnapReads uint64
-	// GatedVotes counts votes resolved off the drain path because chain
-	// predecessors were still undecided.
-	GatedVotes uint64
 }
 
-// Stats snapshots the queue-execution counters (all zero with QueueExec
-// off).
+// Stats snapshots the queue-execution counters.
 func (d *DataServer) Stats() DataServerStats {
 	return DataServerStats{
 		PlannedBatches: d.plannedBatches.Load(),
 		PlannedOps:     d.plannedOps.Load(),
 		SnapReads:      d.snapReads.Load(),
-		GatedVotes:     d.gatedVotes.Load(),
 	}
 }
 
 // String renders the counters for liveness dumps.
 func (s DataServerStats) String() string {
-	return fmt.Sprintf("queue{batches=%d ops=%d snapreads=%d gated=%d}",
-		s.PlannedBatches, s.PlannedOps, s.SnapReads, s.GatedVotes)
+	return fmt.Sprintf("queue{batches=%d ops=%d snapreads=%d}",
+		s.PlannedBatches, s.PlannedOps, s.SnapReads)
 }
 
-// DebugStats renders the server's execution-mode counters next to the
-// engine's lock-contention and speculation stats, for liveness diagnostics
-// and bench reports.
+// DebugStats renders the server's execution counters next to the engine's
+// speculation stats (parked votes among them), for liveness diagnostics and
+// bench reports.
 func (d *DataServer) DebugStats() string {
-	return fmt.Sprintf("%s: %s locks{%s} %s",
-		d.cfg.Self, d.Stats(), d.cfg.Engine.LockStats(), d.cfg.Engine.SpecStats())
+	return fmt.Sprintf("%s: %s %s", d.cfg.Self, d.Stats(), d.cfg.Engine.SpecStats())
 }
 
 // execJob is one queued business-data operation.
@@ -162,11 +143,6 @@ func NewDataServer(cfg DataServerConfig) (*DataServer, error) {
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
-	if cfg.Engine.QueueExec() {
-		// A speculative engine is only sound under the planner's per-key
-		// serialization; never run one behind the lock-mode exec pool.
-		cfg.QueueExec = true
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &DataServer{
 		cfg:    cfg,
@@ -186,8 +162,9 @@ func (d *DataServer) Start() {
 		_ = transport.Broadcast(d.cfg.Endpoint, d.cfg.AppServers,
 			msg.Ready{Inc: d.cfg.Engine.Incarnation()})
 	}
-	d.wg.Add(1)
+	d.wg.Add(2)
 	go d.loop()
+	go d.sweepParked()
 	for i := 0; i < execWorkers; i++ {
 		d.wg.Add(1)
 		go d.execWorker()
@@ -233,6 +210,43 @@ func (d *DataServer) Drain(quiet, max time.Duration) {
 	}
 }
 
+// sweepParked runs the engine's parked-vote sweep every eighth of the
+// vote-gate bound (at least every millisecond), so a parked vote is answered
+// no within 1.125×LockTimeout of parking.
+func (d *DataServer) sweepParked() {
+	defer d.wg.Done()
+	t := time.NewTicker(max(d.cfg.Engine.LockTimeout()/8, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			d.send(d.voteReplies(d.cfg.Engine.ExpireParked()))
+		case <-d.ctx.Done():
+			return
+		}
+	}
+}
+
+// voteReplies groups one VoteMsg per engine vote reply by recipient.
+func (d *DataServer) voteReplies(votes []xadb.VoteReply) map[id.NodeID][]msg.Payload {
+	replies := make(map[id.NodeID][]msg.Payload)
+	for _, v := range votes {
+		replies[v.To] = append(replies[v.To], msg.VoteMsg{RID: v.RID, V: v.V, Inc: d.cfg.Engine.Incarnation()})
+	}
+	return replies
+}
+
+// send sends each recipient's replies, several in one Batch envelope.
+func (d *DataServer) send(replies map[id.NodeID][]msg.Payload) {
+	for to, msgs := range replies {
+		if len(msgs) == 1 {
+			d.reply(to, msgs[0])
+			continue
+		}
+		d.reply(to, msg.Batch{Msgs: msgs})
+	}
+}
+
 // execWorker serves queued business-data operations.
 func (d *DataServer) execWorker() {
 	defer d.wg.Done()
@@ -273,9 +287,8 @@ func (d *DataServer) loop() {
 			}
 			batch := d.drain(env)
 			d.lastServe.Store(time.Now().UnixNano())
-			// Each drained batch is served on its own goroutine, and Execs
-			// get further goroutines of their own: an Exec blocked on a lock
-			// must not delay the Decide(abort) that would release it.
+			// Each drained batch is served on its own goroutine, so the next
+			// drain is read while this one waits on its device force.
 			d.wg.Add(1)
 			go func() {
 				defer d.wg.Done()
@@ -322,15 +335,16 @@ func msgCount(env msg.Envelope) int {
 // serveBatch serves one drained batch: Batch envelopes are flattened, the
 // Prepares and Decides are run through the engine's batched entry points so
 // their records share one forced write, and replies to the same application
-// server coalesce into one Batch envelope. Decides run before Prepares so an
-// abort releases locks a vote in the same batch may be queued behind.
+// server coalesce into one Batch envelope. A vote gated on an undecided chain
+// predecessor is parked in the engine; it leaves with the replies of the
+// drain whose decide releases it.
 func (d *DataServer) serveBatch(envs []msg.Envelope) {
-	var prepFrom, decFrom []id.NodeID
-	var prepRIDs []id.ResultID
+	var decFrom []id.NodeID
+	var voteReqs []xadb.VoteReq
 	var decReqs []xadb.DecideReq
-	var execs []execJob // queue mode: planned after the drain is demuxed
+	var execs []execJob // planned after the drain is demuxed
 	var snapFrom []id.NodeID
-	var snaps []msg.Exec // queue mode: answered at the batch boundary
+	var snaps []msg.Exec // answered at the batch boundary
 
 	handle := func(from id.NodeID, p msg.Payload) {
 		switch m := p.(type) {
@@ -338,21 +352,17 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 			if d.deposed.Load() {
 				return // fenced: a later-epoch primary serves this shard now
 			}
-			switch {
-			case d.cfg.QueueExec && m.Op.Code == msg.OpSnapRead:
+			if m.Op.Code == msg.OpSnapRead {
 				snapFrom = append(snapFrom, from)
 				snaps = append(snaps, m)
-			case d.cfg.QueueExec:
+			} else {
 				execs = append(execs, execJob{from: from, m: m})
-			default:
-				d.execQ.Push(execJob{from: from, m: m})
 			}
 		case msg.Prepare:
 			if d.deposed.Load() {
 				return
 			}
-			prepFrom = append(prepFrom, from)
-			prepRIDs = append(prepRIDs, m.RID)
+			voteReqs = append(voteReqs, xadb.VoteReq{RID: m.RID, From: from})
 		case msg.Decide:
 			if d.deposed.Load() {
 				return
@@ -411,43 +421,13 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 		handle(env.From, env.Payload)
 	}
 
-	replies := make(map[id.NodeID][]msg.Payload)
-	if len(decReqs) > 0 || len(prepRIDs) > 0 {
-		outs, votes, gated := d.cfg.Engine.DecideAndVoteBatchSpec(decReqs, prepRIDs)
+	if len(decReqs) > 0 || len(voteReqs) > 0 {
+		outs, votes := d.cfg.Engine.DecideAndVoteBatchSpec(decReqs, voteReqs)
+		replies := d.voteReplies(votes)
 		for i, o := range outs {
 			replies[decFrom[i]] = append(replies[decFrom[i]], msg.AckDecide{RID: decReqs[i].RID, O: o})
 		}
-		skip := make(map[int]bool, len(gated))
-		for _, i := range gated {
-			skip[i] = true
-		}
-		for i, v := range votes {
-			if skip[i] {
-				continue
-			}
-			replies[prepFrom[i]] = append(replies[prepFrom[i]], msg.VoteMsg{RID: prepRIDs[i], V: v, Inc: d.cfg.Engine.Incarnation()})
-		}
-		// Gated votes (queue mode: chain predecessors still undecided)
-		// resolve off the drain path, each on its own goroutine, so one
-		// gated try cannot stall the rest of the batch's replies. The wait
-		// inside Vote is bounded by the engine's lock-timeout.
-		for _, i := range gated {
-			d.gatedVotes.Inc()
-			i := i
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				v := d.cfg.Engine.Vote(prepRIDs[i])
-				d.reply(prepFrom[i], msg.VoteMsg{RID: prepRIDs[i], V: v, Inc: d.cfg.Engine.Incarnation()})
-			}()
-		}
-	}
-	for to, msgs := range replies {
-		if len(msgs) == 1 {
-			d.reply(to, msgs[0])
-			continue
-		}
-		d.reply(to, msg.Batch{Msgs: msgs})
+		d.send(replies)
 	}
 	// Batch boundary: the drain's decides have applied, so the committed
 	// store is a fully-executed-batch snapshot — answer the read-only fast

@@ -34,26 +34,29 @@
 // paper's protocol, and an adaptive one is the same protocol with different
 // batch boundaries.
 //
-// The database server runs one of two execution modes. Lock mode (the
-// default) is the paper's discipline: strict two-phase locking in the engine,
-// an exclusive lock held from a key's first Exec until Decide. Queue mode
-// (DataServerConfig.QueueExec, forced on when the engine itself was opened
-// speculative) plans every drained mailbox batch into per-key FIFO run queues
-// ordered deterministically — try order by ResultID, call order within a
-// try — and drains each key's queue with a dedicated runner goroutine,
-// disjoint keys in parallel, with zero lock-manager acquisitions; the
-// engine's commitment-time vote gates (internal/xadb/spec.go) keep the
-// speculation sound. OpSnapRead operations are split out of the drain and
-// answered at the batch boundary, after the drain's decides apply, so
-// Tx.GetFast sees a consistent last-executed-batch snapshot without entering
-// the commit path. The planner lives in planner.go; Stats counts its batches
-// and operations, snapshot reads and gated votes.
+// The database server has one execution discipline, queue-oriented and
+// speculative; nothing in the protocol needs the engine to hold row locks
+// from a key's first Exec until Decide, and it holds none. Every drained
+// mailbox batch is planned into per-key FIFO run queues ordered
+// deterministically — try order by ResultID, call order within a try — and
+// each key's queue is drained by a dedicated runner goroutine, disjoint keys
+// in parallel. The engine orders same-key steps on per-key chains and gates
+// commitment instead (internal/xadb/spec.go): a vote waits until every chain
+// predecessor has decided. A gated vote is parked in the engine, not in a
+// goroutine; the drain whose decide opens the gate votes it under its own
+// shared device force and sends it with its replies, and a periodic sweep
+// answers no to a vote parked past the engine's LockTimeout. OpSnapRead
+// operations are split out of the drain and answered at the batch boundary,
+// after the drain's decides apply, so Tx.GetFast sees a consistent
+// last-executed-batch snapshot without entering the commit path. The planner
+// lives in planner.go; Stats counts its batches and operations and the
+// snapshot reads.
 //
 // On a replicated data tier (internal/repl) recovery has a second entry
 // point. A shard primary streams every log record it appends to its group's
 // backup appliers; when the primary is suspected, the promoted backup runs
 // the *same* recovery path as a restarted server — replay the write-ahead
-// log, re-seed in-doubt branches with their locks, announce the new
+// log, re-seed in-doubt branches into their keys' chains, announce the new
 // incarnation — except the log it replays is the one the stream built on its
 // own stable store. The data server then guards the 2PC surface with a
 // deposed flag (a NewPrimary announcement naming another node stops it

@@ -1,11 +1,10 @@
-// Queue-oriented deterministic batch execution (DataServerConfig.QueueExec):
-// the planner below partitions each drained mailbox batch's data operations
-// into per-key FIFO queues, and one runner goroutine per touched key drains
-// its queue serially while disjoint keys proceed in parallel. Same-key
-// conflicts are impossible by construction — the plan, not a lock table, is
-// the serialization artifact — so the engine executes every operation without
-// a single lockmgr acquisition (see internal/xadb/spec.go for the
-// commitment-time safety net that makes the speculation sound).
+// Queue-oriented deterministic batch execution: the planner below partitions
+// each drained mailbox batch's data operations into per-key FIFO queues in a
+// deterministic order, and one runner goroutine per touched key drains its
+// queue serially while disjoint keys proceed in parallel. The engine orders
+// same-key steps itself (internal/xadb/spec.go, which also holds the
+// commitment-time vote gates that make the speculation sound); the plan
+// fixes which order that is, the same on every replica and every re-plan.
 package core
 
 import (
@@ -102,7 +101,7 @@ func (d *DataServer) runPlanned(jobs []execJob) {
 // that raced with the final Pop.
 func (d *DataServer) runKey(key string, kr *keyRun) {
 	defer d.wg.Done()
-	//etxlint:allow golifecycle — self-retiring runner: drains its key queue and deletes itself when empty; Exec observes d.ctx so a cancelled server drains fast and Stop's wg.Wait outlasts it
+	//etxlint:allow golifecycle — self-retiring runner: drains its key queue and deletes itself when empty; Exec never waits on another branch, so a cancelled server drains fast and Stop's wg.Wait outlasts it
 	for {
 		job, ok := kr.q.Pop()
 		if !ok {

@@ -96,7 +96,7 @@ func TestPlanBatchDeterministic(t *testing.T) {
 }
 
 // TestPlanExecutionReplicasByteIdentical is the replica-determinism half of
-// the property: two independent queue-mode engines that execute the same
+// the property: two independent engines that execute the same
 // plan — per-key order respected, but the keys themselves visited in
 // *opposite* orders, as two replicas' schedulers legitimately may — and then
 // commit the tries in ResultID order, end in byte-identical stores.
@@ -110,7 +110,7 @@ func TestPlanExecutionReplicasByteIdentical(t *testing.T) {
 		{Key: "acct/c", Val: kv.EncodeInt(100)},
 	}
 	run := func(reverseKeys bool) []kv.Write {
-		e, err := xadb.Open(stablestore.New(0), xadb.Config{Self: id.DBServer(1), QueueExec: true})
+		e, err := xadb.Open(stablestore.New(0), xadb.Config{Self: id.DBServer(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +152,6 @@ func TestPlanExecutionReplicasByteIdentical(t *testing.T) {
 			if o := e.Decide(rid, msg.OutcomeCommit); o != msg.OutcomeCommit {
 				t.Fatalf("decide %v = %v, want commit", rid, o)
 			}
-		}
-		if st := e.LockStats(); st.Acquires != 0 {
-			t.Fatalf("queue-mode engine acquired %d locks", st.Acquires)
 		}
 		return e.Store().Snapshot()
 	}

@@ -32,7 +32,7 @@ import (
 // Tuning is the set of knobs a deployment is tuned by; every process of the
 // deployment must run the same one. The zero value is the paper-exact
 // configuration (one consensus instance per register write, one fsync per
-// forced write, strict two-phase locking, an unreplicated data tier) and each
+// forced write, an unreplicated data tier) and each
 // field switches one mechanism on deployment-wide. README has a section on
 // each mechanism.
 type Tuning struct {
@@ -77,14 +77,8 @@ type Tuning struct {
 	// Workers is the number of compute threads per application server (the
 	// paper and the default: 1); raise it for pipelined clients.
 	Workers int
-	// QueueExec switches the database tier to queue-oriented deterministic
-	// execution: speculative per-key chains instead of the lock manager
-	// (xadb/spec.go), mailbox drains planned into per-key run queues
-	// (core/planner.go), commitment gated on chain predecessors. Off keeps
-	// strict two-phase locking.
-	QueueExec bool
-	// LockTimeout bounds a lock wait at the databases and, in queue mode, a
-	// vote's wait for its chain predecessors. Default 250ms.
+	// LockTimeout bounds a database vote's wait for its undecided chain
+	// predecessors (xadb/spec.go); expiry votes no. Default 250ms.
 	LockTimeout time.Duration
 	// HeartbeatInterval paces the failure detectors' beacons, among the
 	// application servers and inside each replica group. Default 10ms.
@@ -137,8 +131,7 @@ func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "self-tuning batching: caps collapse at depth 1 and widen under pipelining, a lone group-commit leader skips its window (unset windows default to 500µs/100µs)")
 	fs.IntVar(&t.RetainSlots, "retain-slots", t.RetainSlots, "application servers: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up by checkpoint transfer); 0 retains every slot")
 	fs.IntVar(&t.Workers, "workers", t.Workers, "application servers: compute threads (raise for pipelined clients)")
-	fs.BoolVar(&t.QueueExec, "queue-exec", t.QueueExec, "database servers: queue-oriented deterministic execution, per-key run queues instead of lock-manager acquisition")
-	fs.DurationVar(&t.LockTimeout, "lock-timeout", t.LockTimeout, "database servers: bound on a lock wait (0 = 250ms)")
+	fs.DurationVar(&t.LockTimeout, "lock-timeout", t.LockTimeout, "database servers: bound on a vote's wait for undecided predecessors on the same keys (0 = 250ms)")
 	fs.DurationVar(&t.HeartbeatInterval, "heartbeat", t.HeartbeatInterval, "failure-detector beacon period, among application servers and inside replica groups (0 = 10ms)")
 	fs.DurationVar(&t.SuspectTimeout, "suspect", t.SuspectTimeout, "failure-suspicion timeout (0 = 6 heartbeats)")
 	fs.IntVar(&t.ReplicaFactor, "replicas", t.ReplicaFactor, "data-tier replica factor: member k (0-based) of shard s is dbserver id s+1+k*shards; >1 routes through the epoch-stamped view so a promoted backup takes over its shard's traffic")
@@ -178,13 +171,12 @@ func (t Tuning) applyStore(st groupCommitter) {
 
 // engineConfig is the engine configuration of a resolved t.
 func (t Tuning) engineConfig(self id.NodeID) xadb.Config {
-	return xadb.Config{Self: self, LockTimeout: t.LockTimeout, QueueExec: t.QueueExec}
+	return xadb.Config{Self: self, LockTimeout: t.LockTimeout}
 }
 
 // serverConfig overlays a resolved t on cfg.
 func (t Tuning) serverConfig(cfg core.DataServerConfig) core.DataServerConfig {
 	cfg.MaxBatch = t.DrainBatch
-	cfg.QueueExec = t.QueueExec
 	return cfg
 }
 

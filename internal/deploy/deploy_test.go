@@ -75,7 +75,6 @@ func TestEveryTuningFieldHasAFlagAndALanding(t *testing.T) {
 		"AdaptiveWindows":   {app.AdaptiveWindows, store.adaptive},
 		"RetainSlots":       {app.RetainSlots},
 		"Workers":           {app.Workers},
-		"QueueExec":         {eng.QueueExec, srv.QueueExec},
 		"LockTimeout":       {eng.LockTimeout},
 		"HeartbeatInterval": {app.HeartbeatInterval, bak.HeartbeatInterval},
 		"SuspectTimeout":    {app.SuspectTimeout, bak.SuspectTimeout},

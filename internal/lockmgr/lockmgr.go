@@ -1,6 +1,10 @@
-// Package lockmgr provides strict two-phase locking for the database engine,
-// implementing the serializability the paper assumes ("We assume the
-// existence of some serializability protocol [3]").
+// Package lockmgr provides strict two-phase locking, one serializability
+// protocol of the kind the paper assumes ("We assume the existence of some
+// serializability protocol [3]"). The database engine (internal/xadb) no
+// longer uses it — it orders conflicts on speculative per-key chains and
+// gates votes instead — and the package remains as the lock-manager cost the
+// layer probes and the root micro-benchmarks measure, and as the type of
+// the engine's always-zero LockStats.
 //
 // Locks are per-key, shared or exclusive, granted in FIFO order to prevent
 // starvation. Deadlocks are resolved by timeout: Acquire takes a context and
@@ -53,8 +57,7 @@ type Manager struct {
 
 	// Contention counters (snapshot via Stats): every Acquire call, the
 	// subset that had to queue, the waits abandoned on timeout, and the
-	// cumulative time spent queued. The queue-execution experiments compare
-	// these across execution modes — queue mode must show zero acquires.
+	// cumulative time spent queued.
 	acquires  metrics.Counter
 	waits     metrics.Counter
 	timeouts  metrics.Counter

@@ -11,12 +11,22 @@ import (
 	"etx/internal/stablestore"
 )
 
-// drain serves decides and votes through the data server's drain entry point,
-// resolving gated votes through Vote as the server's serveBatch does.
+// drain serves decides and votes through the data server's drain entry
+// point, every vote asked by one application server, and returns the votes in
+// request order (zero for a vote left parked).
 func drain(e *Engine, decides []DecideReq, votes []id.ResultID) ([]msg.Outcome, []msg.Vote) {
-	outs, vs, gated := e.DecideAndVoteBatchSpec(decides, votes)
-	for _, i := range gated {
-		vs[i] = e.Vote(votes[i])
+	reqs := make([]VoteReq, len(votes))
+	for i, r := range votes {
+		reqs[i] = VoteReq{RID: r, From: id.AppServer(1)}
+	}
+	outs, replies := e.DecideAndVoteBatchSpec(decides, reqs)
+	vs := make([]msg.Vote, len(votes))
+	for _, rep := range replies {
+		for i, r := range votes {
+			if r == rep.RID {
+				vs[i] = rep.V
+			}
+		}
 	}
 	return outs, vs
 }
@@ -110,11 +120,10 @@ func TestDecideBatchCommitsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestBatchNotStalledByLockWaitingExec: a branch whose mutex is held by an
-// Exec waiting out a data-lock acquisition must not stall the rest of the
-// batch — in particular not the Decide(abort) in the same batch that
-// releases the contended lock. The try-lock first pass preserves what the
-// per-message-goroutine design guaranteed.
+// TestBatchNotStalledByLockWaitingExec: an Exec on a key an undecided
+// branch holds a pending write on does not wait for it — it joins the key's
+// chain behind the holder and returns at once — so a drain deciding both
+// never stalls behind it, however long the vote-gate bound.
 func TestBatchNotStalledByLockWaitingExec(t *testing.T) {
 	const lockTimeout = 2 * time.Second
 	st := stablestore.New(0)
@@ -124,40 +133,24 @@ func TestBatchNotStalledByLockWaitingExec(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	start := time.Now()
 	holder := rid(30, 1)
 	e.Exec(ctx, holder, msg.Op{Code: msg.OpAdd, Key: "hot", Delta: 1})
 	waiter := rid(31, 1)
-	execDone := make(chan msg.OpResult, 1)
-	go func() {
-		// Blocks on the data lock held by `holder`, holding waiter's branch
-		// mutex the whole time.
-		execDone <- e.Exec(ctx, waiter, msg.Op{Code: msg.OpAdd, Key: "hot", Delta: 1})
-	}()
-	// Wait until the Exec is actually inside its lock wait.
-	deadline := time.Now().Add(time.Second)
-	for {
-		if s, ok := e.BranchStatus(waiter); ok && s == StatusActive {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter branch never appeared")
-		}
-		time.Sleep(time.Millisecond)
+	if rep := e.Exec(ctx, waiter, msg.Op{Code: msg.OpAdd, Key: "hot", Delta: 1}); !rep.OK || rep.Num != 2 {
+		t.Fatalf("exec behind an undecided writer = %+v, want OK with its pending value 1+1", rep)
 	}
-
-	start := time.Now()
 	outs, _ := drain(e, []DecideReq{
-		{RID: waiter, O: msg.OutcomeAbort}, // branch mutex busy: must be deferred, not waited on
-		{RID: holder, O: msg.OutcomeAbort}, // releases the contended lock
+		{RID: waiter, O: msg.OutcomeAbort},
+		{RID: holder, O: msg.OutcomeAbort},
 	}, nil)
 	elapsed := time.Since(start)
 	if outs[0] != msg.OutcomeAbort || outs[1] != msg.OutcomeAbort {
 		t.Fatalf("outcomes = %v", outs)
 	}
 	if elapsed >= lockTimeout/2 {
-		t.Errorf("batch took %v: stalled behind the lock-waiting Exec (LockTimeout %v)", elapsed, lockTimeout)
+		t.Errorf("exec and drain took %v: something waited (vote-gate bound %v)", elapsed, lockTimeout)
 	}
-	<-execDone
 }
 
 // TestDecideBatchMixedOutcomes: aborts and commits coexist in one batch and

@@ -9,11 +9,19 @@
 //	(b) if the server voted yes for the result and the input is commit, the
 //	    returned value is commit.
 //
-// Durability model: a yes vote forces a Prepared record (with the branch's
-// write-set) to the WAL, so in-doubt branches survive crashes and a later
-// Decide(commit) is honoured across recoveries — the property the paper's
-// "good database servers" assumption leans on. Commits force a Committed
-// record; aborts are presumed (lazy record).
+// Execution is queue-oriented and speculative (spec.go): no operation takes
+// a lock. Same-key operations order themselves on per-key chains, reading
+// their predecessors' pending values, and commitment is gated instead — a
+// branch votes yes only once every chain predecessor has decided.
+//
+// Durability model: a yes vote makes a Prepared record (with the branch's
+// write-set) durable in the WAL before it leaves, so in-doubt branches
+// survive crashes and a later Decide(commit) is honoured across recoveries —
+// the property the paper's "good database servers" assumption leans on.
+// Commits make a Committed record durable; aborts are presumed (lazy
+// record). The single-call entry points force their own record; the data
+// server's drain entry point appends unforced and covers the whole drain
+// with one device force.
 //
 // Each recovery bumps a persisted incarnation number. Application servers pin
 // the incarnation they first executed against and treat a mismatch as a
@@ -33,9 +41,7 @@ import (
 
 	"etx/internal/id"
 	"etx/internal/kv"
-	"etx/internal/lockmgr"
 	"etx/internal/msg"
-	"etx/internal/spin"
 	"etx/internal/stablestore"
 	"etx/internal/wal"
 )
@@ -47,23 +53,15 @@ const incarnationKey = "xadb/incarnation"
 type Config struct {
 	// Self identifies the database server (used in errors only).
 	Self id.NodeID
-	// LockTimeout bounds each lock wait; expiry poisons the branch
-	// (deadlock resolution by abort-and-retry). Defaults to 250ms. In queue
-	// mode the same bound applies to vote-gate waits on undecided chain
-	// predecessors.
+	// LockTimeout bounds a vote's wait for its undecided chain
+	// predecessors; expiry poisons the branch, which votes no (deadlock
+	// resolution by abort-and-retry). Defaults to 250ms.
 	LockTimeout time.Duration
-	// QueueExec switches the engine to queue-oriented deterministic
-	// execution: operations run speculatively against per-key chains without
-	// any lock-manager acquisition, and commitment is gated on chain
-	// predecessors instead (see spec.go). The caller (the data server's
-	// planner) must serialize same-key operations. Off — the default —
-	// reproduces the paper-exact strict-2PL discipline.
-	QueueExec bool
 	// Replicate, when set, observes every write-ahead-log record immediately
 	// after its append, under the same branch serialization as the append
 	// itself — so for any two records whose order matters (a branch's
 	// prepared record before its commit record, conflicting commits ordered
-	// by lock or chain hand-over), the hook fires in log order, and the hook
+	// by chain hand-over), the hook fires in log order, and the hook
 	// returns before the effect the record describes can be voted or
 	// acknowledged. The data-tier replication streamer hangs off this; nil —
 	// the default — is the paper-exact single-server behaviour.
@@ -103,8 +101,7 @@ type Engine struct {
 	st    *stablestore.Store
 	log   *wal.Log
 	store *kv.Store
-	locks *lockmgr.Manager
-	spec  *spec // speculative chains; nil unless Config.QueueExec
+	spec  *spec // speculative per-key chains and parked votes
 	inc   uint64
 
 	// appendSeq numbers deferred (unforced) prepared/commit appends and
@@ -133,7 +130,8 @@ type branch struct {
 
 // Open starts an engine over st, running crash recovery: the store image is
 // rebuilt from the WAL, in-doubt (prepared, undecided) branches are restored
-// with their locks re-acquired, and the incarnation counter is bumped.
+// into the chains of the keys they wrote, and the incarnation counter is
+// bumped.
 func Open(st *stablestore.Store, cfg Config) (*Engine, error) {
 	if cfg.LockTimeout <= 0 {
 		cfg.LockTimeout = 250 * time.Millisecond
@@ -143,12 +141,9 @@ func Open(st *stablestore.Store, cfg Config) (*Engine, error) {
 		st:       st,
 		log:      wal.New(st),
 		store:    kv.New(),
-		locks:    lockmgr.New(),
+		spec:     newSpec(cfg.LockTimeout),
 		branches: make(map[id.ResultID]*branch),
 		outcomes: make(map[id.ResultID]msg.Outcome),
-	}
-	if cfg.QueueExec {
-		e.spec = newSpec()
 	}
 
 	// Incarnation: read, bump, persist.
@@ -172,9 +167,8 @@ func Open(st *stablestore.Store, cfg Config) (*Engine, error) {
 	for rid := range rv.Aborted {
 		e.outcomes[rid] = msg.OutcomeAbort
 	}
-	// In-doubt branches are restored in deterministic (sorted) order. Lock
-	// mode re-acquires their locks; queue mode seeds their write-sets into
-	// the speculative chains instead, so post-recovery accessors order
+	// In-doubt branches are restored in deterministic (sorted) order, their
+	// write-sets seeded into the chains, so post-recovery accessors order
 	// behind them and gate on their eventual decide.
 	inDoubt := make([]id.ResultID, 0, len(rv.InDoubt))
 	for rid := range rv.InDoubt {
@@ -186,17 +180,8 @@ func Open(st *stablestore.Store, cfg Config) (*Engine, error) {
 		b := &branch{rid: rid, status: StatusPrepared, writes: ws, wIdx: make(map[string]int, len(ws))}
 		for i, w := range ws {
 			b.wIdx[w.Key] = i
-			if e.spec != nil {
-				continue
-			}
-			// Locks are re-acquired on a fresh lock table: cannot block.
-			if err := e.locks.Acquire(context.Background(), rid, w.Key, lockmgr.Exclusive); err != nil {
-				return nil, fmt.Errorf("xadb: relock in-doubt branch %s: %w", rid, err)
-			}
 		}
-		if e.spec != nil {
-			e.spec.seed(rid, ws)
-		}
+		e.spec.seed(rid, ws)
 		e.branches[rid] = b
 	}
 	return e, nil
@@ -311,14 +296,14 @@ func (e *Engine) getBranch(rid id.ResultID, create bool) (*branch, msg.Outcome, 
 }
 
 // Exec runs one data operation inside the branch of rid, creating the branch
-// on first use. Lock waits are bounded by Config.LockTimeout; a timeout
-// poisons the branch so it will vote no.
+// on first use. It never waits on another branch — ctx is unused — and a
+// conflict shows up at vote time instead, as a closed gate or as a poisoned
+// branch that votes no.
 func (e *Engine) Exec(ctx context.Context, rid id.ResultID, op msg.Op) msg.OpResult {
 	if op.Code == msg.OpSnapRead {
 		// Read-only fast path: the last committed value, answered without
-		// locks and without creating (or enlisting) a branch — the try never
-		// prepares this server for a snapshot read, so a branch here would
-		// leak. Works identically in both execution modes.
+		// creating (or enlisting) a branch — the try never prepares this
+		// server for a snapshot read, so a branch here would leak.
 		return e.SnapRead(op.Key)
 	}
 	b, outcome, done := e.getBranch(rid, true)
@@ -333,118 +318,35 @@ func (e *Engine) Exec(ctx context.Context, rid id.ResultID, op msg.Op) msg.OpRes
 	case StatusCommitted, StatusAborted:
 		return msg.OpResult{OK: false, Err: fmt.Sprintf("branch already %s", b.status)}
 	}
-
-	if e.spec != nil {
-		// Queue mode: no lock manager. The status check above and the chain
-		// bookkeeping both run under b.mu, so a racing vote either sees the
-		// chain membership this exec records or this exec sees the prepared
-		// status and refuses.
-		return e.execSpec(b, op)
-	}
-
-	lockCtx, cancel := context.WithTimeout(ctx, e.cfg.LockTimeout)
-	defer cancel()
-
-	acquire := func(key string, mode lockmgr.Mode) bool {
-		if err := e.locks.Acquire(lockCtx, rid, key, mode); err != nil {
-			b.poisoned = true
-			b.reason = err.Error()
-			return false
-		}
-		return true
-	}
-
-	switch op.Code {
-	case msg.OpGet:
-		if !acquire(op.Key, lockmgr.Shared) {
-			return msg.OpResult{OK: false, Err: b.reason}
-		}
-		val, num := b.read(e.store, op.Key)
-		return msg.OpResult{Val: val, Num: num, OK: true}
-
-	case msg.OpPut:
-		if !acquire(op.Key, lockmgr.Exclusive) {
-			return msg.OpResult{OK: false, Err: b.reason}
-		}
-		b.write(op.Key, op.Val)
-		return msg.OpResult{OK: true}
-
-	case msg.OpAdd:
-		if !acquire(op.Key, lockmgr.Exclusive) {
-			return msg.OpResult{OK: false, Err: b.reason}
-		}
-		_, cur := b.read(e.store, op.Key)
-		next := cur + op.Delta
-		b.write(op.Key, kv.EncodeInt(next))
-		return msg.OpResult{Num: next, OK: true}
-
-	case msg.OpCheckGE:
-		if !acquire(op.Key, lockmgr.Shared) {
-			return msg.OpResult{OK: false, Err: b.reason}
-		}
-		_, cur := b.read(e.store, op.Key)
-		if cur < op.Delta {
-			b.poisoned = true
-			b.reason = fmt.Sprintf("check failed: %s=%d < %d", op.Key, cur, op.Delta)
-			return msg.OpResult{Num: cur, OK: false, Err: b.reason}
-		}
-		return msg.OpResult{Num: cur, OK: true}
-
-	case msg.OpSleep:
-		// Simulated data-manipulation work (the cost model's "SQL" row).
-		// spin.Sleep keeps scaled-down costs precise; cancellation is not
-		// needed because the duration is bounded by the cost model.
-		//etxlint:allow lockheld — models SQL row work under the branch's row locks; holding them for the work's duration is the cost model
-		spin.Sleep(time.Duration(op.Delta))
-		return msg.OpResult{OK: true}
-
-	default:
-		return msg.OpResult{OK: false, Err: fmt.Sprintf("unknown op %d", op.Code)}
-	}
+	// The status check above and the chain step both run under b.mu, so a
+	// racing vote either sees the chain membership this exec records or
+	// this exec sees the prepared status and refuses.
+	return e.execSpec(b, op)
 }
 
-// read returns the branch-visible value of key: its own pending write if any,
-// else the committed store value. num is the integer interpretation (0 when
-// absent or non-integer).
-func (b *branch) read(store *kv.Store, key string) (val []byte, num int64) {
-	if i, ok := b.wIdx[key]; ok {
-		val = b.writes[i].Val
-	} else if v, ok := store.Get(key); ok {
-		val = v
-	}
-	if len(val) == 8 {
-		if n, err := kv.DecodeInt(val); err == nil {
-			num = n
-		}
-	}
-	return val, num
-}
-
+// write records the branch's pending write of key; val is not copied and
+// must not be modified afterwards.
 func (b *branch) write(key string, val []byte) {
-	cp := make([]byte, len(val))
-	copy(cp, val)
 	if i, ok := b.wIdx[key]; ok {
-		b.writes[i].Val = cp
+		b.writes[i].Val = val
 		return
 	}
 	b.wIdx[key] = len(b.writes)
-	b.writes = append(b.writes, kv.Write{Key: key, Val: cp})
+	b.writes = append(b.writes, kv.Write{Key: key, Val: val})
 }
 
-// Vote implements the paper's vote() primitive (XA prepare). A yes vote
-// forces the branch's write-set to the WAL first. Voting on an unknown
-// branch prepares an empty branch and votes yes (this server was simply not
-// touched by the try). Poisoned branches vote no and abort immediately. In
-// queue mode the vote additionally waits for every chain predecessor to
-// decide, bounded by Config.LockTimeout: expiry poisons the branch — the
-// vote-gate analogue of a lock-wait timeout, resolving cross-shard
-// chain-order inversions (distributed deadlock) by mutual abort — and the
-// next pass votes no.
+// Vote implements the paper's vote() primitive (XA prepare) for a caller
+// that waits for the answer. A yes vote forces the branch's write-set to the
+// WAL first. Voting on an unknown branch prepares an empty branch and votes
+// yes (this server was simply not touched by the try). Poisoned branches
+// vote no and abort immediately. The vote waits for every chain predecessor
+// to decide, bounded by Config.LockTimeout: expiry poisons the branch and
+// the next pass votes no.
 func (e *Engine) Vote(rid id.ResultID) msg.Vote {
 	var expire <-chan time.Time
 	for {
-		v, ok, gate := e.vote(rid, false, false)
-		if ok {
+		v, gate := e.vote(rid, false, nil)
+		if gate == nil {
 			e.syncIfBehind()
 			return v
 		}
@@ -456,10 +358,14 @@ func (e *Engine) Vote(rid id.ResultID) msg.Vote {
 		select {
 		case <-gate:
 		case <-expire:
-			e.Poison(rid, "spec: vote gate timed out waiting for chain predecessors")
+			e.Poison(rid, gateTimeout)
 		}
 	}
 }
+
+// gateTimeout is the poison reason of a vote whose gate stayed closed for
+// Config.LockTimeout.
+const gateTimeout = "spec: vote gate timed out waiting for chain predecessors"
 
 // syncIfBehind pays one (combined) device force iff some deferred record may
 // still be unsynced. The target is read before the force: every append
@@ -481,54 +387,47 @@ func (e *Engine) syncIfBehind() {
 	}
 }
 
-// vote is the shared Vote implementation. With deferSync a newly prepared
-// record is appended unforced and numbered; the caller must run
-// syncIfBehind before releasing any vote. With tryLock a branch whose mutex
-// is busy (typically an Exec waiting out a data-lock acquisition) is not
-// waited for: the call returns ok=false with a nil gate and the caller
-// retries later. In queue mode a branch whose chain predecessors are still
-// undecided returns ok=false with a non-nil gate channel: the caller waits
-// on it (it is closed at the next predecessor decide) and re-votes.
-func (e *Engine) vote(rid id.ResultID, deferSync, tryLock bool) (msg.Vote, bool, <-chan struct{}) {
+// vote is the shared Vote implementation. It returns the vote, or the zero
+// Vote and a non-nil channel while the branch's chain gate is closed. With
+// askers the closed gate parks the vote instead — the askers are recorded in
+// the chain node and the call returns the zero Vote and a nil channel; the
+// vote is answered when it is released (voteReleased) or expires
+// (ExpireParked). Without askers the channel is closed when the gate opens
+// and the caller re-votes. With deferSync a newly prepared record is
+// appended unforced and numbered; the caller must run syncIfBehind before
+// releasing any vote.
+func (e *Engine) vote(rid id.ResultID, deferSync bool, askers []id.NodeID) (msg.Vote, <-chan struct{}) {
 	b, outcome, done := e.getBranch(rid, true)
 	if done {
 		if outcome == msg.OutcomeCommit {
-			return msg.VoteYes, true, nil
+			return msg.VoteYes, nil
 		}
-		return msg.VoteNo, true, nil
+		return msg.VoteNo, nil
 	}
-	if tryLock {
-		if !b.mu.TryLock() {
-			return 0, false, nil
-		}
-	} else {
-		b.mu.Lock()
-	}
+	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.status {
 	case StatusPrepared, StatusCommitted:
-		return msg.VoteYes, true, nil
+		return msg.VoteYes, nil
 	case StatusAborted:
-		return msg.VoteNo, true, nil
+		return msg.VoteNo, nil
 	}
 	if b.poisoned {
 		e.abortLocked(b)
-		return msg.VoteNo, true, nil
+		return msg.VoteNo, nil
 	}
-	if e.spec != nil {
-		// The vote gate: yes only once every chain predecessor has decided,
-		// so decide order extends chain order and an aborted predecessor's
-		// speculative values never reach the store through a successor.
-		gate, ready, cascade := e.spec.gate(rid)
-		if cascade != "" {
-			b.poisoned = true
-			b.reason = cascade
-			e.abortLocked(b)
-			return msg.VoteNo, true, nil
-		}
-		if !ready {
-			return 0, false, gate
-		}
+	// The vote gate: yes only once every chain predecessor has decided, so
+	// decide order extends chain order and an aborted predecessor's
+	// speculative values never reach the store through a successor.
+	gate, ready, cascade := e.spec.gate(rid, askers)
+	if cascade != "" {
+		b.poisoned = true
+		b.reason = cascade
+		e.abortLocked(b)
+		return msg.VoteNo, nil
+	}
+	if !ready {
+		return 0, gate
 	}
 	e.append(wal.Record{Type: wal.RecPrepared, RID: rid, Writes: b.writes}, !deferSync)
 	if deferSync {
@@ -537,7 +436,7 @@ func (e *Engine) vote(rid id.ResultID, deferSync, tryLock bool) (msg.Vote, bool,
 		e.appendSeq.Add(1)
 	}
 	b.status = StatusPrepared
-	return msg.VoteYes, true, nil
+	return msg.VoteYes, nil
 }
 
 // Decide implements the paper's decide() primitive. It is idempotent: a
@@ -545,7 +444,7 @@ func (e *Engine) vote(rid id.ResultID, deferSync, tryLock bool) (msg.Vote, bool,
 // branch that never voted yes returns abort, which the decide() contract
 // permits and safety requires.
 func (e *Engine) Decide(rid id.ResultID, outcome msg.Outcome) msg.Outcome {
-	o, _ := e.decide(rid, outcome, false, false)
+	o := e.decide(rid, outcome, false)
 	e.syncIfBehind()
 	return o
 }
@@ -556,76 +455,108 @@ type DecideReq struct {
 	O   msg.Outcome
 }
 
+// VoteReq is one vote of a drain: the branch and the node asking for it.
+type VoteReq struct {
+	RID  id.ResultID
+	From id.NodeID
+}
+
+// VoteReply is a vote to send: the branch, the node that asked, the vote.
+type VoteReply struct {
+	RID id.ResultID
+	To  id.NodeID
+	V   msg.Vote
+}
+
 // DecideAndVoteBatchSpec is the data server's drain entry point, the batched
 // form of Decide and Vote: it serves one mailbox drain in a single durability
-// unit — the decides first (so an abort releases locks a vote in the same
-// drain may be queued behind), then the votes, every record appended
-// unforced and one shared device force covering them all, so a mixed drain
-// pays one fsync, not one per record. No outcome or vote may leave the
-// server before the call returns. Outcomes become visible to concurrent
-// readers before the shared force completes, which is safe because the log
-// is totally ordered — any later force covers these records, and every entry
-// point syncs-if-behind before returning.
+// unit, every record appended unforced and one shared device force covering
+// them all, so a mixed drain pays one fsync, not one per record. No outcome
+// or vote may leave the server before the call returns. Outcomes become
+// visible to concurrent readers before the shared force completes, which is
+// safe because the log is totally ordered — any later force covers these
+// records, and every entry point syncs-if-behind before returning.
 //
-// Each group runs a try-lock pass first: a branch whose mutex is busy —
-// typically an Exec holding it while it waits out a data-lock acquisition —
-// is deferred to a blocking second pass instead of stalling the whole batch
-// behind it. The per-message-goroutine property this preserves: a
-// Decide(abort) later in the drain that would release the contended lock is
-// served before anything waits on the Exec-held branch.
-//
-// Queue-mode votes gated on undecided chain predecessors are returned as
-// indices into votes (gated) instead of being waited for inline, so one
-// gated vote cannot stall the whole drain's replies. Gated entries of the
-// vote slice are zero and must not be sent; the caller resolves each with a
-// later Vote call (which waits out the gate and syncs itself). In lock mode
-// gated is always empty.
-func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []id.ResultID) (outs []msg.Outcome, vs []msg.Vote, gated []int) {
+// The decides run first: each one that opens a successor's vote gate
+// releases the vote parked there, and the drain answers the released votes
+// after its own, inside the same force — so a hot key's successor is voted
+// by the drain that decided its predecessor, at no fsync of its own. A vote
+// of this drain whose gate is still closed is parked (and counted in
+// SpecStats.Deferred), not returned: a later drain or ExpireParked answers
+// it. replies holds every vote this call answered, for this drain's
+// requests and for the released ones alike.
+func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []VoteReq) (outs []msg.Outcome, replies []VoteReply) {
 	outs = make([]msg.Outcome, len(decides))
-	vs = make([]msg.Vote, len(votes))
-	var retryD, retryV []int
 	for i, req := range decides {
-		if o, ok := e.decide(req.RID, req.O, true, true); ok {
-			outs[i] = o
-		} else {
-			retryD = append(retryD, i)
+		outs[i] = e.decide(req.RID, req.O, true)
+	}
+	replies = make([]VoteReply, 0, len(votes))
+	for _, req := range votes {
+		if v, _ := e.vote(req.RID, true, []id.NodeID{req.From}); v != 0 {
+			replies = append(replies, VoteReply{RID: req.RID, To: req.From, V: v})
 		}
 	}
-	for i, rid := range votes {
-		v, ok, gate := e.vote(rid, true, true)
-		switch {
-		case ok:
-			vs[i] = v
-		case gate != nil:
-			gated = append(gated, i)
-		default:
-			retryV = append(retryV, i)
-		}
-	}
-	for _, i := range retryD {
-		outs[i], _ = e.decide(decides[i].RID, decides[i].O, true, false)
-	}
-	for _, i := range retryV {
-		v, ok, gate := e.vote(votes[i], true, false)
-		if ok {
-			vs[i] = v
-		} else if gate != nil {
-			gated = append(gated, i)
-		}
-	}
+	replies = e.voteReleased(replies)
 	e.syncIfBehind()
-	return outs, vs, gated
+	return outs, replies
+}
+
+// voteReleased answers every released parked vote, appending the replies to
+// out. A vote that aborts (a cascade) can release further votes, so it runs
+// until the released list is empty. The caller syncs before sending.
+func (e *Engine) voteReleased(out []VoteReply) []VoteReply {
+	for {
+		rel := e.spec.takeReleased()
+		if len(rel) == 0 {
+			return out
+		}
+		for _, p := range rel {
+			out = e.answer(p, out)
+		}
+	}
+}
+
+// answer votes one parked vote unforced and appends a reply per asker; a
+// vote whose gate closed again parks anew.
+func (e *Engine) answer(p parkedVote, out []VoteReply) []VoteReply {
+	v, _ := e.vote(p.rid, true, p.askers)
+	if v == 0 {
+		return out
+	}
+	for _, to := range p.askers {
+		out = append(out, VoteReply{RID: p.rid, To: to, V: v})
+	}
+	return out
+}
+
+// ExpireParked is the parked votes' timeout sweep: every vote parked longer
+// than Config.LockTimeout poisons its branch and is answered no, and every
+// released vote is answered too — those the aborts release, and any a
+// blocking Decide released. The data server calls it periodically, so a
+// parked vote's answer comes within LockTimeout plus one sweep period; the
+// replies are durable when it returns, and a sweep that answers nothing
+// forces nothing.
+func (e *Engine) ExpireParked() []VoteReply {
+	var out []VoteReply
+	for _, p := range e.spec.expire(time.Now()) {
+		e.Poison(p.rid, gateTimeout)
+		out = e.answer(p, out)
+	}
+	out = e.voteReleased(out)
+	if len(out) > 0 {
+		// An idle sweep forces nothing: a drain's records are its own to sync.
+		e.syncIfBehind()
+	}
+	return out
 }
 
 // decide is the shared Decide implementation. With deferSync commit records
 // are appended unforced and numbered; the caller must run syncIfBehind
-// before acknowledging any outcome. With tryLock a busy branch mutex makes
-// the call return ok=false for the caller to retry (see
-// DecideAndVoteBatchSpec).
-func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync, tryLock bool) (msg.Outcome, bool) {
+// before acknowledging any outcome.
+func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync bool) msg.Outcome {
 	b, prev, done := e.getBranch(rid, false)
 	if done {
-		return prev, true
+		return prev
 	}
 	if b == nil {
 		// Unknown branch. Abort is trivially recordable; commit of a branch
@@ -636,34 +567,28 @@ func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync, tryLock
 		if outcome == msg.OutcomeAbort {
 			e.append(wal.Record{Type: wal.RecAborted, RID: rid}, false)
 			e.recordOutcome(rid, outcome)
-			return outcome, true
+			return outcome
 		}
 		e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, !deferSync)
 		if deferSync {
 			e.appendSeq.Add(1)
 		}
 		e.recordOutcome(rid, outcome)
-		return outcome, true
+		return outcome
 	}
-	if tryLock {
-		if !b.mu.TryLock() {
-			return 0, false
-		}
-	} else {
-		b.mu.Lock()
-	}
+	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.status {
 	case StatusCommitted:
-		return msg.OutcomeCommit, true
+		return msg.OutcomeCommit
 	case StatusAborted:
-		return msg.OutcomeAbort, true
+		return msg.OutcomeAbort
 	}
 	if outcome == msg.OutcomeAbort || b.status != StatusPrepared {
 		// (a) abort in -> abort out; also commit of an unprepared branch
 		// degrades to abort (no yes vote was ever given).
 		e.abortLocked(b)
-		return msg.OutcomeAbort, true
+		return msg.OutcomeAbort
 	}
 	// Prepared + commit: record the commit, apply the write-set. The append
 	// is numbered inside b.mu before the status flips and the branch
@@ -674,9 +599,8 @@ func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync, tryLock
 	}
 	e.store.Apply(b.writes)
 	b.status = StatusCommitted
-	e.locks.ReleaseAll(rid)
 	e.finishBranch(b, msg.OutcomeCommit)
-	return msg.OutcomeCommit, true
+	return msg.OutcomeCommit
 }
 
 // CommitDirect is single-phase commit for the unreliable baseline protocol
@@ -707,27 +631,23 @@ func (e *Engine) CommitDirect(rid id.ResultID) msg.Outcome {
 	e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, true)
 	e.store.Apply(b.writes)
 	b.status = StatusCommitted
-	e.locks.ReleaseAll(rid)
 	e.finishBranch(b, msg.OutcomeCommit)
 	return msg.OutcomeCommit
 }
 
-// abortLocked finishes b as aborted: locks released, lazy abort record.
-// Caller holds b.mu.
+// abortLocked finishes b as aborted with a lazy abort record. Caller holds
+// b.mu.
 func (e *Engine) abortLocked(b *branch) {
 	b.status = StatusAborted
 	e.append(wal.Record{Type: wal.RecAborted, RID: b.rid}, false)
-	e.locks.ReleaseAll(b.rid)
 	e.finishBranch(b, msg.OutcomeAbort)
 }
 
 // finishBranch records the outcome and drops the live branch. Caller holds
-// b.mu. In queue mode the branch leaves its chains here, releasing (or, on
-// abort, cascading into) its successors' vote gates.
+// b.mu. The branch leaves its chains here, releasing (or, on abort,
+// cascading into) its successors' vote gates.
 func (e *Engine) finishBranch(b *branch, o msg.Outcome) {
-	if e.spec != nil {
-		e.spec.finish(b.rid, o == msg.OutcomeAbort)
-	}
+	e.spec.finish(b.rid, o == msg.OutcomeAbort)
 	e.mu.Lock()
 	e.outcomes[b.rid] = o
 	delete(e.branches, b.rid)
@@ -752,9 +672,10 @@ func (e *Engine) Outcomes() map[id.ResultID]msg.Outcome {
 	return out
 }
 
-// AbortActiveBranches aborts every active (unprepared) branch, releasing its
-// locks, and returns how many it aborted. The protocol itself aborts stale
-// tries through the cleaning thread; this is a safety net used by tests.
+// AbortActiveBranches aborts every active (unprepared) branch, opening its
+// successors' vote gates, and returns how many it aborted. The protocol
+// itself aborts stale tries through the cleaning thread; this is a safety
+// net used by tests.
 func (e *Engine) AbortActiveBranches() int {
 	e.mu.Lock()
 	var stale []*branch

@@ -80,9 +80,13 @@ func TestAbortDiscardsWritesAndReleasesLocks(t *testing.T) {
 	if _, ok := e.Store().Get("k"); ok {
 		t.Fatal("aborted write reached the store")
 	}
-	// The lock must be free for the next try.
+	// The aborted branch left the key's chain: the next try's vote is not
+	// gated behind it.
 	if rep := e.Exec(ctx, r2, msg.Op{Code: msg.OpPut, Key: "k", Val: []byte("clean")}); !rep.OK {
-		t.Fatalf("lock not released on abort: %+v", rep)
+		t.Fatalf("exec after abort: %+v", rep)
+	}
+	if v := e.Vote(r2); v != msg.VoteYes {
+		t.Fatalf("vote after the predecessor aborted = %v", v)
 	}
 }
 
@@ -171,22 +175,31 @@ func TestCheckGEPoisonsBranch(t *testing.T) {
 	}
 }
 
+// TestLockConflictTimesOutAndPoisons: a conflicting write never waits at
+// Exec; its vote waits on the undecided predecessor instead, and a
+// predecessor that never decides poisons it after LockTimeout — the vote is
+// no, while the predecessor is unaffected.
 func TestLockConflictTimesOutAndPoisons(t *testing.T) {
 	e := newEngine(t)
 	ctx := context.Background()
 	r1, r2 := rid(1, 1), rid(2, 1)
 	e.Exec(ctx, r1, msg.Op{Code: msg.OpPut, Key: "hot", Val: []byte("a")})
-	rep := e.Exec(ctx, r2, msg.Op{Code: msg.OpPut, Key: "hot", Val: []byte("b")})
-	if rep.OK {
-		t.Fatal("conflicting write must time out")
+	if rep := e.Exec(ctx, r2, msg.Op{Code: msg.OpPut, Key: "hot", Val: []byte("b")}); !rep.OK {
+		t.Fatalf("conflicting write must join the chain, not wait: %+v", rep)
 	}
+	start := time.Now()
 	if v := e.Vote(r2); v != msg.VoteNo {
-		t.Fatalf("vote after lock timeout = %v, want no", v)
+		t.Fatalf("vote behind an undecided predecessor = %v, want no", v)
 	}
-	// r1 is unaffected.
+	if waited := time.Since(start); waited < 100*time.Millisecond {
+		t.Fatalf("vote answered after %v, before the 100ms gate bound", waited)
+	}
 	e.Vote(r1)
 	if o := e.Decide(r1, msg.OutcomeCommit); o != msg.OutcomeCommit {
 		t.Fatalf("r1 decide = %v", o)
+	}
+	if v, _ := e.Store().Get("hot"); string(v) != "a" {
+		t.Fatalf("hot = %q, want r1's write", v)
 	}
 }
 
@@ -226,14 +239,24 @@ func TestRecoveryRestoresPreparedBranch(t *testing.T) {
 	if len(indoubt) != 1 || indoubt[0] != r {
 		t.Fatalf("InDoubt = %v", indoubt)
 	}
-	// The in-doubt branch still holds its lock: another try must not slip in.
-	rep := e2.Exec(ctx, rid(2, 1), msg.Op{Code: msg.OpPut, Key: "acct", Val: []byte("x")})
-	if rep.OK {
-		t.Fatal("in-doubt branch lost its lock across recovery")
+	// The in-doubt branch heads acct's chain again: a post-recovery writer
+	// reads its pending value and its vote is gated until the decide.
+	w := rid(2, 1)
+	if rep := e2.Exec(ctx, w, msg.Op{Code: msg.OpAdd, Key: "acct", Delta: 1}); !rep.OK || rep.Num != 61 {
+		t.Fatalf("post-recovery add = %+v, want 61 on the in-doubt 60", rep)
 	}
-	// Honour the commit after recovery (XA contract across crashes).
-	if o := e2.Decide(r, msg.OutcomeCommit); o != msg.OutcomeCommit {
-		t.Fatalf("decide after recovery = %v", o)
+	_, replies := e2.DecideAndVoteBatchSpec(nil, []VoteReq{{RID: w, From: id.AppServer(1)}})
+	if len(replies) != 0 {
+		t.Fatalf("post-recovery writer voted %v ahead of the in-doubt branch", replies)
+	}
+	// Honour the commit after recovery (XA contract across crashes); the
+	// same drain releases and answers the gated vote.
+	outs, replies := e2.DecideAndVoteBatchSpec([]DecideReq{{RID: r, O: msg.OutcomeCommit}}, nil)
+	if outs[0] != msg.OutcomeCommit {
+		t.Fatalf("decide after recovery = %v", outs[0])
+	}
+	if len(replies) != 1 || replies[0].RID != w || replies[0].V != msg.VoteYes {
+		t.Fatalf("released votes = %v, want the writer's yes", replies)
 	}
 	if n, _ := e2.Store().GetInt("acct"); n != 60 {
 		t.Fatalf("acct = %d, want 60", n)
