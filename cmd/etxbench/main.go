@@ -7,13 +7,13 @@
 //
 //	etxbench -exp all                # every experiment
 //	etxbench -exp f8 -scale 0.05     # the Figure-8 latency table
-//	etxbench -exp batch -quick       # one closed-loop sweep, CI-sized
+//	etxbench -exp batching -quick    # one closed-loop sweep, CI-sized
 //
 // The scenario experiments are f8, f7, f1 (the paper's figures), failover,
-// suspicion, woregister, patience, gc and the raw-TCP half of wire. The
-// closed-loop sweeps — pipeline, scaling, shards, batch, consensus, memory,
-// queue, wire — are entries of one cell table (internal/bench/sweeps.go) and
-// print one row schema; the README's Benchmarks section lists them.
+// suspicion, woregister, patience, gc and wire (raw TCP framing). The
+// closed-loop sweeps — pipeline, scaling, shards, batching, memory — are
+// entries of one cell table (internal/bench/sweeps.go) and print one row
+// schema; the README's Benchmarks section lists them.
 //
 // -scale multiplies the paper's calibrated component costs: 1.0 reproduces
 // the paper's real-time latencies (a slow run), 0.05 keeps the ratios and
@@ -44,7 +44,7 @@ func main() {
 }
 
 func run() error {
-	names := "all|f8|f7|f1|failover|suspicion|woregister|patience|gc"
+	names := "all|f8|f7|f1|failover|suspicion|woregister|patience|gc|wire"
 	for _, sw := range bench.Sweeps() {
 		names += "|" + sw[0]
 	}
@@ -77,14 +77,12 @@ func run() error {
 		}
 	})
 
-	// key is the report's name in the JSON document; the wire experiment has
-	// a scenario half and a sweep half under one -exp name.
 	type experiment struct {
-		name, key string
-		run       func() (fmt.Stringer, error)
+		name string // the -exp name and the report's key in the JSON document
+		run  func() (fmt.Stringer, error)
 	}
 	experiments := []experiment{
-		{"f8", "f8", func() (fmt.Stringer, error) {
+		{"f8", func() (fmt.Stringer, error) {
 			out, err := bench.RunFigure8(bench.Figure8Config{Scale: *scale, Requests: *requests})
 			if err != nil {
 				return nil, err
@@ -95,24 +93,24 @@ func run() error {
 			fmt.Println()
 			return out, nil
 		}},
-		{"f7", "f7", func() (fmt.Stringer, error) { return bench.RunFigure7(*scale) }},
-		{"f1", "f1", func() (fmt.Stringer, error) { return bench.RunFigure1(*scale) }},
-		{"failover", "failover", func() (fmt.Stringer, error) {
+		{"f7", func() (fmt.Stringer, error) { return bench.RunFigure7(*scale) }},
+		{"f1", func() (fmt.Stringer, error) { return bench.RunFigure1(*scale) }},
+		{"failover", func() (fmt.Stringer, error) {
 			cfg := bench.FailoverConfig{Scale: *scale, Runs: *runs, Quick: *quick}
 			if *quick {
 				cfg.Runs = setRuns
 			}
 			return bench.RunFailover(cfg)
 		}},
-		{"suspicion", "suspicion", func() (fmt.Stringer, error) { return bench.RunSuspicion(*scale, *runs) }},
-		{"woregister", "woregister", func() (fmt.Stringer, error) { return bench.RunWORegister(*scale, 3, *requests) }},
-		{"patience", "patience", func() (fmt.Stringer, error) { return bench.RunPatience(*scale, *runs) }},
-		{"gc", "gc", func() (fmt.Stringer, error) { return bench.RunGCAblation(5 * *runs * *runs) }},
-		{"wire", "wire_tcp", func() (fmt.Stringer, error) { return bench.RunWire(*quick, setInflight) }},
+		{"suspicion", func() (fmt.Stringer, error) { return bench.RunSuspicion(*scale, *runs) }},
+		{"woregister", func() (fmt.Stringer, error) { return bench.RunWORegister(*scale, 3, *requests) }},
+		{"patience", func() (fmt.Stringer, error) { return bench.RunPatience(*scale, *runs) }},
+		{"gc", func() (fmt.Stringer, error) { return bench.RunGCAblation(5 * *runs * *runs) }},
+		{"wire", func() (fmt.Stringer, error) { return bench.RunWire(*quick, setInflight) }},
 	}
 	for _, sw := range bench.Sweeps() {
 		name := sw[0]
-		experiments = append(experiments, experiment{name, name, func() (fmt.Stringer, error) {
+		experiments = append(experiments, experiment{name, func() (fmt.Stringer, error) {
 			return bench.RunSweep(name, *quick, *netProfile, setScale, setRequests, setInflight)
 		}})
 	}
@@ -130,7 +128,7 @@ func run() error {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Println(out.String())
-		reports[e.key] = out
+		reports[e.name] = out
 	}
 	if !matched {
 		return fmt.Errorf("unknown experiment %q", *exp)

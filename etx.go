@@ -116,9 +116,9 @@ type Config struct {
 	DupProbability  float64
 	// FsyncLatency is the simulated cost of a forced database log write.
 	FsyncLatency time.Duration
-	// Tuning holds the deployment-wide knobs — batching windows and caps,
-	// adaptive windows, slot retention, workers, execution mode, lock and
-	// failure-detector timers, replica factor — documented once, on the
+	// Tuning holds the deployment-wide knobs — the batching switch, slot
+	// retention, workers, lock and failure-detector timers, replica
+	// factor — documented once, on the
 	// aliased type. The zero value is the paper-exact configuration. The
 	// fields are promoted (cfg.Workers reads and assigns); a literal sets
 	// them as Tuning: etx.Tuning{Workers: 8}.

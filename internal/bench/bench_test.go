@@ -254,12 +254,38 @@ func (t *shapeT) timing(ok bool, format string, args ...any) {
 	}
 }
 
-// sweepShapes are the claims each sweep's quick run must show, beyond the
+// sweepClaim is one named claim a sweep's quick run must show, beyond the
 // oracle and the sweep's own check (which fail the run itself).
-var sweepShapes = map[string]func(t *shapeT, rep *Report){
-	"pipeline": func(t *shapeT, rep *Report) { wantRows(t, rep, 3) },
-	"scaling":  func(t *shapeT, rep *Report) { wantRows(t, rep, 5) },
-	"shards": func(t *shapeT, rep *Report) {
+type sweepClaim struct {
+	name, sweep string
+	shape       func(t *shapeT, rep *Report)
+}
+
+// batchingDepth32 is the batching sweep's off and adaptive rows at depth 32.
+func batchingDepth32(t *shapeT, rep *Report) (off, on *Row) {
+	t.Helper()
+	wantRows(t, rep, 4)
+	off, on = rep.Find("depth", "32", "batching", "off"), rep.Find("depth", "32", "batching", "adaptive")
+	if off == nil || on == nil {
+		t.Fatal("missing depth-32 rows")
+	}
+	return off, on
+}
+
+// offRows calls f on each of the batching sweep's off rows, the paper's
+// protocol exactly at every depth.
+func offRows(rep *Report, f func(r Row)) {
+	for _, r := range rep.Rows {
+		if r.Params["batching"] == "off" {
+			f(r)
+		}
+	}
+}
+
+var sweepClaims = []sweepClaim{
+	{"pipeline", "pipeline", func(t *shapeT, rep *Report) { wantRows(t, rep, 3) }},
+	{"scaling", "scaling", func(t *shapeT, rep *Report) { wantRows(t, rep, 5) }},
+	{"shards", "shards", func(t *shapeT, rep *Report) {
 		wantRows(t, rep, 8)
 		wide, narrow := rep.Find("shards", "8", "keys", "uniform"), rep.Find("shards", "1", "keys", "uniform")
 		if wide == nil || narrow == nil {
@@ -277,48 +303,49 @@ var sweepShapes = map[string]func(t *shapeT, rep *Report){
 		t.timing(wide.CommitsPerS >= narrow.CommitsPerS,
 			"throughput must not fall as shards are added: 1 shard %.1f, 8 shards %.1f",
 			narrow.CommitsPerS, wide.CommitsPerS)
-	},
-	"batch": func(t *shapeT, rep *Report) {
-		off, on := rep.Find("depth", "32", "batching", "off"), rep.Find("depth", "32", "batching", "on")
-		if off == nil || on == nil {
-			t.Fatal("missing depth-32 rows")
+	}},
+	// The batching sweep's claims, one per layer adaptive batching reaches:
+	// the log device (group commit), the consensus tier (cohort instances)
+	// and the whole path end to end.
+	{"batch", "batching", func(t *shapeT, rep *Report) {
+		const syncs = "stablestore.syncs_per_commit"
+		// Off forces a prepare and a commit per request, each its own fsync.
+		offRows(rep, func(r Row) {
+			if v := r.Metric(syncs); v != 2 {
+				t.Errorf("off at depth %d paid %.2f fsyncs/commit, want 2.00", r.Depth, v)
+			}
+		})
+		if _, on := batchingDepth32(t, rep); on.Metric(syncs) >= 1 {
+			t.Errorf("adaptive at depth 32 paid %.2f fsyncs/commit, want under 1", on.Metric(syncs))
 		}
-		// Window 0 is the serialized discipline exactly: a prepare and a
-		// commit force per request, each its own fsync.
-		if v := off.Metric("stablestore.syncs_per_commit"); v != 2 {
-			t.Errorf("window 0 paid %.2f fsyncs/commit, want 2.00", v)
-		}
-		if v := on.Metric("stablestore.syncs_per_commit"); v >= 1 {
-			t.Errorf("group commit at depth 32 paid %.2f fsyncs/commit, want well under 1", v)
-		}
-	},
-	// Window 0 reproduces the per-write instance counts (two local consensus
-	// proposals per commit, exactly); cohort batching pays strictly fewer
-	// consensus messages and instances per commit.
-	"consensus": func(t *shapeT, rep *Report) {
-		off, on := rep.Find("depth", "16", "cohort", "off"), rep.Find("depth", "16", "cohort", "on")
-		if off == nil || on == nil {
-			t.Fatal("missing depth-16 rows")
-		}
+	}},
+	{"consensus", "batching", func(t *shapeT, rep *Report) {
 		const proposes, msgs = "consensus.proposes_per_commit", "consensus.msgs_per_commit"
-		if v := off.Metric(proposes); v < 1.99 || v > 2.1 {
-			t.Errorf("window 0 ran %.2f instances/commit, want 2.00 (one per register write)", v)
+		// Off runs one consensus instance per register write.
+		offRows(rep, func(r Row) {
+			if v := r.Metric(proposes); v != 2 {
+				t.Errorf("off at depth %d ran %.2f instances/commit, want 2.00 (one per register write)", r.Depth, v)
+			}
+		})
+		off, on := batchingDepth32(t, rep)
+		if on.Metric(proposes) >= off.Metric(proposes)/2 {
+			t.Errorf("adaptive at depth 32 barely shared instances: %.2f vs %.2f", on.Metric(proposes), off.Metric(proposes))
 		}
 		if on.Metric(msgs) >= off.Metric(msgs) {
-			t.Errorf("cohort batching did not cut consensus messages: %.2f vs %.2f", on.Metric(msgs), off.Metric(msgs))
-		}
-		if on.Metric(proposes) >= off.Metric(proposes)/2 {
-			t.Errorf("cohort batching barely shared instances: %.2f vs %.2f", on.Metric(proposes), off.Metric(proposes))
+			t.Errorf("adaptive at depth 32 did not cut consensus messages: %.2f vs %.2f", on.Metric(msgs), off.Metric(msgs))
 		}
 		for _, r := range []*Row{off, on} {
 			if v := r.Metric("consensus.fastpath_share"); v < 0.99 {
-				t.Errorf("cohort %s: failure-free runs must ride the round-1 fast path, got %.2f", r.Params["cohort"], v)
+				t.Errorf("%s: failure-free runs must ride the round-1 fast path, got %.2f", r.Params["batching"], v)
 			}
 		}
+	}},
+	{"wire", "batching", func(t *shapeT, rep *Report) {
+		off, on := batchingDepth32(t, rep)
 		t.timing(on.CommitsPerS >= off.CommitsPerS,
-			"cohort batching lost throughput at depth 16: %.1f vs %.1f", on.CommitsPerS, off.CommitsPerS)
-	},
-	"memory": func(t *shapeT, rep *Report) {
+			"adaptive lost throughput at depth 32: %.1f vs %.1f", on.CommitsPerS, off.CommitsPerS)
+	}},
+	{"memory", "memory", func(t *shapeT, rep *Report) {
 		off, on := rep.Find("retain", "0"), rep.Find("retain", "64")
 		if off == nil || on == nil {
 			t.Fatal("missing rows")
@@ -331,8 +358,7 @@ var sweepShapes = map[string]func(t *shapeT, rep *Report){
 			t.Errorf("retention tail did not bound the batch log: max %v slots vs %v without",
 				on.Metric("consensus.live_slots_max"), off.Metric("consensus.live_slots_max"))
 		}
-	},
-	"wire": func(t *shapeT, rep *Report) { wantRows(t, rep, 8) },
+	}},
 }
 
 func wantRows(t *shapeT, rep *Report, n int) {
@@ -344,17 +370,23 @@ func wantRows(t *shapeT, rep *Report, n int) {
 
 // TestSweepsQuick runs every sweep's -quick cells through the one driver:
 // the oracle and each sweep's check fail the run itself, every row must carry
-// the common fields, and each sweep must show its claim.
+// the common fields, and each sweep must show its claims.
 func TestSweepsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep's quick cells")
 	}
 	for _, s := range sweeps {
-		t.Run(s.name, func(t *testing.T) {
-			shape, ok := sweepShapes[s.name]
-			if !ok {
-				t.Fatalf("sweep %q has no shape assertions", s.name)
+		if !slices.ContainsFunc(sweepClaims, func(c sweepClaim) bool { return c.sweep == s.name }) {
+			t.Errorf("sweep %q has no shape assertions", s.name)
+		}
+	}
+	for _, c := range sweepClaims {
+		t.Run(c.name, func(t *testing.T) {
+			i := slices.IndexFunc(sweeps, func(s sweep) bool { return s.name == c.sweep })
+			if i < 0 {
+				t.Fatalf("no sweep %q", c.sweep)
 			}
+			s, shape := sweeps[i], c.shape
 			for attempt := 1; ; attempt++ {
 				rep, err := s.run(options{quick: true})
 				if err != nil {

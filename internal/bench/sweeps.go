@@ -188,18 +188,6 @@ func roundRobin(accounts []string) func(int) string {
 	return func(i int) string { return accounts[i%len(accounts)] }
 }
 
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
-// cohortWindow is the sequencer window of the cohort-consensus cells. Under
-// load it is immaterial (a cohort stays open for the whole in-flight slot
-// ahead of it); idle, it is the price of admission for sharing.
-const cohortWindow = 100 * time.Microsecond
-
 // memoryRetain is the retention tail of the memory sweep's GC-on row.
 const memoryRetain = 64
 
@@ -277,64 +265,40 @@ var sweeps = []sweep{
 			" uniform throughput scales with the tier, skewed keys pin it to one shard's forced-log capacity",
 	},
 	{
-		name:    "batch",
-		title:   "Group commit: BatchWindow 0 vs fsync/8 on one shard",
-		params:  []string{"depth", "batching"},
-		metrics: []string{"stablestore.syncs_per_commit", "stablestore.forces_per_commit", "stablestore.forced_per_sync"},
-		full:    size{0.05, 320, []int{1, 8, 32}},
-		quick:   size{0.02, 160, []int{1, 32}},
+		name:   "batching",
+		title:  "Batching: off (paper-exact) vs adaptive (1 shard, zero-latency net, 500us force)",
+		params: []string{"depth", "batching"},
+		metrics: []string{"stablestore.syncs_per_commit", "stablestore.forced_per_sync",
+			"consensus.proposes_per_commit", "consensus.msgs_per_commit", "consensus.fastpath_share"},
+		full:  size{0, 500, []int{1, 8, 32}},
+		quick: size{0, 160, []int{1, 32}},
+		runs:  2,
 		cells: func(scale float64, depth, requests int) (out []cell) {
-			for _, on := range []bool{false, true} {
-				accounts := pool(8 * depth)
-				cfg := paperDeployment(latcost.Paper(scale), depth, accounts, false)
-				if on {
-					// The window only matters on an idle device: under load
-					// the cohort stays open while the previous fsync is in
-					// flight, so a small fraction of the fsync cost suffices.
-					cfg.BatchWindow = cfg.ForceLatency / 8
-				}
-				out = append(out, cell{
-					params: map[string]string{"batching": onOff(on)},
-					config: cfg, depth: depth, requests: requests, account: roundRobin(accounts),
-				})
-			}
-			return out
-		},
-		note: "without batching every commit pays two serialized fsyncs, prepare and commit, so pipelining cannot\n" +
-			" raise throughput past the log device; with the combiner one fsync covers a whole cohort",
-	},
-	{
-		name:    "consensus",
-		title:   "Cohort consensus: CohortWindow 0 vs 100us (3 app servers, 1 shard, zero-cost net and log: CPU-bound)",
-		params:  []string{"depth", "cohort"},
-		metrics: []string{"consensus.msgs_per_commit", "consensus.proposes_per_commit", "consensus.fastpath_share"},
-		full:    size{0, 2400, []int{1, 8, 16, 32, 64}},
-		quick:   size{0, 400, []int{1, 16}},
-		runs:    2,
-		cells: func(scale float64, depth, requests int) (out []cell) {
-			for _, on := range []bool{false, true} {
+			for _, adaptive := range []bool{false, true} {
 				accounts := pool(8 * depth)
 				cfg := deployment(depth, accounts, 0)
-				// Windowless mailbox-drain batching at the database, for
-				// both rows: the sweep isolates the middle tier.
-				cfg.DrainBatch = 64
-				if on {
-					cfg.CohortWindow = cohortWindow
+				// Group commit exists to share the forced-write cost; a free
+				// log would hide the trade the sweep measures.
+				cfg.ForceLatency = 500 * time.Microsecond
+				cfg.AdaptiveWindows = adaptive
+				mode := "off"
+				if adaptive {
+					mode = "adaptive"
 				}
 				out = append(out, cell{
-					params: map[string]string{"cohort": onOff(on)},
+					params: map[string]string{"batching": mode},
 					config: cfg, depth: depth, requests: requests, account: roundRobin(accounts),
 				})
 			}
 			return out
 		},
-		note: "window 0 runs one consensus instance per register write, two per commit, exactly as the paper\n" +
-			" prescribes; a sequencer folds concurrent regA/regD writes into shared batch slots, so instances and\n" +
-			" messages per commit fall by the cohort size; at depth 1 the window only adds latency",
+		note: "off is the paper's protocol: two serialized fsyncs and two consensus instances per commit, so\n" +
+			" pipelining cannot raise throughput past the log device; adaptive shares fsyncs, envelopes and\n" +
+			" consensus slots across concurrent requests, collapsing every cap at depth 1 and widening under load",
 	},
 	{
 		name:   "memory",
-		title:  "Bounded batch-log memory: RetainSlots 0 vs 64 (cohort consensus on, every request retired)",
+		title:  "Bounded batch-log memory: RetainSlots 0 vs 64 (adaptive batching, every request retired)",
 		params: []string{"depth", "retain"},
 		metrics: []string{"consensus.live_slots_q1", "consensus.live_slots_q2", "consensus.live_slots_q3",
 			"consensus.live_slots_q4", "consensus.live_slots_max", "consensus.live_slots",
@@ -346,8 +310,7 @@ var sweeps = []sweep{
 				accounts := pool(8 * depth)
 				cfg := deployment(depth, accounts, 0)
 				cfg.Clients = depth
-				cfg.DrainBatch = 64
-				cfg.CohortWindow = cohortWindow
+				cfg.AdaptiveWindows = true
 				cfg.RetainSlots = retain
 				out = append(out, cell{
 					params: map[string]string{"retain": fmt.Sprint(retain)},
@@ -359,41 +322,6 @@ var sweeps = []sweep{
 		},
 		note: "live_slots_q1..q4 are the worst replica's decided-slot count at each quarter of the run: linear with\n" +
 			" retention off (the paper's deferred Section-5 leak, relocated to the batch log), flat with a retention tail",
-	},
-	{
-		name:   "wire",
-		title:  "Batching windows: static 0 / 100us / 2ms vs adaptive (1 shard, zero-latency net, 500us force)",
-		params: []string{"depth", "policy"},
-		full:   size{0, 500, []int{1, 32, 64}},
-		quick:  size{0, 160, []int{1, 32}},
-		runs:   2,
-		cells: func(scale float64, depth, requests int) (out []cell) {
-			for _, pol := range []struct {
-				name     string
-				window   time.Duration
-				adaptive bool
-			}{
-				{"static-0", 0, false},
-				{"static-100us", 100 * time.Microsecond, false},
-				{"static-2ms", 2 * time.Millisecond, false},
-				{"adaptive", 0, true},
-			} {
-				accounts := pool(8 * depth)
-				cfg := deployment(depth, accounts, 0)
-				// The batch window exists to share the forced-write cost;
-				// a free log would hide the trade the sweep measures.
-				cfg.ForceLatency = 500 * time.Microsecond
-				cfg.DrainBatch = 64
-				cfg.BatchWindow, cfg.CohortWindow, cfg.AdaptiveWindows = pol.window, pol.window, pol.adaptive
-				out = append(out, cell{
-					params: map[string]string{"policy": pol.name},
-					config: cfg, depth: depth, requests: requests, account: roundRobin(accounts),
-				})
-			}
-			return out
-		},
-		note: "no static window wins both ends: window 0 loses throughput at depth, a wide window pays its full\n" +
-			" width at depth 1; adaptive collapses its caps at depth 1 and widens them under pipelining",
 	},
 }
 

@@ -18,9 +18,7 @@ import (
 // pinned to one frame — the historical one-write-per-frame transport — so
 // the frames-per-second and syscall columns of a depth are directly
 // comparable. The zero-copy property is counter-verified every run: on the
-// writev build the coalesced counter must stay at 0. (The other half of
-// `etxbench -exp wire`, the batching-windows sweep, is a cell table entry in
-// sweeps.go.)
+// writev build the coalesced counter must stay at 0.
 
 // WireRow is one (mode, depth) cell.
 type WireRow struct {

@@ -15,7 +15,7 @@ import (
 // top of the usual fast test timings.
 func batchKnobs(cfg *Config) {
 	fastKnobs(cfg)
-	cfg.BatchWindow = 500 * time.Microsecond
+	cfg.AdaptiveWindows = true
 }
 
 // TestBatchingEngagesAndHoldsOracle: on one shard with a real fsync cost and

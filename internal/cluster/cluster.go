@@ -66,9 +66,8 @@ type Config struct {
 	// ForceLatency is the simulated fsync cost of database stable storage.
 	ForceLatency time.Duration
 	// Tuning holds the knobs shared with every other way of starting the
-	// stack (the batching windows and caps, adaptive windows, retention,
-	// workers, execution mode, lock and detector timers, replica factor);
-	// deploy.Tuning documents each.
+	// stack (the batching switch, retention, workers, lock and detector
+	// timers, replica factor); deploy.Tuning documents each.
 	deploy.Tuning
 	// Seed is the initial content of every database.
 	Seed []kv.Write

@@ -12,12 +12,12 @@ import (
 	"etx/internal/kv"
 )
 
-// cohortKnobs switches the wo-register layer to cohort consensus on top of
-// the usual fast test timings.
+// cohortKnobs switches batching — cohort consensus in the wo-register layer
+// among it — on top of the usual fast test timings.
 func cohortKnobs(cfg *Config) {
 	fastKnobs(cfg)
 	cfg.ConsensusPoll = 0 // event-driven waits with the safety-net default
-	cfg.CohortWindow = 500 * time.Microsecond
+	cfg.AdaptiveWindows = true
 }
 
 // consensusTotals sums the consensus counters over every live app server
@@ -88,10 +88,10 @@ func runCohortWorkload(t *testing.T, c *Cluster, accts []string, requests, infli
 	return balances
 }
 
-// TestCohortParityWithUnbatched runs the same pipelined workload with cohort
-// consensus off (window 0 — today's one-instance-per-write discipline) and
-// on, and asserts the decided outcomes match: both runs satisfy the
-// A.1/A.2/A.3/V.1 oracle and produce identical balances. The batched run
+// TestCohortParityWithUnbatched runs the same pipelined workload with
+// batching off ("window 0" below — the paper's one-instance-per-write
+// discipline) and on, and asserts the decided outcomes match: both runs
+// satisfy the A.1/A.2/A.3/V.1 oracle and produce identical balances. The batched run
 // must also share instances — fewer slots than the register writes they
 // decided, and fewer consensus messages per write than window 0 — and the
 // window-0 run must show the per-write instance counts (two local proposals

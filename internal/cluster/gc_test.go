@@ -198,9 +198,8 @@ func TestBoundedSlotMemorySoak(t *testing.T) {
 		Shards:      1,
 		Tuning: deploy.Tuning{
 			Workers:           inflight,
-			CohortWindow:      200 * time.Microsecond,
+			AdaptiveWindows:   true,
 			RetainSlots:       retain,
-			DrainBatch:        64,
 			HeartbeatInterval: 10 * time.Millisecond,
 			SuspectTimeout:    time.Second,
 		},

@@ -7,6 +7,7 @@ import (
 	"etx/internal/id"
 	"etx/internal/msg"
 	"etx/internal/transport"
+	"etx/internal/woregister"
 )
 
 // captureEP is a transport.Endpoint that records what Send emits.
@@ -29,8 +30,9 @@ func (c *captureEP) Close() error              { return nil }
 
 var _ transport.Endpoint = (*captureEP)(nil)
 
-// TestAdaptiveCap pins the window-sizing curve: collapse to 1 at depth <= 1,
-// then at least 8 and roughly 2x the depth, never past the configured cap.
+// TestAdaptiveCap pins the window-sizing curve the outbound aggregator and
+// the cohort sequencer share: collapse to 1 at depth <= 1, then at least 8
+// and roughly 2x the depth, never past the configured cap.
 func TestAdaptiveCap(t *testing.T) {
 	cases := []struct {
 		configured, depth, want int
@@ -45,8 +47,8 @@ func TestAdaptiveCap(t *testing.T) {
 		{4, 64, 4},   // the configured cap always wins
 	}
 	for _, c := range cases {
-		if got := adaptiveCap(c.configured, c.depth); got != c.want {
-			t.Errorf("adaptiveCap(%d, %d) = %d, want %d", c.configured, c.depth, got, c.want)
+		if got := woregister.AdaptiveCap(c.configured, c.depth); got != c.want {
+			t.Errorf("AdaptiveCap(%d, %d) = %d, want %d", c.configured, c.depth, got, c.want)
 		}
 	}
 }
@@ -56,8 +58,7 @@ func TestAdaptiveCap(t *testing.T) {
 // immediately, unbatched, exactly as if aggregation were off.
 func TestOutAggCollapsesAtDepthOne(t *testing.T) {
 	ep := newCaptureEP(id.AppServer(1))
-	agg := newOutAgg(ep, time.Hour, 64)
-	agg.depth = func() int { return 1 }
+	agg := newOutAgg(ep, time.Hour, 64, func() int { return 1 })
 	defer agg.stop()
 
 	db := id.DBServer(1)
@@ -82,8 +83,7 @@ func TestOutAggCollapsesAtDepthOne(t *testing.T) {
 func TestOutAggWidensAtDepth64(t *testing.T) {
 	const capMsgs = 64
 	ep := newCaptureEP(id.AppServer(1))
-	agg := newOutAgg(ep, time.Hour, capMsgs)
-	agg.depth = func() int { return 64 }
+	agg := newOutAgg(ep, time.Hour, capMsgs, func() int { return 64 })
 	defer agg.stop()
 
 	db := id.DBServer(1)
@@ -126,8 +126,7 @@ func TestOutAggWidensAtDepth64(t *testing.T) {
 func TestOutAggAdaptiveNeverReorders(t *testing.T) {
 	depth := 8
 	ep := newCaptureEP(id.AppServer(1))
-	agg := newOutAgg(ep, time.Hour, 64)
-	agg.depth = func() int { return depth }
+	agg := newOutAgg(ep, time.Hour, 64, func() int { return depth })
 	defer agg.stop()
 
 	db := id.DBServer(1)

@@ -102,53 +102,28 @@ type AppServerConfig struct {
 	// CommitCacheSize caps the committed-decision cache and the cleaning
 	// thread's dedup cache (oldest entries evicted first). Defaults to 4096.
 	CommitCacheSize int
-	// The batching knobs, which every process of a deployment must agree
-	// on; deploy.Tuning documents them and is where they are normally set
-	// (this struct keeps them flat for callers that build a server by hand).
-	// BatchWindow > 0 aggregates Prepare/Decide fan-out to the same
-	// participant into Batch envelopes of at most MaxBatch; CohortWindow > 0
-	// lets concurrent register writes share consensus slots of at most
-	// MaxCohort ops; AdaptiveWindows sizes both caps by the sampled
-	// in-flight depth and defaults unset windows (ResolveWindow);
-	// RetainSlots > 0 truncates decided slots behind the cluster-wide
-	// applied watermark. All zero is the paper-exact server.
-	BatchWindow     time.Duration
-	MaxBatch        int
-	CohortWindow    time.Duration
-	MaxCohort       int
+	// AdaptiveWindows and RetainSlots are knobs every process of a
+	// deployment must agree on; deploy.Tuning documents them and is where
+	// they are normally set. AdaptiveWindows is the one batching switch: it
+	// aggregates Prepare/Decide fan-out to the same participant into Batch
+	// envelopes (a 500µs window) and lets concurrent register writes share
+	// consensus slots (a 100µs window), both capped by the sampled in-flight
+	// depth through woregister.AdaptiveCap. RetainSlots > 0 truncates decided
+	// slots behind the cluster-wide applied watermark. Both zero is the
+	// paper-exact server.
 	AdaptiveWindows bool
 	RetainSlots     int
 	// Hooks carries optional instrumentation and crash injection.
 	Hooks *Hooks
 }
 
-// The defaults of the batching knobs, deployment-wide: what an adaptive
-// deployment runs when a window is left unset, and the cap a window gets
-// when its cap is left unset.
+// The application tier's adaptive point: how long an outbound envelope and a
+// fresh register cohort stay open, and the cap both widen toward.
 const (
-	AdaptiveBatchWindow  = 500 * time.Microsecond
-	AdaptiveCohortWindow = 100 * time.Microsecond
-	DefaultBatchCap      = 64
+	envelopeWindow = 500 * time.Microsecond
+	cohortWindow   = 100 * time.Microsecond
+	batchCap       = 64
 )
-
-// ResolveWindow is the defaulting rule every batching window and its cap
-// follow, on every tier (deploy.Tuning.Resolve applies it for the database
-// tier and the stores): an adaptive deployment runs an unset window at
-// adaptiveDefault; a set window with an unset cap is capped at
-// DefaultBatchCap; without a window there is no batching and the cap is 0,
-// whatever was asked for — the paper-exact configuration.
-func ResolveWindow(adaptive bool, adaptiveDefault, window time.Duration, limit int) (time.Duration, int) {
-	if adaptive && window <= 0 {
-		window = adaptiveDefault
-	}
-	if window <= 0 {
-		return 0, 0
-	}
-	if limit <= 0 {
-		limit = DefaultBatchCap
-	}
-	return window, limit
-}
 
 func (c *AppServerConfig) setDefaults() {
 	if c.ResendInterval <= 0 {
@@ -172,8 +147,6 @@ func (c *AppServerConfig) setDefaults() {
 	if c.CommitCacheSize <= 0 {
 		c.CommitCacheSize = 4096
 	}
-	c.BatchWindow, c.MaxBatch = ResolveWindow(c.AdaptiveWindows, AdaptiveBatchWindow, c.BatchWindow, c.MaxBatch)
-	c.CohortWindow, c.MaxCohort = ResolveWindow(c.AdaptiveWindows, AdaptiveCohortWindow, c.CohortWindow, c.MaxCohort)
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 10 * time.Millisecond
 	}
@@ -222,7 +195,7 @@ type AppServer struct {
 	terming map[id.ResultID]bool
 
 	// agg, when non-nil, batches outbound Prepare/Decide fan-out per
-	// participant (AppServerConfig.BatchWindow).
+	// participant (AppServerConfig.AdaptiveWindows).
 	agg *outAgg
 
 	// depthEWMA smooths the sampled in-flight depth for the adaptive
@@ -297,14 +270,9 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.calls.init()
-	var depth func() int
 	if cfg.AdaptiveWindows {
 		s.depthEWMA = metrics.NewEWMA(0.125)
-		depth = s.inflightDepth
-	}
-	if cfg.BatchWindow > 0 {
-		s.agg = newOutAgg(cfg.Endpoint, cfg.BatchWindow, cfg.MaxBatch)
-		s.agg.depth = depth
+		s.agg = newOutAgg(cfg.Endpoint, envelopeWindow, batchCap, s.inflightDepth)
 	}
 
 	if cfg.Detector != nil {
@@ -344,11 +312,11 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		return nil, fmt.Errorf("core: appserver consensus: %w", err)
 	}
 	s.cons = cons
-	if cfg.CohortWindow > 0 {
+	if cfg.AdaptiveWindows {
 		s.regs, err = woregister.NewBatched(cons, woregister.Options{
-			CohortWindow: cfg.CohortWindow,
-			MaxCohort:    cfg.MaxCohort,
-			Depth:        depth,
+			CohortWindow: cohortWindow,
+			MaxCohort:    batchCap,
+			Depth:        s.inflightDepth,
 			Self:         cfg.Self,
 			Peers:        cfg.AppServers,
 			Detector:     s.det,
@@ -1172,10 +1140,11 @@ type outAgg struct {
 	ep     transport.Endpoint
 	window time.Duration
 	max    int
-	// depth, when non-nil, samples the in-flight pipelining depth and the
-	// effective batch cap adapts to it (AdaptiveWindows): cap 1 at depth 1
-	// (flush immediately, no window latency), widening toward max as the
-	// pipeline deepens.
+	// depth samples the in-flight pipelining depth and the effective batch
+	// cap adapts to it (woregister.AdaptiveCap): cap 1 at depth 1 (flush
+	// immediately, no window latency), widening toward max as the pipeline
+	// deepens. Because the collapse is append-then-flush rather than a
+	// bypass, buffered and unbuffered sends can never reorder.
 	depth func() int
 
 	mu     sync.Mutex
@@ -1188,8 +1157,8 @@ type aggBuf struct {
 	timer *time.Timer
 }
 
-func newOutAgg(ep transport.Endpoint, window time.Duration, max int) *outAgg {
-	return &outAgg{ep: ep, window: window, max: max, pend: make(map[id.NodeID]*aggBuf)}
+func newOutAgg(ep transport.Endpoint, window time.Duration, max int, depth func() int) *outAgg {
+	return &outAgg{ep: ep, window: window, max: max, depth: depth, pend: make(map[id.NodeID]*aggBuf)}
 }
 
 // send buffers p for db, flushing when the batch cap is reached; the first
@@ -1197,10 +1166,7 @@ func newOutAgg(ep transport.Endpoint, window time.Duration, max int) *outAgg {
 func (a *outAgg) send(db id.NodeID, p msg.Payload) {
 	// Sample the depth before taking a.mu: inflightDepth takes the server's
 	// pendingMu and lock nesting stays flat.
-	max := a.max
-	if a.depth != nil {
-		max = adaptiveCap(a.max, a.depth())
-	}
+	max := woregister.AdaptiveCap(a.max, a.depth())
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -1254,25 +1220,6 @@ func (a *outAgg) flush(db id.NodeID, msgs []msg.Payload) {
 		return
 	}
 	_ = a.ep.Send(msg.Envelope{To: db, Payload: msg.Batch{Msgs: msgs}})
-}
-
-// adaptiveCap sizes a batch cap to the observed in-flight depth: depth 1
-// collapses batching entirely (an appended message flushes at once, so the
-// window never adds latency), deeper pipelines widen toward the configured
-// cap. Because the collapse is append-then-flush rather than a bypass,
-// buffered and unbuffered sends can never reorder.
-func adaptiveCap(configured, depth int) int {
-	if depth <= 1 {
-		return 1
-	}
-	m := 2 * depth
-	if m < 8 {
-		m = 8
-	}
-	if m > configured {
-		m = configured
-	}
-	return m
 }
 
 // stop flushes every pending buffer and sends all later traffic directly.

@@ -13,26 +13,19 @@
 // thread scans the set of register keys the replica has seen instead of an
 // unbounded array.
 //
-// With a batch window configured the commit path additionally runs group
-// commit end to end: application servers aggregate Prepare/Decide fan-out to
-// the same participant into msg.Batch envelopes, database servers drain
-// their mailbox and serve those rounds through the engine's batched entry
-// points, and the stable store combines the resulting forced writes into
-// shared fsyncs. Batching changes no span semantics — SpanPrepare and
-// SpanCommit still bound the same exchanges; the shared fsync simply makes
-// them cheaper per request — so the Figure 8 rows remain comparable with
-// batching on or off.
-//
-// AppServerConfig.AdaptiveWindows makes every batching knob self-tuning: the
-// server samples its own in-flight request depth (EWMA-smoothed) and sizes
-// the outbound-aggregation cap, the cohort-sequencer cap and hold, and the
-// store's group-commit window to it — collapsing to unbatched behaviour for
-// a lone request, widening toward the configured caps under pipelining.
-// Adaptation changes timing only, never protocol semantics: the messages,
-// register writes and forced-log rules are identical at every depth, so a
-// deployment with windows at 0 and adaptation off remains exactly the
-// paper's protocol, and an adaptive one is the same protocol with different
-// batch boundaries.
+// AppServerConfig.AdaptiveWindows is the one batching switch. On, the commit
+// path runs group commit end to end: application servers aggregate
+// Prepare/Decide fan-out to the same participant into msg.Batch envelopes
+// and fold concurrent register writes into shared consensus slots, database
+// servers drain their mailbox and serve those rounds through the engine's
+// batched entry points, and the stable store combines the resulting forced
+// writes into shared fsyncs. Every cap follows the server's own sampled
+// in-flight depth (EWMA-smoothed): batching collapses for a lone request and
+// widens under pipelining. Batching changes timing only, never protocol
+// semantics or span meaning — the messages, register writes and forced-log
+// rules are identical at every depth, and SpanPrepare and SpanCommit bound
+// the same exchanges — so off is exactly the paper's protocol and on is the
+// same protocol with different batch boundaries.
 //
 // The database server has one execution discipline, queue-oriented and
 // speculative; nothing in the protocol needs the engine to hold row locks

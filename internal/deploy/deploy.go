@@ -36,43 +36,23 @@ import (
 // field switches one mechanism on deployment-wide. README has a section on
 // each mechanism.
 type Tuning struct {
-	// BatchWindow switches the commit path to group commit and message
-	// batching: the databases' stable stores combine concurrent forced
-	// writes into shared fsyncs (the window is how long a cohort leader
-	// waits for followers; under load batching emerges regardless), the
-	// database servers serve mailbox drains as batches, and the application
+	// AdaptiveWindows is the one batching switch. On, the databases' stable
+	// stores combine concurrent forced writes into shared fsyncs (a 500µs
+	// group-commit window, cohorts of at most 64, a lone leader skips the
+	// window), the database servers serve mailbox drains of up to 64
+	// Prepares and Decides under one forced write, and the application
 	// servers aggregate Prepare/Decide fan-out to the same participant into
-	// Batch envelopes. 0 keeps one fsync and one envelope per message.
-	BatchWindow time.Duration
-	// MaxBatch caps group-commit cohorts, mailbox drains and Batch
-	// envelopes: 64 by default, 0 (no batching) without a BatchWindow.
-	MaxBatch int
-	// DrainBatch enables the database servers' mailbox-drain batching alone:
-	// a drained batch of Prepares and Decides shares one forced write and
-	// one reply envelope per application server. The drain never waits, so
-	// it costs no latency. 0 follows MaxBatch.
-	DrainBatch int
-	// CohortWindow switches the wo-register layer to cohort consensus:
-	// concurrent register writes (each request's regA claim and regD
-	// decision) share batch-consensus slots, one Chandra–Toueg instance per
-	// cohort, applied in agreed order so every write race has the same
-	// winner everywhere. The window is how long a fresh cohort stays open.
-	// 0 keeps the paper's one instance per write.
-	CohortWindow time.Duration
-	// MaxCohort caps the register ops in one slot: 64 by default, 0 without
-	// a CohortWindow.
-	MaxCohort int
-	// AdaptiveWindows makes the batching self-tuning: application servers
-	// collapse the envelope and cohort caps to one at in-flight depth 1 (a
-	// window would be pure added latency) and widen them toward
-	// MaxBatch/MaxCohort under pipelining, and a lone group-commit leader
-	// skips its window. Unset windows default to 500µs (BatchWindow) and
-	// 100µs (CohortWindow). Timing only; protocol semantics are unchanged.
+	// Batch envelopes (500µs) and fold concurrent register writes into
+	// shared cohort-consensus slots (100µs). The envelope and cohort caps
+	// follow each application server's sampled in-flight depth: one at depth
+	// 1, where a window would be pure added latency, widening toward 64
+	// under pipelining. Timing only; protocol semantics are unchanged. Off
+	// keeps one fsync, one envelope and one consensus instance per message.
 	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus log: decided slots below the
 	// cluster-wide applied watermark minus this tail are truncated, and a
 	// replica further behind catches up by checkpoint transfer. 0 retains
-	// every slot. Only meaningful with a CohortWindow.
+	// every slot. Only meaningful with AdaptiveWindows.
 	RetainSlots int
 	// Workers is the number of compute threads per application server (the
 	// paper and the default: 1); raise it for pipelined clients.
@@ -96,16 +76,9 @@ type Tuning struct {
 	ReplicaFactor int
 }
 
-// Resolve returns t with the defaults that relate one knob to another filled
-// in: the windows and caps by core.ResolveWindow, DrainBatch following
-// MaxBatch, ReplicaFactor at least 1. A zero timer stays zero: it means the
-// default of the package that runs it. Resolve is idempotent.
+// Resolve returns t with ReplicaFactor at least 1. A zero timer stays zero:
+// it means the default of the package that runs it. Resolve is idempotent.
 func (t Tuning) Resolve() Tuning {
-	t.BatchWindow, t.MaxBatch = core.ResolveWindow(t.AdaptiveWindows, core.AdaptiveBatchWindow, t.BatchWindow, t.MaxBatch)
-	t.CohortWindow, t.MaxCohort = core.ResolveWindow(t.AdaptiveWindows, core.AdaptiveCohortWindow, t.CohortWindow, t.MaxCohort)
-	if t.DrainBatch <= 0 {
-		t.DrainBatch = t.MaxBatch
-	}
 	if t.ReplicaFactor <= 0 {
 		t.ReplicaFactor = 1
 	}
@@ -123,12 +96,7 @@ func ServerDefaults() Tuning {
 // is called are the flags' defaults. Both server binaries register the same
 // set, so one flag list tunes every process of a deployment alike.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
-	fs.DurationVar(&t.BatchWindow, "batch-window", t.BatchWindow, "group commit and message batching: >0 lets one fsync cover a cohort of concurrent forced writes, serves Prepare/Decide rounds in batches and coalesces fan-out to the same shard into batch envelopes; 0 keeps one fsync and one envelope per message")
-	fs.IntVar(&t.MaxBatch, "max-batch", t.MaxBatch, "cap on group-commit cohorts, mailbox batches and batch envelopes (0 = 64 with a batch window)")
-	fs.IntVar(&t.DrainBatch, "drain-batch", t.DrainBatch, "database servers: serve up to this many drained Prepare/Decide messages under one forced write, without a batch window (0 = follow -max-batch)")
-	fs.DurationVar(&t.CohortWindow, "cohort-window", t.CohortWindow, "application servers: >0 lets concurrent wo-register writes share one consensus instance per cohort; 0 runs one instance per write")
-	fs.IntVar(&t.MaxCohort, "max-cohort", t.MaxCohort, "cap on register ops per consensus slot (0 = 64 with a cohort window)")
-	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "self-tuning batching: caps collapse at depth 1 and widen under pipelining, a lone group-commit leader skips its window (unset windows default to 500µs/100µs)")
+	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "batching: group commit at the stores, batched Prepare/Decide serving, batch envelopes and cohort consensus at the application servers, every cap following the in-flight depth; off runs the paper's one fsync, one envelope and one consensus instance per message")
 	fs.IntVar(&t.RetainSlots, "retain-slots", t.RetainSlots, "application servers: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up by checkpoint transfer); 0 retains every slot")
 	fs.IntVar(&t.Workers, "workers", t.Workers, "application servers: compute threads (raise for pipelined clients)")
 	fs.DurationVar(&t.LockTimeout, "lock-timeout", t.LockTimeout, "database servers: bound on a vote's wait for undecided predecessors on the same keys (0 = 250ms)")
@@ -159,13 +127,30 @@ type groupCommitter interface {
 	SetAdaptive(bool)
 }
 
-// applyStore installs the group-commit settings of a resolved t. Adaptive
-// keeps the full accumulation window for pipelined forces but lets a lone
-// leader skip it (the combiner's own in-flight count is the depth signal),
-// so depth-1 commits pay no leader sleep.
+// groupCommitWindow is how long an adaptive store's cohort leader waits for
+// followers.
+const groupCommitWindow = 500 * time.Microsecond
+
+// batchCap caps the data tier's group-commit cohorts and mailbox drains: 64
+// with AdaptiveWindows, no batching without.
+func (t Tuning) batchCap() int {
+	if t.AdaptiveWindows {
+		return 64
+	}
+	return 0
+}
+
+// applyStore installs the group-commit settings of t. Adaptive keeps the
+// full accumulation window for pipelined forces but lets a lone leader skip
+// it (the combiner's own in-flight count is the depth signal), so depth-1
+// commits pay no leader sleep.
 func (t Tuning) applyStore(st groupCommitter) {
-	st.SetBatchWindow(t.BatchWindow)
-	st.SetMaxBatch(t.MaxBatch)
+	var window time.Duration
+	if t.AdaptiveWindows {
+		window = groupCommitWindow
+	}
+	st.SetBatchWindow(window)
+	st.SetMaxBatch(t.batchCap())
 	st.SetAdaptive(t.AdaptiveWindows)
 }
 
@@ -174,9 +159,9 @@ func (t Tuning) engineConfig(self id.NodeID) xadb.Config {
 	return xadb.Config{Self: self, LockTimeout: t.LockTimeout}
 }
 
-// serverConfig overlays a resolved t on cfg.
+// serverConfig overlays t on cfg.
 func (t Tuning) serverConfig(cfg core.DataServerConfig) core.DataServerConfig {
-	cfg.MaxBatch = t.DrainBatch
+	cfg.MaxBatch = t.batchCap()
 	return cfg
 }
 
@@ -188,8 +173,6 @@ func (t Tuning) backupConfig(cfg repl.BackupConfig) repl.BackupConfig {
 
 // appConfig overlays a resolved t on cfg.
 func (t Tuning) appConfig(cfg core.AppServerConfig) core.AppServerConfig {
-	cfg.BatchWindow, cfg.MaxBatch = t.BatchWindow, t.MaxBatch
-	cfg.CohortWindow, cfg.MaxCohort = t.CohortWindow, t.MaxCohort
 	cfg.AdaptiveWindows = t.AdaptiveWindows
 	cfg.RetainSlots = t.RetainSlots
 	cfg.Workers = t.Workers

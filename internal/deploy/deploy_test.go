@@ -66,13 +66,10 @@ func TestEveryTuningFieldHasAFlagAndALanding(t *testing.T) {
 	r.applyStore(&store)
 
 	// Where each knob lands: the configurations of every process that runs it.
+	// (TestBatchingPoints pins what AdaptiveWindows turns on in the data
+	// tier.)
 	landings := map[string][]any{
-		"BatchWindow":       {app.BatchWindow, store.window},
-		"MaxBatch":          {app.MaxBatch, store.maxBatch},
-		"DrainBatch":        {srv.MaxBatch},
-		"CohortWindow":      {app.CohortWindow},
-		"MaxCohort":         {app.MaxCohort},
-		"AdaptiveWindows":   {app.AdaptiveWindows, store.adaptive},
+		"AdaptiveWindows":   {app.AdaptiveWindows, store.adaptive, srv.MaxBatch > 1},
 		"RetainSlots":       {app.RetainSlots},
 		"Workers":           {app.Workers},
 		"LockTimeout":       {eng.LockTimeout},
@@ -102,7 +99,6 @@ func TestEveryTuningFieldHasAFlagAndALanding(t *testing.T) {
 // TestResolveDefaults pins the defaulting every caller used to spell out for
 // itself.
 func TestResolveDefaults(t *testing.T) {
-	const us = time.Microsecond
 	for _, tc := range []struct {
 		name     string
 		in, want Tuning
@@ -110,24 +106,9 @@ func TestResolveDefaults(t *testing.T) {
 		{"zero value is paper-exact",
 			Tuning{},
 			Tuning{ReplicaFactor: 1}},
-		{"a cap without a window is no batching",
-			Tuning{MaxBatch: 7, MaxCohort: 9},
-			Tuning{ReplicaFactor: 1}},
-		{"a window gets cap 64, the drain follows",
-			Tuning{BatchWindow: 300 * us},
-			Tuning{BatchWindow: 300 * us, MaxBatch: 64, DrainBatch: 64, ReplicaFactor: 1}},
-		{"an explicit cap stands",
-			Tuning{BatchWindow: 300 * us, MaxBatch: 8, CohortWindow: 50 * us, MaxCohort: 4},
-			Tuning{BatchWindow: 300 * us, MaxBatch: 8, DrainBatch: 8, CohortWindow: 50 * us, MaxCohort: 4, ReplicaFactor: 1}},
-		{"adaptive defaults the windows to 500µs and 100µs",
+		{"batching is a switch, not a set of defaults",
 			Tuning{AdaptiveWindows: true},
-			Tuning{AdaptiveWindows: true, BatchWindow: 500 * us, MaxBatch: 64, DrainBatch: 64, CohortWindow: 100 * us, MaxCohort: 64, ReplicaFactor: 1}},
-		{"adaptive keeps a window that was set",
-			Tuning{AdaptiveWindows: true, BatchWindow: 2 * time.Millisecond},
-			Tuning{AdaptiveWindows: true, BatchWindow: 2 * time.Millisecond, MaxBatch: 64, DrainBatch: 64, CohortWindow: 100 * us, MaxCohort: 64, ReplicaFactor: 1}},
-		{"the windowless drain stands alone",
-			Tuning{DrainBatch: 32},
-			Tuning{DrainBatch: 32, ReplicaFactor: 1}},
+			Tuning{AdaptiveWindows: true, ReplicaFactor: 1}},
 		{"a negative replica factor is 1, timers are left to their packages",
 			Tuning{ReplicaFactor: -3, SuspectTimeout: time.Second},
 			Tuning{ReplicaFactor: 1, SuspectTimeout: time.Second}},
@@ -138,6 +119,39 @@ func TestResolveDefaults(t *testing.T) {
 		}
 		if again := got.Resolve(); again != got {
 			t.Errorf("%s: Resolve is not idempotent: %+v then %+v", tc.name, got, again)
+		}
+	}
+}
+
+// TestBatchingPoints pins the two points a deployment can run. Off lands
+// nothing batched anywhere: the paper-exact protocol. On lands exactly what
+// the end-to-end benchmark's rig wires by hand — store window 500µs, cohorts
+// of 64, adaptive leader; mailbox drains of 64; AdaptiveWindows on the
+// application servers — so the deploy path and the benchmark run one point.
+func TestBatchingPoints(t *testing.T) {
+	type point struct {
+		store    fakeStore
+		drain    int
+		adaptive bool
+	}
+	for _, tc := range []struct {
+		in   Tuning
+		want point
+	}{
+		{Tuning{}, point{}},
+		{Tuning{AdaptiveWindows: true}, point{
+			store:    fakeStore{window: 500 * time.Microsecond, maxBatch: 64, adaptive: true},
+			drain:    64,
+			adaptive: true,
+		}},
+	} {
+		r := tc.in.Resolve()
+		var got point
+		r.applyStore(&got.store)
+		got.drain = r.serverConfig(core.DataServerConfig{}).MaxBatch
+		got.adaptive = r.appConfig(core.AppServerConfig{}).AdaptiveWindows
+		if got != tc.want {
+			t.Errorf("AdaptiveWindows=%v lands\n %+v\nwant %+v", tc.in.AdaptiveWindows, got, tc.want)
 		}
 	}
 }

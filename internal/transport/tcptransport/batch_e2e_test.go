@@ -24,7 +24,7 @@ func TestBatchedCommitPathOverTCP(t *testing.T) {
 	const workers = 16
 	store := journal(t, time.Millisecond)
 	cl, engine := startStack(t, tcptransport.Config{}, store,
-		deploy.Tuning{BatchWindow: 500 * time.Microsecond, Workers: workers},
+		deploy.Tuning{AdaptiveWindows: true, Workers: workers},
 		accountSeed(workers), withdrawOne)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -10,26 +10,6 @@ import (
 	"etx/internal/msg"
 )
 
-// TestSequencerAdaptiveCap pins the local copy of the window-sizing curve
-// (mirrors core's; the two must not drift apart).
-func TestSequencerAdaptiveCap(t *testing.T) {
-	cases := []struct {
-		configured, depth, want int
-	}{
-		{64, 0, 1},
-		{64, 1, 1},
-		{64, 4, 8},
-		{64, 16, 32},
-		{64, 64, 64},
-		{4, 64, 4},
-	}
-	for _, c := range cases {
-		if got := adaptiveCap(c.configured, c.depth); got != c.want {
-			t.Errorf("adaptiveCap(%d, %d) = %d, want %d", c.configured, c.depth, got, c.want)
-		}
-	}
-}
-
 // TestDepthOneSkipsEnrollmentHold: with a depth sampler reporting a lone
 // writer, the sequencer must head straight for the proposal instead of
 // sleeping the cohort window — an enormous window adds no latency at depth 1.

@@ -18,8 +18,8 @@
 //
 // With Options.CohortWindow set, a write no longer runs a consensus instance
 // of its own. Instead a per-server sequencer collects concurrent writes into
-// a cohort (the same BatchWindow/MaxBatch discipline as the data tier's
-// group commit) and proposes the whole cohort as one batch-consensus slot;
+// a cohort (the same window-and-cap discipline as the data tier's group
+// commit) and proposes the whole cohort as one batch-consensus slot;
 // the consensus layer applies decided slots in slot order, deciding each
 // register first-write-wins, and every caller resolves with its own
 // register's outcome. Per-register semantics are unchanged — first write
@@ -322,7 +322,7 @@ func (s *sequencer) take() []msg.RegOp {
 	defer s.mu.Unlock()
 	max := s.opts.MaxCohort
 	if s.opts.Depth != nil {
-		max = adaptiveCap(max, s.opts.Depth())
+		max = AdaptiveCap(max, s.opts.Depth())
 	}
 	var batch []msg.RegOp
 	kept := s.pending[:0]
@@ -341,10 +341,12 @@ func (s *sequencer) take() []msg.RegOp {
 	return batch
 }
 
-// adaptiveCap sizes the cohort cap to the observed pipelining depth:
-// depth 1 collapses the cohort to a single op, deeper pipelines widen
-// toward the configured cap. (Mirrors core's outbound-batch sizing.)
-func adaptiveCap(configured, depth int) int {
+// AdaptiveCap sizes a batch cap to the observed in-flight depth: depth 1
+// collapses batching entirely (a cohort of one op, an envelope that flushes
+// at once), deeper pipelines widen toward the configured cap — at least 8,
+// roughly twice the depth. The cohort sequencer sizes its slots with it, and
+// core's outbound aggregator its Batch envelopes.
+func AdaptiveCap(configured, depth int) int {
 	if depth <= 1 {
 		return 1
 	}
