@@ -25,6 +25,7 @@ import (
 	"etx/internal/msg"
 	"etx/internal/stablestore"
 	"etx/internal/transport"
+	"etx/internal/woregister"
 	"etx/internal/xadb"
 )
 
@@ -140,12 +141,13 @@ func BenchmarkWORegister_UncontendedWrite(b *testing.B) {
 			}
 		}()
 	}
+	regs := woregister.New(nodes[0])
+	defer regs.Stop()
 	ctx := context.Background()
-	val := []byte("appserver-1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := msg.RegKey{Array: msg.RegA, RID: id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}}
-		if _, err := nodes[0].Propose(ctx, key, val); err != nil {
+		rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
+		if _, err := regs.WriteA(ctx, rid, id.AppServer(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

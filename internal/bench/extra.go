@@ -17,6 +17,7 @@ import (
 	"etx/internal/metrics"
 	"etx/internal/msg"
 	"etx/internal/transport"
+	"etx/internal/woregister"
 )
 
 // --- EXP-FS: false suspicions — AR stays safe, primary-backup does not ------
@@ -175,9 +176,10 @@ type WORegister struct {
 }
 
 // RunWORegister measures wo-register writes over a consensus group with the
-// calibrated app-app latency: the uncontended case (coordinator writes, the
-// paper's single-round-trip fast path) and the contended case (all replicas
-// write simultaneously).
+// calibrated app-app latency, one write per slot: the uncontended case
+// (coordinator writes, the paper's single-round-trip fast path) and the
+// contended case (all replicas write one register simultaneously, each
+// proposing a slot of its own).
 func RunWORegister(scale float64, replicas, writes int) (*WORegister, error) {
 	if scale <= 0 {
 		scale = 0.05
@@ -199,9 +201,9 @@ func RunWORegister(scale float64, replicas, writes int) (*WORegister, error) {
 	unc := metrics.NewSample()
 	ctx := context.Background()
 	for i := 0; i < writes; i++ {
-		key := msg.RegKey{Array: msg.RegA, RID: id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}}
+		rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
 		t0 := time.Now()
-		if _, err := rig.nodes[0].Propose(ctx, key, []byte("v")); err != nil {
+		if _, err := rig.regs[0].WriteA(ctx, rid, id.AppServer(1)); err != nil {
 			return nil, errf("woregister uncontended write %d: %w", i, err)
 		}
 		unc.AddDuration(time.Since(t0))
@@ -210,16 +212,16 @@ func RunWORegister(scale float64, replicas, writes int) (*WORegister, error) {
 
 	con := metrics.NewSample()
 	for i := 0; i < writes; i++ {
-		key := msg.RegKey{Array: msg.RegD, RID: id.ResultID{Client: id.Client(2), Seq: uint64(i), Try: 1}}
+		rid := id.ResultID{Client: id.Client(2), Seq: uint64(i), Try: 1}
 		t0 := time.Now()
-		errs := make(chan error, len(rig.nodes))
-		for r, n := range rig.nodes {
-			go func(r int, n *consensus.Node) {
-				_, err := n.Propose(ctx, key, []byte{byte(r)})
+		errs := make(chan error, len(rig.regs))
+		for r, regs := range rig.regs {
+			go func() {
+				_, err := regs.WriteD(ctx, rid, msg.Decision{Result: []byte{byte(r)}, Outcome: msg.OutcomeCommit})
 				errs <- err
-			}(r, n)
+			}()
 		}
-		for range rig.nodes {
+		for range rig.regs {
 			if err := <-errs; err != nil {
 				return nil, errf("woregister contended write %d: %w", i, err)
 			}
@@ -240,10 +242,11 @@ func (w *WORegister) String() string {
 	return b.String()
 }
 
-// consensusRig wires bare consensus nodes for microbenchmarks.
+// consensusRig wires consensus nodes, each with the registers New layers
+// over it, for microbenchmarks.
 type consensusRig struct {
 	net   *transport.MemNetwork
-	nodes []*consensus.Node
+	regs  []*woregister.Registers
 	stops []func()
 }
 
@@ -277,8 +280,9 @@ func newConsensusRig(model latcost.Model, replicas int) (*consensusRig, error) {
 			rig.stop()
 			return nil, err
 		}
-		rig.nodes = append(rig.nodes, node)
-		rig.stops = append(rig.stops, node.Stop)
+		regs := woregister.New(node)
+		rig.regs = append(rig.regs, regs)
+		rig.stops = append(rig.stops, node.Stop, regs.Stop)
 		done := make(chan struct{})
 		go func(ep transport.Endpoint, node *consensus.Node) {
 			defer close(done)

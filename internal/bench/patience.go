@@ -55,9 +55,9 @@ func RunPatience(_ float64, requests int) (*Patience, error) {
 	model := latcost.Paper(1.0)
 	model.SQLWork /= 10
 	out := &Patience{Scale: 1.0}
-	// Below ~0.03 of the total, the broadcast beats the primary's round-1
-	// Propose to the backups and they propose themselves (visible racing);
-	// after that window they join the existing consensus instance silently.
+	// Below ~0.03 of the total, the broadcast reaches the backups before the
+	// primary's regA decision does and they forward writes of their own
+	// (visible racing); after that window they read the decided register.
 	for _, frac := range []float64{0.01, 0.1, 2, 20} {
 		row, err := onePatienceRun(model, frac, requests)
 		if err != nil {
@@ -114,24 +114,26 @@ func onePatienceRun(model latcost.Model, frac float64, requests int) (*PatienceR
 	}, nil
 }
 
-// regAWriters counts the distinct application servers that proposed or
-// estimated in the regA instances of request seq — the competitors for
-// executing the try.
+// regAWriters counts the distinct application servers that wrote regA of
+// request seq — the competitors for executing the try: a server proposing a
+// slot that carries the write, or forwarding it to the preferred sequencer.
 func regAWriters(col *trace.Collector, seq uint64) int {
 	writers := make(map[id.NodeID]bool)
 	for _, ev := range col.Events() {
-		var reg msg.RegKey
-		//etxlint:allow kindswitch — trace filter: only the two estimate-bearing kinds carry the regA key this metric counts
+		var ops []msg.RegOp
+		//etxlint:allow kindswitch — trace filter: only the two kinds that carry a server's own register writes count
 		switch p := ev.Payload.(type) {
 		case msg.Propose:
-			reg = p.Reg
-		case msg.Estimate:
-			reg = p.Reg
+			ops, _ = msg.DecodeRegOps(p.Val)
+		case msg.RegOps:
+			ops = p.Ops
 		default:
 			continue
 		}
-		if reg.Array == msg.RegA && reg.RID.Seq == seq {
-			writers[ev.From] = true
+		for _, op := range ops {
+			if op.Reg.Array == msg.RegA && op.Reg.RID.Seq == seq {
+				writers[ev.From] = true
+			}
 		}
 	}
 	return len(writers)

@@ -37,7 +37,6 @@ func consensusTotals(c *Cluster, apps int) consensus.Stats {
 			total.SlotsPruned += st.SlotsPruned
 			total.CheckpointsServed += st.CheckpointsServed
 			total.CheckpointsInstalled += st.CheckpointsInstalled
-			total.Abandoned += st.Abandoned
 			total.LiveSlots = max(total.LiveSlots, st.LiveSlots)
 			total.Applied = max(total.Applied, st.Applied)
 			total.Floor = max(total.Floor, st.Floor)
@@ -258,4 +257,57 @@ func TestCohortPrimaryCrashMidBatch(t *testing.T) {
 		t.Errorf("total balance = %d, want %d (money not conserved across the crash)", total, accounts*1000)
 	}
 	mustOracle(t, c)
+}
+
+// TestPaperExactWritesRideOneSlotEach: on the zero Tuning every register
+// write still rides the cohort sequencer, in a slot of its own — the paper's
+// one consensus instance per write as a point of the one register path.
+// Every instance is a decided slot carrying one write, a commit costs
+// exactly two proposals, and the balances and the A.1 oracle hold.
+func TestPaperExactWritesRideOneSlotEach(t *testing.T) {
+	const requests, accounts = 24, 4
+	accts := make([]string, accounts)
+	var seed []kv.Write
+	for i := range accts {
+		accts[i] = fmt.Sprintf("pe%02d", i)
+		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(100)})
+	}
+	cfg := Config{Shards: 1, Logic: transferKeyed(), Seed: seed}
+	fastKnobs(&cfg)
+	// A patient client and a slow detector: only the primary writes
+	// registers, so no retry or cleaner adds a proposal.
+	cfg.ClientBackoff, cfg.ClientRebroadcast = 10*time.Second, 10*time.Second
+	cfg.SuspectTimeout = 5 * time.Second
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	// Every account pays one and receives one per round of transfers.
+	for a, bal := range runCohortWorkload(t, c, accts, requests, 1) {
+		if bal != 100 {
+			t.Errorf("balance of %s = %d, want 100", a, bal)
+		}
+	}
+	mustOracle(t, c)
+
+	total := consensusTotals(c, 3)
+	if total.Proposes != 2*requests {
+		t.Fatalf("%d proposals for %d commits, want exactly 2.00 per commit", total.Proposes, requests)
+	}
+	for i := 1; i <= 3; i++ {
+		var st consensus.Stats
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st = c.App(i).ConsensusStats(); st.Applied >= total.Proposes || time.Now().After(deadline) {
+				break
+			}
+		}
+		// Each proposal decided a slot of its own, each slot decided one
+		// register, and no instance ran for anything but a decided slot.
+		if st.Applied != total.Proposes || st.BatchOps != total.Proposes || st.Instances > st.Applied {
+			t.Errorf("app %d: %s; want %d slots applied, one register each, and no other instance",
+				i, st, total.Proposes)
+		}
+	}
 }

@@ -110,7 +110,7 @@ func TestFastPathCountsAndStats(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	n0 := r.nodes[r.peers[0]]
-	if _, err := n0.Propose(ctx, regKey(msg.RegA, 1), []byte("v")); err != nil {
+	if _, err := n0.Propose(ctx, msg.SlotKey(1), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	st := n0.Stats()
@@ -136,7 +136,7 @@ func TestEventDrivenSuspicionWakeup(t *testing.T) {
 	defer cancel()
 	done := make(chan []byte, 1)
 	go func() {
-		v, err := r.nodes[r.peers[1]].Propose(ctx, regKey(msg.RegD, 1), []byte("survivor"))
+		v, err := r.nodes[r.peers[1]].Propose(ctx, msg.SlotKey(1), []byte("survivor"))
 		if err != nil {
 			t.Error(err)
 		}
@@ -183,7 +183,7 @@ func TestSurvivesDroppedMessages(t *testing.T) {
 	for _, p := range []id.NodeID{r.peers[0], r.peers[1]} {
 		p := p
 		go func() {
-			v, err := r.nodes[p].Propose(ctx, regKey(msg.RegA, 1), []byte(p.String()))
+			v, err := r.nodes[p].Propose(ctx, msg.SlotKey(1), []byte(p.String()))
 			if err != nil {
 				t.Errorf("%v: %v", p, err)
 			}

@@ -5,18 +5,18 @@
 // consensus protocol, e.g. [4]").
 //
 // One Node runs on each application server and multiplexes any number of
-// independent consensus instances, keyed by msg.RegKey. Two keyspaces exist:
-//
-//   - Register instances (regA[j]/regD[j]): one instance per wo-register,
-//     the paper's original one-instance-per-write discipline.
-//   - Batch-log slots (msg.SlotKey(n)): cohort consensus. The decided value
-//     of slot n is an ordered batch of register operations (msg.RegOp); every
-//     node applies decided slots strictly in slot order, deciding each named
-//     register with the first value written to it across the whole slot
-//     sequence. Because application order is the agreed slot order, the
-//     first-write-wins outcome of every register is identical on every node
-//     — batch consensus preserves wo-register semantics exactly, while one
-//     instance commits a whole cohort of writes.
+// independent consensus instances, one per slot of a shared batch log
+// (msg.SlotKey(n)) — the only keyspace. The decided value of slot n is an
+// ordered batch of register operations (msg.RegOp); every node applies
+// decided slots strictly in slot order, deciding each named register
+// (regA[j]/regD[j]) with the first value written to it across the whole slot
+// sequence. Because application order is the agreed slot order, the
+// first-write-wins outcome of every register is identical on every node. A
+// slot carrying one op is the paper's one consensus instance per register
+// write; a slot carrying a cohort commits many writes in one instance.
+// Registers are the applied state, never instances of their own: Propose
+// refuses a register key, and a register-keyed Estimate, Propose, CAck or
+// CNack is dropped.
 //
 // The algorithm per instance is the classic one from Chandra & Toueg,
 // "Unreliable failure detectors for reliable distributed systems"
@@ -55,9 +55,8 @@
 //   - Round-1 coordinator fast path: no value can carry a timestamp above 0
 //     before round 1, so the round-1 coordinator skips phase 1 and proposes
 //     its own estimate immediately — the failure-free write is a true single
-//     round trip, as the paper's analysis assumes. For batch-log slots the
-//     fast-path proposal additionally merges any round-1 estimates already
-//     in hand (all timestamps 0, so the union of proposed batches is as
+//     round trip, as the paper's analysis assumes. The fast-path proposal
+//     additionally merges any round-1 estimates already in hand (all timestamps 0, so the union of proposed batches is as
 //     valid a proposal as any single one), which folds a concurrent
 //     proposer's cohort into the slot instead of forcing it to retry.
 //   - Event-driven waits: a blocked phase sleeps until a message arrives
@@ -172,9 +171,10 @@ func (c Config) validate() error {
 // ErrStopped is returned by Propose when the node shuts down mid-wait.
 var ErrStopped = errors.New("consensus: node stopped")
 
-// ErrAbandoned is returned by Propose when the instance was discarded by
-// Abandon (request retirement) before it decided.
-var ErrAbandoned = errors.New("consensus: instance abandoned")
+// ErrNotSlot is returned by Propose for a key that is not a batch-log slot:
+// registers are decided by the slots that carry them, never by an instance
+// of their own.
+var ErrNotSlot = errors.New("consensus: not a batch-log slot")
 
 // ErrSlotTruncated is returned by Propose for a batch-log slot at or below
 // the local truncation floor: the slot is applied history, and proposing
@@ -197,11 +197,10 @@ type Counters struct {
 	BatchOps  metrics.Counter // register ops decided through applied slots
 	Resends   metrics.Counter // safety-net retransmissions from blocked phases
 
-	SlotsPruned    metrics.Counter // batch-log slots truncated below the floor
-	CkptServed     metrics.Counter // checkpoint answers sent to laggards
-	CkptInstalled  metrics.Counter // checkpoints installed (fast-forwards taken)
-	LiveSlots      metrics.Gauge   // decided batch-log slots currently held
-	AbandonedInsts metrics.Counter // undecided instances discarded by Abandon
+	SlotsPruned   metrics.Counter // batch-log slots truncated below the floor
+	CkptServed    metrics.Counter // checkpoint answers sent to laggards
+	CkptInstalled metrics.Counter // checkpoints installed (fast-forwards taken)
+	LiveSlots     metrics.Gauge   // decided batch-log slots currently held
 }
 
 // Stats is a point-in-time snapshot of a node's counters. LiveSlots, Applied
@@ -218,7 +217,6 @@ type Stats struct {
 	SlotsPruned          uint64
 	CheckpointsServed    uint64
 	CheckpointsInstalled uint64
-	Abandoned            uint64
 	LiveSlots            uint64 // gauge: decided batch-log slots held right now
 	Applied              uint64 // gauge: highest batch-log slot applied (nextApply-1)
 	Floor                uint64 // gauge: highest batch-log slot truncated
@@ -239,7 +237,6 @@ func (s Stats) Sub(base Stats) Stats {
 		SlotsPruned:          s.SlotsPruned - base.SlotsPruned,
 		CheckpointsServed:    s.CheckpointsServed - base.CheckpointsServed,
 		CheckpointsInstalled: s.CheckpointsInstalled - base.CheckpointsInstalled,
-		Abandoned:            s.Abandoned - base.Abandoned,
 		LiveSlots:            s.LiveSlots,
 		Applied:              s.Applied,
 		Floor:                s.Floor,
@@ -279,9 +276,10 @@ type Node struct {
 
 	mu        sync.Mutex
 	stopped   bool                         // guarded by mu
-	instances map[msg.RegKey]*instance     // guarded by mu
-	decided   map[msg.RegKey][]byte        // guarded by mu
-	subs      map[msg.RegKey][]chan []byte // guarded by mu
+	instances map[uint64]*instance         // guarded by mu: live slot instances
+	slots     map[uint64][]byte            // guarded by mu: decided slots
+	regs      map[msg.RegKey][]byte        // guarded by mu: decided registers
+	subs      map[msg.RegKey][]chan []byte // guarded by mu: register watchers
 
 	// Batch-log application state: decided slots are applied strictly in
 	// slot order; nextApply is the first unapplied slot.
@@ -341,8 +339,9 @@ func New(cfg Config) (*Node, error) {
 		poll:      cfg.Poll,
 		ctx:       ctx,
 		cancel:    cancel,
-		instances: make(map[msg.RegKey]*instance),
-		decided:   make(map[msg.RegKey][]byte),
+		instances: make(map[uint64]*instance),
+		slots:     make(map[uint64][]byte),
+		regs:      make(map[msg.RegKey][]byte),
 		subs:      make(map[msg.RegKey][]chan []byte),
 		nextApply: 1,
 		peerWM:    make(map[id.NodeID]uint64, len(cfg.Peers)),
@@ -416,7 +415,6 @@ func (n *Node) Stats() Stats {
 		SlotsPruned:          n.counters.SlotsPruned.Load(),
 		CheckpointsServed:    n.counters.CkptServed.Load(),
 		CheckpointsInstalled: n.counters.CkptInstalled.Load(),
-		Abandoned:            n.counters.AbandonedInsts.Load(),
 		LiveSlots:            uint64(live),
 		Applied:              n.appliedWM.Load(),
 		Floor:                floor,
@@ -436,22 +434,25 @@ func (n *Node) Floor() uint64 {
 	return n.floor
 }
 
-// Propose submits val for the instance key and blocks until that instance
+// Propose submits val for batch-log slot key and blocks until the slot
 // decides (returning the decided value, which may differ from val), the
-// caller's ctx is cancelled, or the node stops.
+// caller's ctx is cancelled, or the node stops. Any other key is refused
+// with ErrNotSlot.
 func (n *Node) Propose(ctx context.Context, key msg.RegKey, val []byte) ([]byte, error) {
-	if v, ok := n.Decided(key); ok {
+	if key.Array != msg.RegBatch {
+		return nil, fmt.Errorf("propose %s: %w", key, ErrNotSlot)
+	}
+	n.mu.Lock()
+	v, decided := n.slots[key.Slot]
+	truncated := key.Slot <= n.floor
+	n.mu.Unlock()
+	if decided {
 		return v, nil
 	}
-	if key.Array == msg.RegBatch {
-		n.mu.Lock()
-		truncated := key.Slot <= n.floor
-		n.mu.Unlock()
-		if truncated {
-			return nil, fmt.Errorf("propose %s: %w", key, ErrSlotTruncated)
-		}
+	if truncated {
+		return nil, fmt.Errorf("propose %s: %w", key, ErrSlotTruncated)
 	}
-	inst := n.getInstance(key, true)
+	inst := n.getInstance(key)
 	if inst == nil {
 		// Decided between the check and instance creation.
 		if v, ok := n.Decided(key); ok {
@@ -463,9 +464,6 @@ func (n *Node) Propose(ctx context.Context, key msg.RegKey, val []byte) ([]byte,
 	inst.propose(val)
 	select {
 	case <-inst.done:
-		if inst.result == nil {
-			return nil, fmt.Errorf("propose %s: %w", key, ErrAbandoned)
-		}
 		return inst.result, nil
 	case <-ctx.Done():
 		return nil, fmt.Errorf("consensus: propose %s: %w", key, ctx.Err())
@@ -474,24 +472,28 @@ func (n *Node) Propose(ctx context.Context, key msg.RegKey, val []byte) ([]byte,
 	}
 }
 
-// Decided returns the decided value of an instance, if any. It implements
-// the weak read of the paper's wo-register: it may lag behind a decision made
-// elsewhere — the coordinator's broadcast, or the pull of a node it missed,
-// brings it here.
+// Decided returns the decided value of a register or a slot, if any. It
+// implements the weak read of the paper's wo-register: it may lag behind a
+// decision made elsewhere — the coordinator's broadcast, or the pull of a
+// node it missed, brings it here.
 func (n *Node) Decided(key msg.RegKey) ([]byte, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	v, ok := n.decided[key]
+	if key.Array == msg.RegBatch {
+		v, ok := n.slots[key.Slot]
+		return v, ok
+	}
+	v, ok := n.regs[key]
 	return v, ok
 }
 
-// Watch returns a channel that receives the decided value of key (buffered;
-// at most one send). If the instance already decided, the value is delivered
-// immediately.
+// Watch returns a channel that receives the decided value of register key
+// (buffered; at most one send). If the register already decided, the value
+// is delivered immediately.
 func (n *Node) Watch(key msg.RegKey) <-chan []byte {
 	ch := make(chan []byte, 1)
 	n.mu.Lock()
-	if v, ok := n.decided[key]; ok {
+	if v, ok := n.regs[key]; ok {
 		n.mu.Unlock()
 		ch <- v
 		return ch
@@ -501,27 +503,12 @@ func (n *Node) Watch(key msg.RegKey) <-chan []byte {
 	return ch
 }
 
-// Forget discards the decided value of an instance, freeing its memory.
-// This implements the garbage collection the paper defers in Section 5: it
-// is only safe once the client can no longer retransmit the corresponding
+// Abandon discards a register: its decided value and any watchers. This
+// implements the garbage collection the paper defers in Section 5: it is
+// only safe once the client can no longer retransmit the corresponding
 // request (the at-most-once guarantee is conditioned on exactly that, as the
-// paper notes). Forgetting an undecided instance is a no-op; use Abandon to
-// also discard in-flight instance state.
-func (n *Node) Forget(key msg.RegKey) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.decided, key)
-}
-
-// Abandon discards every trace of a register instance: the decided value (as
-// Forget), any undecided in-flight instance, and any watchers. Retirement
-// must use this rather than Forget: a register whose proposer crashed between
-// propose and decide never decides, so its instance (and its watch
-// subscriptions) would otherwise sit in the node's maps forever. The same
-// safety condition applies — the client must be past retransmitting — and
-// under it nobody is waiting on the abandoned instance; a straggling Propose
-// caller gets ErrAbandoned. Batch-log slots are never abandoned (their
-// lifecycle is the watermark protocol's).
+// paper notes), and under it nobody is waiting on the register. Slots are
+// never abandoned (their lifecycle is the watermark protocol's).
 //
 // Known (inherited) race: a CDecision for the retired register still in
 // flight at Abandon time re-records it on arrival — a forgotten key is
@@ -529,23 +516,12 @@ func (n *Node) Forget(key msg.RegKey) {
 // what laggard help depends on. The leak is one entry per such message, and
 // the window is the transport's in-flight horizon, not the request lifetime;
 // distinguishing the cases would take tombstones, i.e. the memory this call
-// exists to free. Forget had the same window.
+// exists to free.
 func (n *Node) Abandon(key msg.RegKey) {
-	if key.Array == msg.RegBatch {
-		return
-	}
 	n.mu.Lock()
-	delete(n.decided, key)
-	inst := n.instances[key]
-	delete(n.instances, key)
+	defer n.mu.Unlock()
+	delete(n.regs, key)
 	delete(n.subs, key)
-	n.mu.Unlock()
-	if inst != nil {
-		n.counters.AbandonedInsts.Inc()
-		// A nil result marks abandonment: the run goroutine drains out and
-		// exits, and Propose waiters resolve with ErrAbandoned.
-		inst.finish(nil)
-	}
 }
 
 // LowestUndecidedSlot returns the lowest batch-log slot this node has no
@@ -558,43 +534,31 @@ func (n *Node) LowestUndecidedSlot() uint64 {
 	defer n.mu.Unlock()
 	s := n.nextApply
 	for {
-		if _, ok := n.decided[msg.SlotKey(s)]; !ok {
+		if _, ok := n.slots[s]; !ok {
 			return s
 		}
 		s++
 	}
 }
 
-// Keys returns every register key this node has ever seen (decided or in
-// flight), excluding batch-log slots. The cleaning thread scans this in
-// place of the paper's unbounded register-array walk.
+// Keys returns every register this node holds a decision for. The cleaning
+// thread scans this in place of the paper's unbounded register-array walk.
 func (n *Node) Keys() []msg.RegKey {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]msg.RegKey, 0, len(n.decided)+len(n.instances))
-	seen := make(map[msg.RegKey]bool, len(n.decided))
-	for k := range n.decided {
-		if k.Array == msg.RegBatch {
-			continue
-		}
-		out = append(out, k)
-		seen[k] = true
-	}
-	for k := range n.instances {
-		if k.Array == msg.RegBatch || seen[k] {
-			continue
-		}
+	out := make([]msg.RegKey, 0, len(n.regs))
+	for k := range n.regs {
 		out = append(out, k)
 	}
 	return out
 }
 
-// InstanceState reports the live round and coordinator of an undecided
-// instance (liveness diagnostics: DebugTry uses it to show where a stuck
-// register write is blocked). ok is false when no instance is running.
-func (n *Node) InstanceState(key msg.RegKey) (round uint32, coord id.NodeID, ok bool) {
+// InstanceState reports the live round and coordinator of an undecided slot
+// (liveness diagnostics: DebugTry uses it to show where a stuck register
+// write is blocked). ok is false when no instance is running.
+func (n *Node) InstanceState(slot uint64) (round uint32, coord id.NodeID, ok bool) {
 	n.mu.Lock()
-	inst := n.instances[key]
+	inst := n.instances[slot]
 	n.mu.Unlock()
 	if inst == nil {
 		return 0, id.NodeID{}, false
@@ -708,22 +672,25 @@ func (n *Node) gcLocked() {
 	if min <= uint64(n.cfg.RetainSlots) {
 		return
 	}
-	newFloor := min - uint64(n.cfg.RetainSlots)
-	if newFloor <= n.floor {
+	n.pruneLocked(min - uint64(n.cfg.RetainSlots))
+}
+
+// pruneLocked drops every decided slot at or below to and raises the floor
+// there; a floor already at or above to stays. Caller holds n.mu.
+func (n *Node) pruneLocked(to uint64) {
+	if to <= n.floor {
 		return
 	}
 	var pruned uint64
-	for s := n.floor + 1; s <= newFloor; s++ {
-		if _, ok := n.decided[msg.SlotKey(s)]; ok {
-			delete(n.decided, msg.SlotKey(s))
-			n.counters.LiveSlots.Dec()
+	for s := n.floor + 1; s <= to; s++ {
+		if _, ok := n.slots[s]; ok {
+			delete(n.slots, s)
 			pruned++
 		}
 	}
-	n.floor = newFloor
-	if pruned > 0 {
-		n.counters.SlotsPruned.Add(pruned)
-	}
+	n.floor = to
+	n.counters.LiveSlots.Add(-int64(pruned))
+	n.counters.SlotsPruned.Add(pruned)
 }
 
 // checkpointLocked assembles the state-transfer answer for a pruned slot:
@@ -741,12 +708,8 @@ func (n *Node) checkpointLocked() msg.Checkpoint {
 	if n.ckptCache != nil && n.ckptCacheFloor == n.floor {
 		return *n.ckptCache
 	}
-	ck := msg.Checkpoint{Floor: n.floor}
-	ck.Regs = make([]msg.RegOp, 0, len(n.decided))
-	for k, v := range n.decided {
-		if k.Array == msg.RegBatch {
-			continue
-		}
+	ck := msg.Checkpoint{Floor: n.floor, Regs: make([]msg.RegOp, 0, len(n.regs))}
+	for k, v := range n.regs {
 		ck.Regs = append(ck.Regs, msg.RegOp{Reg: k, Val: v})
 	}
 	n.ckptCache, n.ckptCacheFloor = &ck, n.floor
@@ -768,46 +731,20 @@ func (n *Node) installCheckpoint(m msg.Checkpoint) {
 	}
 	var effects []decideEffect
 	for _, op := range m.Regs {
-		if op.Reg.Array == msg.RegBatch {
-			continue // structurally excluded by the codec; belt and braces
-		}
-		if _, dup := n.decided[op.Reg]; dup {
-			continue
-		}
-		n.decided[op.Reg] = op.Val
-		inst := n.instances[op.Reg]
-		subs := n.subs[op.Reg]
-		if inst == nil && len(subs) == 0 {
-			continue
-		}
-		delete(n.subs, op.Reg)
-		effects = append(effects, decideEffect{key: op.Reg, val: op.Val, inst: inst, subs: subs})
+		effects = n.decideLocked(op, effects)
 	}
 	// Drop slots we hold that are now below the floor (decided but never
 	// applied: the gap in front of them is what stranded us).
-	var pruned uint64
-	for s := n.floor + 1; s <= m.Floor; s++ {
-		if _, ok := n.decided[msg.SlotKey(s)]; ok {
-			delete(n.decided, msg.SlotKey(s))
-			n.counters.LiveSlots.Dec()
-			pruned++
-		}
-	}
-	if pruned > 0 {
-		n.counters.SlotsPruned.Add(pruned)
-	}
-	if m.Floor > n.floor {
-		n.floor = m.Floor
-	}
+	n.pruneLocked(m.Floor)
 	n.nextApply = m.Floor + 1
 	// Slot instances at or below the floor can never decide now (every
 	// up-to-date peer answers them with a checkpoint): finish them so their
 	// proposing sequencers re-enqueue the surviving ops at a live slot.
 	var stranded []*instance
-	for k, inst := range n.instances {
-		if k.Array == msg.RegBatch && k.Slot <= n.floor {
+	for s, inst := range n.instances {
+		if s <= n.floor {
 			stranded = append(stranded, inst)
-			delete(n.instances, k)
+			delete(n.instances, s)
 		}
 	}
 	effects = n.applyLocked(effects)
@@ -821,10 +758,17 @@ func (n *Node) installCheckpoint(m msg.Checkpoint) {
 	n.deliver(effects)
 }
 
+// dispatch routes a phase message to its slot's instance, answering it
+// instead when the slot is decided (decision replay) or truncated
+// (checkpoint). A message keyed by a register is dropped: registers have no
+// instances.
 func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
+	if key.Array != msg.RegBatch {
+		return
+	}
 	n.mu.Lock()
-	v, decided := n.decided[key]
-	truncated := key.Array == msg.RegBatch && key.Slot <= n.floor
+	v, decided := n.slots[key.Slot]
+	truncated := key.Slot <= n.floor
 	if k := p.Kind(); (k == msg.KindAck || k == msg.KindNack) && (decided || truncated) {
 		// A reply reaching a finished instance is a late original: the
 		// deciding coordinator's decision is already on its way to the
@@ -847,19 +791,17 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 		return
 	}
 	if decided {
-		// Help laggards: answer an estimate or proposal for a decided
-		// instance with the decision itself. For batch-log slots, replay a
-		// burst of consecutive decided slots: the asker is applying in slot
-		// order, so the successors are its next questions.
+		// Help laggards: answer an estimate or proposal for a decided slot
+		// with the decision itself, and replay a burst of consecutive
+		// decided slots: the asker is applying in slot order, so the
+		// successors are its next questions.
 		answers := []msg.CDecision{{Reg: key, Val: v}}
-		if key.Array == msg.RegBatch {
-			for s := key.Slot + 1; len(answers) < gapBurst; s++ {
-				v2, ok := n.decided[msg.SlotKey(s)]
-				if !ok {
-					break
-				}
-				answers = append(answers, msg.CDecision{Reg: msg.SlotKey(s), Val: v2})
+		for s := key.Slot + 1; len(answers) < gapBurst; s++ {
+			v2, ok := n.slots[s]
+			if !ok {
+				break
 			}
+			answers = append(answers, msg.CDecision{Reg: msg.SlotKey(s), Val: v2})
 		}
 		n.mu.Unlock()
 		for _, a := range answers {
@@ -868,15 +810,16 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 		return
 	}
 	n.mu.Unlock()
-	inst := n.getInstance(key, true)
+	inst := n.getInstance(key)
 	if inst == nil {
 		return
 	}
 	inst.inbox.Push(inMsg{from: from, p: p})
 }
 
-// decideEffect is one deferred side effect of recording a decision: waiters
-// to resolve and, when relay is set, the decision to send to every peer.
+// decideEffect is one deferred side effect of recording a decision: the
+// deciding slot instance to finish and, when relay is set, the decision to
+// send to every peer; or a register's watchers to wake.
 type decideEffect struct {
 	key   msg.RegKey
 	val   []byte
@@ -890,16 +833,21 @@ type decideEffect struct {
 // decision to every peer; a decision received from a peer (Handle) passes
 // false and is recorded only — the coordinator already sent it to every
 // other peer, and a peer it did not reach pulls it (re-ack, round r+1, or
-// the slot gap probe), so a learner never echoes. A batch-log slot decision
-// additionally triggers in-order application of every ready slot: the
-// registers named by the batches decide first-write-wins, resolving their
-// waiters, without a message of their own (the slot decision carries them).
+// the slot gap probe), so a learner never echoes. A slot decision triggers
+// in-order application of every ready slot: the registers named by the
+// batches decide first-write-wins, resolving their waiters, without a
+// message of their own (the slot decision carries them). A register
+// decision is a peer sequencer's answer to a forwarded write whose register
+// it already holds.
 func (n *Node) learn(key msg.RegKey, val []byte, relay bool) {
 	n.mu.Lock()
-	effects := n.recordLocked(key, val, relay)
+	var effects []decideEffect
 	if key.Array == msg.RegBatch {
+		effects = n.recordLocked(key, val, relay)
 		// Applying slots moved our watermark; the floor may follow.
 		n.gcLocked()
+	} else {
+		effects = n.decideLocked(msg.RegOp{Reg: key, Val: val}, nil)
 	}
 	n.mu.Unlock()
 	n.deliver(effects)
@@ -930,96 +878,87 @@ func (n *Node) deliver(effects []decideEffect) {
 	}
 }
 
-// recordLocked stores a decision and collects its deferred side effects;
-// relay asks for the decision to be sent to every peer (the deciding
-// coordinator only). A key is recorded, and so relayed, at most once.
-// Caller holds n.mu.
+// recordLocked stores a slot decision and applies every slot it makes
+// ready, collecting the deferred side effects; relay asks for the decision
+// to be sent to every peer (the deciding coordinator only). A slot is
+// recorded, and so relayed, at most once. Caller holds n.mu.
 func (n *Node) recordLocked(key msg.RegKey, val []byte, relay bool) []decideEffect {
-	if key.Array == msg.RegBatch && key.Slot <= n.floor {
+	if key.Slot <= n.floor {
 		// A straggling replay of a truncated slot (e.g. a tail-retaining
 		// peer's CDecision racing a checkpoint install): its effects are
 		// already part of the applied state; re-recording would leak the
 		// slot below the floor forever.
 		return nil
 	}
-	if _, ok := n.decided[key]; ok {
+	if _, ok := n.slots[key.Slot]; ok {
 		return nil
 	}
-	n.decided[key] = val
-	e := decideEffect{key: key, val: val, inst: n.instances[key], subs: n.subs[key], relay: relay}
-	delete(n.subs, key)
-	out := []decideEffect{e}
-	if key.Array == msg.RegBatch {
-		n.counters.LiveSlots.Inc()
-		out = n.applyLocked(out)
-	}
-	return out
+	n.slots[key.Slot] = val
+	n.counters.LiveSlots.Inc()
+	return n.applyLocked([]decideEffect{{key: key, val: val, inst: n.instances[key.Slot], relay: relay}})
 }
 
-// applyLocked applies every decided-and-ready batch-log slot in slot order,
-// appending side effects to out. Each register op decides its register
-// unless an earlier slot (or a direct per-register decision learned from a
-// peer) got there first — the first-write-wins race is resolved by the
-// agreed slot order, so every node computes the same winner. Registers
-// decided here send nothing (the slot decision carries them), so an effect
-// is only recorded when a local instance or watcher is waiting. Caller holds
-// n.mu.
+// applyLocked applies every decided-and-ready slot in slot order, appending
+// side effects to out. Each register op decides its register unless an
+// earlier slot (or a register decision learned from a peer) got there
+// first — the first-write-wins race is resolved by the agreed slot order, so
+// every node computes the same winner. Caller holds n.mu.
 func (n *Node) applyLocked(out []decideEffect) []decideEffect {
 	defer func() {
 		n.appliedWM.Store(n.nextApply - 1)
 	}()
 	for {
-		key := msg.SlotKey(n.nextApply)
-		raw, ok := n.decided[key]
+		raw, ok := n.slots[n.nextApply]
 		if !ok {
 			return out
 		}
 		if ops, err := msg.DecodeRegOps(raw); err == nil {
+			held := len(n.regs)
 			for _, op := range ops {
-				if _, dup := n.decided[op.Reg]; dup {
-					continue
-				}
-				n.decided[op.Reg] = op.Val
-				n.counters.BatchOps.Inc()
-				inst := n.instances[op.Reg]
-				subs := n.subs[op.Reg]
-				if inst == nil && len(subs) == 0 {
-					continue
-				}
-				delete(n.subs, op.Reg)
-				out = append(out, decideEffect{key: op.Reg, val: op.Val, inst: inst, subs: subs})
+				out = n.decideLocked(op, out)
 			}
+			n.counters.BatchOps.Add(uint64(len(n.regs) - held))
 		}
 		n.nextApply++
 	}
 }
 
-// getInstance returns the live instance for key, creating and starting it if
-// needed. Returns nil if the node is stopped or the key already decided
-// (when create is true the decided check must be done by the caller).
-func (n *Node) getInstance(key msg.RegKey, create bool) *instance {
+// decideLocked decides a register first-write-wins — one already decided
+// keeps its value — and appends its waiters, if any, to out. Registers
+// decided here send nothing (the slot decision carries them). Caller holds
+// n.mu.
+func (n *Node) decideLocked(op msg.RegOp, out []decideEffect) []decideEffect {
+	if _, dup := n.regs[op.Reg]; dup {
+		return out
+	}
+	n.regs[op.Reg] = op.Val
+	subs := n.subs[op.Reg]
+	if len(subs) == 0 {
+		return out
+	}
+	delete(n.subs, op.Reg)
+	return append(out, decideEffect{key: op.Reg, val: op.Val, subs: subs})
+}
+
+// getInstance returns the live instance of slot key, creating and starting
+// it if needed. Returns nil if the node is stopped or the slot is already
+// decided or truncated.
+func (n *Node) getInstance(key msg.RegKey) *instance {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if inst, ok := n.instances[key]; ok {
+	if inst, ok := n.instances[key.Slot]; ok {
 		return inst
 	}
-	if !create {
+	if _, ok := n.slots[key.Slot]; ok {
 		return nil
 	}
-	if _, ok := n.decided[key]; ok {
-		return nil
-	}
-	if key.Array == msg.RegBatch && key.Slot <= n.floor {
-		// The slot is truncated history; an instance here could try to
-		// re-litigate it (the callers check too, but the floor may have
-		// advanced since they dropped the lock).
-		return nil
-	}
-	if n.stopped {
+	if key.Slot <= n.floor || n.stopped {
+		// A truncated slot could only be re-litigated (the callers check
+		// too, but the floor may have advanced since they dropped the lock).
 		return nil
 	}
 	inst := newInstance(n, key)
-	n.instances[key] = inst
+	n.instances[key.Slot] = inst
 	n.counters.Instances.Inc()
 	n.wg.Add(1)
 	go inst.run(n.ctx)
@@ -1027,13 +966,13 @@ func (n *Node) getInstance(key msg.RegKey, create bool) *instance {
 }
 
 // forget drops inst's bookkeeping once its run goroutine exits (its memory
-// of per-round tallies is released; the decided value stays). Only inst
-// itself is removed: after Abandon the key may name another instance.
+// of per-round tallies is released; the decided value stays). A checkpoint
+// install may have dropped it already.
 func (n *Node) forget(inst *instance) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.instances[inst.key] == inst {
-		delete(n.instances, inst.key)
+	if n.instances[inst.key.Slot] == inst {
+		delete(n.instances, inst.key.Slot)
 	}
 }
 
@@ -1165,9 +1104,8 @@ func (inst *instance) finish(val []byte) {
 // self never touches the network — it goes straight into the instance's own
 // inbox, so a register write by the round-1 coordinator costs exactly one
 // network round trip, as the paper's analysis assumes. It does not go
-// through Handle: routing it by key would re-create the instance if Abandon
-// removed it meanwhile — a zombie that retransmits for ever — and this
-// instance is the only receiver a self-send of its own could have had.
+// through Handle: this instance is the only receiver a self-send of its own
+// could have had.
 func (inst *instance) send(to id.NodeID, p msg.Payload) {
 	if to == inst.node.cfg.Self {
 		inst.inbox.Push(inMsg{from: to, p: p})
@@ -1345,10 +1283,10 @@ func (inst *instance) run(ctx context.Context) {
 		// gathering estimates: no value can be locked before round 1, so its
 		// own estimate is safe to propose directly. This is the optimization
 		// the paper's analysis assumes ("in a nice run, it takes only a round
-		// trip for the first primary to write into the register"); for a
-		// batch-log slot the fast-path proposal folds in any round-1
-		// estimates already received (all timestamps are 0, so a merged
-		// batch is as proposable as any single one). In every other case the
+		// trip for the first primary to write into the register"); the
+		// fast-path proposal folds in any round-1 estimates already
+		// received (all timestamps are 0, so a merged batch is as
+		// proposable as any single one). In every other case the
 		// estimate is broadcast to all peers — the coordinator tallies it,
 		// and it simultaneously announces the instance to passive replicas
 		// so that they join and keep every round live.
@@ -1356,10 +1294,7 @@ func (inst *instance) run(ctx context.Context) {
 		_, haveProposal := inst.proposals[r]
 		switch {
 		case c == self && r == 1:
-			proposedVal = inst.est
-			if inst.key.Array == msg.RegBatch {
-				proposedVal = mergeBatches(proposedVal, inst.estimates[r])
-			}
+			proposedVal = mergeBatches(inst.est, inst.estimates[r])
 			inst.node.counters.FastPath.Inc()
 			for _, p := range inst.node.cfg.Peers {
 				inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
@@ -1400,7 +1335,7 @@ func (inst *instance) run(ctx context.Context) {
 					}
 				}
 				proposedVal = best.val
-				if inst.key.Array == msg.RegBatch && best.ts == 0 {
+				if best.ts == 0 {
 					// No gathered estimate carries a lock (a decided value
 					// would have locked a majority, and any majority
 					// intersects ours), so the union of the proposed batches

@@ -122,9 +122,8 @@ func (r *rig) crash(p id.NodeID) {
 	}
 }
 
-func key(try uint64) msg.RegKey {
-	return msg.RegKey{Array: msg.RegD, RID: id.ResultID{Client: id.Client(1), Seq: 1, Try: try}}
-}
+// key names batch-log slot n, the only keyspace an instance runs in.
+func key(n uint64) msg.RegKey { return msg.SlotKey(n) }
 
 func TestSingleProposerDecidesOwnValue(t *testing.T) {
 	r := newRig(t, 3, transport.Options{})
@@ -335,8 +334,9 @@ func TestWatchDeliversDecision(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	n2 := r.nodes[r.peers[1]]
-	ch := n2.Watch(key(1))
-	if _, err := r.nodes[r.peers[0]].Propose(ctx, key(1), []byte("w")); err != nil {
+	reg := regKey(msg.RegD, 1)
+	ch := n2.Watch(reg)
+	if _, err := r.nodes[r.peers[0]].Propose(ctx, key(1), msg.EncodeRegOps([]msg.RegOp{{Reg: reg, Val: []byte("w")}})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -349,7 +349,7 @@ func TestWatchDeliversDecision(t *testing.T) {
 	}
 	// Watch after decision delivers immediately.
 	select {
-	case v := <-n2.Watch(key(1)):
+	case v := <-n2.Watch(reg):
 		if string(v) != "w" {
 			t.Fatalf("post-decision watch got %q", v)
 		}
@@ -366,11 +366,48 @@ func TestKeysTracksSeenInstances(t *testing.T) {
 	if len(n0.Keys()) != 0 {
 		t.Fatal("fresh node must have no keys")
 	}
-	n0.Propose(ctx, key(1), []byte("a"))
-	n0.Propose(ctx, key(2), []byte("b"))
+	for i := uint64(1); i <= 2; i++ {
+		ops := []msg.RegOp{{Reg: regKey(msg.RegA, i), Val: []byte("a")}}
+		if _, err := n0.Propose(ctx, key(i), msg.EncodeRegOps(ops)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ks := n0.Keys()
 	if len(ks) != 2 {
-		t.Fatalf("Keys() = %v, want 2 entries", ks)
+		t.Fatalf("Keys() = %v, want the 2 registers and no slot", ks)
+	}
+	// Abandon drops a decided register (retirement).
+	n0.Abandon(regKey(msg.RegA, 1))
+	if _, ok := n0.Decided(regKey(msg.RegA, 1)); ok || len(n0.Keys()) != 1 {
+		t.Fatalf("Abandon left the register behind: Keys() = %v", n0.Keys())
+	}
+}
+
+// TestRegisterKeyedMessagesCreateNoInstance: registers are decided by the
+// slots that carry them only. Propose refuses a register key, and an
+// Estimate, Propose, CAck or CNack keyed by a register starts no instance
+// and decides nothing.
+func TestRegisterKeyedMessagesCreateNoInstance(t *testing.T) {
+	r := newRig(t, 3, transport.Options{})
+	n0 := r.nodes[r.peers[0]]
+	reg := regKey(msg.RegA, 1)
+	if _, err := n0.Propose(context.Background(), reg, []byte("v")); !errors.Is(err, ErrNotSlot) {
+		t.Fatalf("Propose on %s returned %v, want ErrNotSlot", reg, err)
+	}
+	from := r.peers[1]
+	for _, p := range []msg.Payload{
+		msg.Estimate{Reg: reg, Round: 1, Est: []byte("v")},
+		msg.Propose{Reg: reg, Round: 1, Val: []byte("v")},
+		msg.CAck{Reg: reg, Round: 1},
+		msg.CNack{Reg: reg, Round: 1},
+	} {
+		n0.Handle(from, p)
+	}
+	if st := n0.Stats(); st.Instances != 0 {
+		t.Fatalf("%d instances started for register-keyed messages, want 0", st.Instances)
+	}
+	if _, ok := n0.Decided(reg); ok {
+		t.Fatal("a register-keyed message decided the register")
 	}
 }
 

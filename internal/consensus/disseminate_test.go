@@ -3,7 +3,6 @@ package consensus
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,8 +76,8 @@ func TestFailureFreeInstanceMessageCount(t *testing.T) {
 			})
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			k := regKey(msg.RegA, 1)
-			if _, err := r.nodes[coord].Propose(ctx, k, []byte("v")); err != nil {
+			k := msg.SlotKey(1)
+			if _, err := r.nodes[coord].Propose(ctx, k, msg.EncodeRegOps([]msg.RegOp{{Reg: regKey(msg.RegA, 1), Val: []byte("v")}})); err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range r.peers {
@@ -100,21 +99,23 @@ func TestFailureFreeInstanceMessageCount(t *testing.T) {
 	}
 }
 
-// watchCase is one way a watched register gets decided: by an instance of
-// its own, or as an op inside a batch-log slot.
+// watchCase is one way a watched register gets decided: as the only op of
+// its slot (the paper's one instance per write), or inside a cohort.
 type watchCase struct {
 	name string
-	inst msg.RegKey // the consensus instance the coordinator runs
+	inst msg.RegKey // the slot the coordinator runs
 	reg  msg.RegKey // the register the laggard watches
 	val  func(v string) []byte
 }
 
 func watchCases() []watchCase {
-	reg := regKey(msg.RegD, 7)
+	reg, other := regKey(msg.RegD, 7), regKey(msg.RegA, 8)
 	return []watchCase{
-		{name: "register", inst: reg, reg: reg, val: func(v string) []byte { return []byte(v) }},
-		{name: "slot", inst: msg.SlotKey(1), reg: reg, val: func(v string) []byte {
+		{name: "register", inst: msg.SlotKey(1), reg: reg, val: func(v string) []byte {
 			return msg.EncodeRegOps([]msg.RegOp{{Reg: reg, Val: []byte(v)}})
+		}},
+		{name: "slot", inst: msg.SlotKey(1), reg: reg, val: func(v string) []byte {
+			return msg.EncodeRegOps([]msg.RegOp{{Reg: other, Val: []byte(v)}, {Reg: reg, Val: []byte(v)}})
 		}},
 	}
 }
@@ -225,7 +226,7 @@ func TestWatchWithoutInstancePullsThroughGapProbe(t *testing.T) {
 	if _, err := r.nodes[coord].Propose(ctx, first, msg.EncodeRegOps([]msg.RegOp{{Reg: reg, Val: []byte("v")}})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := r.nodes[laggard].InstanceState(first); ok {
+	if _, _, ok := r.nodes[laggard].InstanceState(first.Slot); ok {
 		t.Fatal("the laggard has an instance for the slot: test premise broken")
 	}
 	if _, err := r.nodes[coord].Propose(ctx, msg.SlotKey(2), msg.EncodeRegOps([]msg.RegOp{{Reg: regKey(msg.RegD, 2), Val: []byte("w")}})); err != nil {
@@ -275,54 +276,5 @@ func TestDecisionSentBeforeProposeReturns(t *testing.T) {
 	}
 	for _, p := range r.peers {
 		waitApplied(t, r.nodes[p], 1)
-	}
-}
-
-// TestAbandonedInstanceIsNotRecreated pins the retransmission that used to
-// resurrect an abandoned instance. The hook parks the instance's run
-// goroutine in the middle of its estimate broadcast; Abandon then removes
-// the instance; once released, the broadcast reaches the instance's own
-// node. That self-send must not create a fresh instance for the key: the
-// zombie would retransmit for ever, and could even decide a retired
-// register.
-func TestAbandonedInstanceIsNotRecreated(t *testing.T) {
-	r := newRig(t, 3, transport.Options{})
-	p := r.peers[2] // not the round-1 coordinator: it broadcasts estimates, peers[0] first
-	r.net.Partition([]id.NodeID{p}, []id.NodeID{r.peers[0], r.peers[1]})
-	k := regKey(msg.RegA, 1)
-
-	parked, released, release := parkHook(t)
-	var once atomic.Bool
-	r.setHook(func(from, to id.NodeID, pl msg.Payload) bool {
-		if _, ok := pl.(msg.Estimate); ok && from == p && once.CompareAndSwap(false, true) {
-			close(parked)
-			<-released
-		}
-		return false
-	})
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := r.nodes[p].Propose(context.Background(), k, []byte("stuck"))
-		errCh <- err
-	}()
-	select {
-	case <-parked:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the instance never broadcast an estimate")
-	}
-	r.nodes[p].Abandon(k)
-	if err := <-errCh; !errors.Is(err, ErrAbandoned) {
-		t.Fatalf("Propose returned %v, want ErrAbandoned", err)
-	}
-	release()
-
-	// Give the released goroutine ample time to finish its broadcast (and a
-	// zombie time to announce itself), then look.
-	time.Sleep(50 * time.Millisecond)
-	if st := r.nodes[p].Stats(); st.Instances != 1 {
-		t.Fatalf("%d instances started for one Propose: the abandoned instance was recreated", st.Instances)
-	}
-	if _, _, ok := r.nodes[p].InstanceState(k); ok {
-		t.Fatal("instance survived Abandon")
 	}
 }

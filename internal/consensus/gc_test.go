@@ -300,67 +300,6 @@ func TestQuiescentCatchUpBeyondOneBurst(t *testing.T) {
 	}
 }
 
-// TestAbandonReleasesUndecidedInstance: an instance that can never decide
-// (its quorum is gone) is discarded by Abandon — the retirement path — and
-// its Propose caller resolves with ErrAbandoned.
-func TestAbandonReleasesUndecidedInstance(t *testing.T) {
-	r := newRig(t, 3, transport.Options{})
-	p := r.peers[0]
-	r.net.Partition([]id.NodeID{p}, []id.NodeID{r.peers[1], r.peers[2]})
-
-	k := regKey(msg.RegA, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := r.nodes[p].Propose(context.Background(), k, []byte("stuck"))
-		errCh <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, ok := r.nodes[p].InstanceState(k); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("instance never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	r.nodes[p].Abandon(k)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrAbandoned) {
-			t.Fatalf("Propose returned %v, want ErrAbandoned", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Propose never unblocked after Abandon")
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if _, _, ok := r.nodes[p].InstanceState(k); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("instance survived Abandon")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := r.nodes[p].Stats(); st.Abandoned != 1 {
-		t.Errorf("Abandoned = %d, want 1", st.Abandoned)
-	}
-	// Abandon also drops a decided value (the Forget half of retirement).
-	r.net.Heal()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	k2 := regKey(msg.RegA, 2)
-	if _, err := r.nodes[p].Propose(ctx, k2, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	r.nodes[p].Abandon(k2)
-	if _, ok := r.nodes[p].Decided(k2); ok {
-		t.Error("decided value survived Abandon")
-	}
-}
-
 // TestProposeBelowFloorRejected: the sequencer contract — proposing at or
 // below the truncation floor is refused, never re-decided.
 func TestProposeBelowFloorRejected(t *testing.T) {

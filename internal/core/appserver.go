@@ -105,23 +105,23 @@ type AppServerConfig struct {
 	// AdaptiveWindows and RetainSlots are knobs every process of a
 	// deployment must agree on; deploy.Tuning documents them and is where
 	// they are normally set. AdaptiveWindows is the one batching switch: it
-	// aggregates Prepare/Decide fan-out to the same participant into Batch
-	// envelopes (a 500µs window) and lets concurrent register writes share
-	// consensus slots (a 100µs window), both capped by the sampled in-flight
-	// depth through woregister.AdaptiveCap. RetainSlots > 0 truncates decided
-	// slots behind the cluster-wide applied watermark. Both zero is the
-	// paper-exact server.
+	// sets the cap of Prepare/Decide envelopes to the same participant (a
+	// 500µs window) and of the register writes one consensus slot carries.
+	// Off, both caps are 1: every message leaves at once and every slot
+	// carries one write. On, both are woregister.AdaptiveCap(64, depth) of
+	// the sampled in-flight depth. RetainSlots > 0 truncates decided slots
+	// behind the cluster-wide applied watermark. Both zero is the paper-exact
+	// server.
 	AdaptiveWindows bool
 	RetainSlots     int
 	// Hooks carries optional instrumentation and crash injection.
 	Hooks *Hooks
 }
 
-// The application tier's adaptive point: how long an outbound envelope and a
-// fresh register cohort stay open, and the cap both widen toward.
+// The application tier's adaptive point: how long an outbound envelope stays
+// open, and the cap envelopes and register cohorts widen toward.
 const (
 	envelopeWindow = 500 * time.Microsecond
-	cohortWindow   = 100 * time.Microsecond
 	batchCap       = 64
 )
 
@@ -194,12 +194,11 @@ type AppServer struct {
 	termMu  sync.Mutex
 	terming map[id.ResultID]bool
 
-	// agg, when non-nil, batches outbound Prepare/Decide fan-out per
-	// participant (AppServerConfig.AdaptiveWindows).
+	// agg batches outbound Prepare/Decide fan-out per participant, up to the
+	// cap AppServerConfig.AdaptiveWindows sets.
 	agg *outAgg
 
-	// depthEWMA smooths the sampled in-flight depth for the adaptive
-	// windows (nil unless AdaptiveWindows).
+	// depthEWMA smooths the sampled in-flight depth the caps adapt to.
 	depthEWMA *metrics.EWMA
 
 	calls  callRouter
@@ -270,10 +269,14 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.calls.init()
+	// Off, a cap of 1 sends every message at once and proposes every write
+	// in a slot of its own: the paper's protocol.
+	maxBatch := 1
 	if cfg.AdaptiveWindows {
-		s.depthEWMA = metrics.NewEWMA(0.125)
-		s.agg = newOutAgg(cfg.Endpoint, envelopeWindow, batchCap, s.inflightDepth)
+		maxBatch = batchCap
 	}
+	s.depthEWMA = metrics.NewEWMA(0.125)
+	s.agg = newOutAgg(cfg.Endpoint, envelopeWindow, maxBatch, s.inflightDepth)
 
 	if cfg.Detector != nil {
 		s.det = cfg.Detector
@@ -312,24 +315,19 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		return nil, fmt.Errorf("core: appserver consensus: %w", err)
 	}
 	s.cons = cons
-	if cfg.AdaptiveWindows {
-		s.regs, err = woregister.NewBatched(cons, woregister.Options{
-			CohortWindow: cohortWindow,
-			MaxCohort:    batchCap,
-			Depth:        s.inflightDepth,
-			Self:         cfg.Self,
-			Peers:        cfg.AppServers,
-			Detector:     s.det,
-			Send: func(to id.NodeID, p msg.Payload) error {
-				return cfg.Endpoint.Send(msg.Envelope{To: to, Payload: p})
-			},
-		})
-		if err != nil {
-			cons.Stop()
-			return nil, fmt.Errorf("core: appserver registers: %w", err)
-		}
-	} else {
-		s.regs = woregister.New(cons)
+	s.regs, err = woregister.NewBatched(cons, woregister.Options{
+		MaxCohort: maxBatch,
+		Depth:     s.inflightDepth,
+		Self:      cfg.Self,
+		Peers:     cfg.AppServers,
+		Detector:  s.det,
+		Send: func(to id.NodeID, p msg.Payload) error {
+			return cfg.Endpoint.Send(msg.Envelope{To: to, Payload: p})
+		},
+	})
+	if err != nil {
+		cons.Stop()
+		return nil, fmt.Errorf("core: appserver registers: %w", err)
 	}
 	return s, nil
 }
@@ -363,12 +361,10 @@ func (s *AppServer) Stats() AppServerStats {
 
 // Retire drops all local state of a finished logical request: its cached
 // committed decision, the cleaning thread's dedup entries, and the registers
-// of every try up to maxTry — including undecided register instances (a try
-// whose proposer crashed between propose and decide never decides, and its
-// instance would otherwise sit in the consensus maps forever). The paper
-// leaves this garbage collection open (Section 5); it is only safe once the
-// client is known to have delivered the result and will not retransmit — the
-// ablation benchmark quantifies the memory it reclaims.
+// (and register watchers) of every try up to maxTry. The paper leaves this
+// garbage collection open (Section 5); it is only safe once the client is
+// known to have delivered the result and will not retransmit — the ablation
+// benchmark quantifies the memory it reclaims.
 func (s *AppServer) Retire(req id.RequestKey, maxTry uint64) {
 	s.commitMu.Lock()
 	delete(s.committed, req)
@@ -389,13 +385,6 @@ func (s *AppServer) Detector() fd.Detector { return s.det }
 // rounds, messages, fast-path hits, batch-log watermarks) for benchmarks and
 // diagnostics.
 func (s *AppServer) ConsensusStats() consensus.Stats { return s.cons.Stats() }
-
-// InstanceState exposes the live round and coordinator of an undecided
-// consensus instance (tests assert retirement leaves no instance behind;
-// DebugTry renders it for humans).
-func (s *AppServer) InstanceState(key msg.RegKey) (round uint32, coord id.NodeID, ok bool) {
-	return s.cons.InstanceState(key)
-}
 
 // Start launches the demultiplexer, the compute thread(s), the terminator
 // pool and the cleaning thread — the cobegin of Figure 4.
@@ -420,9 +409,7 @@ func (s *AppServer) Start() {
 // Stop terminates every goroutine of the server.
 func (s *AppServer) Stop() {
 	s.cancel()
-	if s.agg != nil {
-		s.agg.stop()
-	}
+	s.agg.stop()
 	s.computeQ.Close()
 	s.termQ.Close()
 	s.regs.Stop()
@@ -552,20 +539,16 @@ func (s *AppServer) observeNewPrimary(from id.NodeID, m msg.NewPrimary) {
 }
 
 // sendDB sends one commit-path message (Prepare/Decide) to a database
-// server, through the outbound aggregator when batching is on. On a
-// replicated deployment the boot-time shard identity recorded in dlists is
-// translated to the shard's current primary at send time, so every
-// protocol-level resend (prepare and terminate rounds tick through here)
+// server through the outbound aggregator. On a replicated deployment the
+// boot-time shard identity recorded in dlists is translated to the shard's
+// current primary at send time, so every protocol-level resend (prepare and
+// terminate rounds tick through here)
 // re-resolves routing for free after a promotion.
 func (s *AppServer) sendDB(db id.NodeID, p msg.Payload) {
 	if s.view != nil {
 		db = s.view.Current(db)
 	}
-	if s.agg != nil {
-		s.agg.send(db, p)
-		return
-	}
-	_ = s.cfg.Endpoint.Send(msg.Envelope{To: db, Payload: p})
+	s.agg.send(db, p)
 }
 
 // enqueue admits a request to the compute queue, deduplicating tries already
@@ -732,18 +715,24 @@ func (s *AppServer) creditFor(from id.NodeID, parts []id.NodeID) (id.NodeID, boo
 
 // prepare implements Figure 4's prepare(): a voting round over the try's
 // participants — the shards the business logic touched — not the whole
-// database tier. Commit requires a yes vote from every participant, each
-// from the same incarnation the business logic executed against; a Ready
-// (recovery notification) in place of a vote means the server lost its
-// branch, so the try aborts. A try that touched nothing has nothing to vote
-// on; a try confined to one shard takes the single-exchange fast path.
+// database tier, so a try confined to one shard is one Prepare/Vote
+// exchange however many database servers exist. Commit requires a yes vote
+// from every participant, each from the same incarnation the business logic
+// executed against; a Ready (recovery notification) in place of a vote means
+// the server lost its branch, so the try aborts. A try that touched nothing
+// has nothing to vote on.
 func (s *AppServer) prepare(rid id.ResultID, tx *Tx) msg.Outcome {
 	parts := tx.participants()
-	switch len(parts) {
-	case 0:
+	if len(parts) == 0 {
 		return msg.OutcomeCommit
-	case 1:
-		return s.prepareOne(rid, tx, parts[0])
+	}
+	for _, db := range parts {
+		if _, ok := tx.incarnation(db); !ok {
+			// The branch was touched but no Exec against it completed; it
+			// cannot be validated, so the try aborts before asking anyone
+			// (termination still reaches db).
+			return msg.OutcomeAbort
+		}
 	}
 
 	col := s.calls.addCollector(rid)
@@ -796,61 +785,15 @@ func (s *AppServer) prepare(rid id.ResultID, tx *Tx) msg.Outcome {
 		if a.ready || a.vote != msg.VoteYes {
 			return msg.OutcomeAbort
 		}
-		want, ok := tx.incarnation(db)
-		if !ok || a.inc != want {
-			// Either no Exec against this participant ever completed (the
-			// branch cannot be validated), or the server crashed between
-			// compute() and prepare(): its branch (and unprepared work) is
-			// gone and the vote is from a later incarnation's empty branch.
-			// Committing would lose the writes, so the try aborts and will
-			// be recomputed.
+		if want, _ := tx.incarnation(db); a.inc != want {
+			// The server crashed between compute() and prepare(): its branch
+			// (and unprepared work) is gone and the vote is from a later
+			// incarnation's empty branch. Committing would lose the writes,
+			// so the try aborts and will be recomputed.
 			return msg.OutcomeAbort
 		}
 	}
 	return msg.OutcomeCommit
-}
-
-// prepareOne is the one-shard fast path of prepare(): a single-shard try
-// skips the cross-shard vote collection entirely and runs one Prepare/Vote
-// exchange with its home shard — two messages, independent of how many
-// database servers the deployment has.
-func (s *AppServer) prepareOne(rid id.ResultID, tx *Tx, db id.NodeID) msg.Outcome {
-	want, ok := tx.incarnation(db)
-	if !ok {
-		// The branch was touched but no Exec completed; it cannot be
-		// validated, so the try aborts (termination still reaches db).
-		return msg.OutcomeAbort
-	}
-	col := s.calls.addCollector(rid)
-	defer s.calls.removeCollector(col)
-
-	send := func() {
-		s.sendDB(db, msg.Prepare{RID: rid})
-	}
-	send()
-	ticker := time.NewTicker(s.cfg.ResendInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case ev := <-col.ch:
-			if !s.answersFor(ev.from, db) {
-				break
-			}
-			switch ev.kind {
-			case evVote:
-				if ev.vote == msg.VoteYes && ev.inc == want {
-					return msg.OutcomeCommit
-				}
-				return msg.OutcomeAbort
-			case evReady:
-				return msg.OutcomeAbort
-			}
-		case <-ticker.C:
-			send()
-		case <-s.ctx.Done():
-			return msg.OutcomeAbort
-		}
-	}
 }
 
 // enqueueTerminate hands a decided try to the terminator pool, deduplicating
@@ -1065,24 +1008,27 @@ func (s *AppServer) markCleaned(rid id.ResultID) {
 func (s *AppServer) DebugTry(rid id.ResultID) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s view of %s:", s.cfg.Self, rid)
-	// Register contents, annotated with live consensus-instance state (round
-	// and coordinator) when a write is still in flight — the evidence the
-	// soak-hang diagnostics need to see where a stuck try is blocked.
-	inflight := func(key msg.RegKey) string {
-		if round, coord, ok := s.cons.InstanceState(key); ok {
-			return fmt.Sprintf("(inflight round=%d coord=%s)", round, coord)
+	// An unset register is annotated with the writes waiting in this
+	// server's sequencer and the live slot's round and coordinator — the
+	// evidence the soak-hang diagnostics need to see where a stuck try is
+	// blocked.
+	inflight := func() string {
+		out := fmt.Sprintf("(pending=%d", s.regs.Pending())
+		slot := s.cons.LowestUndecidedSlot()
+		if round, coord, ok := s.cons.InstanceState(slot); ok {
+			out += fmt.Sprintf(" slot=%d round=%d coord=%s", slot, round, coord)
 		}
-		return ""
+		return out + ")"
 	}
 	if owner, ok := s.regs.ReadA(rid); ok {
 		fmt.Fprintf(&b, " regA=%s", owner)
 	} else {
-		fmt.Fprintf(&b, " regA=unset%s", inflight(msg.RegKey{Array: msg.RegA, RID: rid}))
+		fmt.Fprintf(&b, " regA=unset%s", inflight())
 	}
 	if dec, ok := s.regs.ReadD(rid); ok {
 		fmt.Fprintf(&b, " regD=%s(participants=%v)", dec.Outcome, dec.Participants)
 	} else {
-		fmt.Fprintf(&b, " regD=unset%s", inflight(msg.RegKey{Array: msg.RegD, RID: rid}))
+		fmt.Fprintf(&b, " regD=unset%s", inflight())
 	}
 	s.pendingMu.Lock()
 	pending := s.pending[rid]
@@ -1136,6 +1082,7 @@ func wireStats(ep transport.Endpoint) (string, bool) {
 // leave as one msg.Batch envelope. The receiver serves the batch as one
 // group-commit cohort, so the window trades a little request latency for a
 // large reduction in forced log writes and per-message transport overhead.
+// With max 1 (batching off) every message leaves at once, on its own.
 type outAgg struct {
 	ep     transport.Endpoint
 	window time.Duration

@@ -13,15 +13,19 @@
 // thread scans the set of register keys the replica has seen instead of an
 // unbounded array.
 //
-// AppServerConfig.AdaptiveWindows is the one batching switch. On, the commit
-// path runs group commit end to end: application servers aggregate
-// Prepare/Decide fan-out to the same participant into msg.Batch envelopes
-// and fold concurrent register writes into shared consensus slots, database
-// servers drain their mailbox and serve those rounds through the engine's
-// batched entry points, and the stable store combines the resulting forced
-// writes into shared fsyncs. Every cap follows the server's own sampled
-// in-flight depth (EWMA-smoothed): batching collapses for a lone request and
-// widens under pipelining. Batching changes timing only, never protocol
+// AppServerConfig.AdaptiveWindows is the one batching switch, and it sets
+// caps only: the code path is the same either way. Every register write
+// rides the cohort sequencer into a consensus slot, and every Prepare/Decide
+// leaves through the outbound aggregator. Off, both caps are 1: each slot
+// carries one write — the paper's one consensus instance per write — and
+// each message leaves at once. On, the commit path runs group commit end to
+// end: application servers aggregate Prepare/Decide fan-out to the same
+// participant into msg.Batch envelopes and fold concurrent register writes
+// into shared slots, database servers drain their mailbox and serve those
+// rounds through the engine's batched entry points, and the stable store
+// combines the resulting forced writes into shared fsyncs. Every cap follows
+// the server's own sampled in-flight depth (EWMA-smoothed): batching
+// collapses for a lone request and widens under pipelining. Batching changes timing only, never protocol
 // semantics or span meaning — the messages, register writes and forced-log
 // rules are identical at every depth, and SpanPrepare and SpanCommit bound
 // the same exchanges — so off is exactly the paper's protocol and on is the
@@ -66,15 +70,17 @@
 // Memory is bounded by two garbage-collection layers, both extensions of
 // the treatment the paper defers in Section 5. Per request, Retire discards
 // the commit cache, cleaning dedup entries and both wo-registers of every
-// try — including undecided register instances, via the consensus layer's
-// Abandon — once the client is known past retransmitting. Per batch-log
-// slot (cohort consensus), AppServerConfig.RetainSlots switches on the
-// watermark protocol: every server piggybacks its applied slot watermark on
+// try (and their watchers, via the consensus layer's Abandon) once the
+// client is known past retransmitting. Per batch-log slot,
+// AppServerConfig.RetainSlots switches on the watermark protocol: every server piggybacks its applied slot watermark on
 // consensus messages and heartbeats, decided slots below the cluster-wide
 // minimum minus the retention tail are truncated, and a replica that falls
 // below the truncation floor is caught up by checkpoint state transfer
-// (msg.Checkpoint) instead of decision replay. DebugTry prints the applied
-// watermark, floor and live-slot gauge with the consensus counters.
+// (msg.Checkpoint) instead of decision replay. RetainSlots 0 keeps every
+// decided slot — with batching off, one per register write — the same
+// unbounded class as the decided registers Retire reclaims. DebugTry prints
+// the applied watermark, floor and live-slot gauge with the consensus
+// counters.
 //
 // The package's concurrency and wire conventions are machine-checked by the
 // etxlint suite (internal/lint, run via cmd/etxlint and CI's lint job):

@@ -43,16 +43,17 @@ type Tuning struct {
 	// Prepares and Decides under one forced write, and the application
 	// servers aggregate Prepare/Decide fan-out to the same participant into
 	// Batch envelopes (500µs) and fold concurrent register writes into
-	// shared cohort-consensus slots (100µs). The envelope and cohort caps
-	// follow each application server's sampled in-flight depth: one at depth
-	// 1, where a window would be pure added latency, widening toward 64
-	// under pipelining. Timing only; protocol semantics are unchanged. Off
-	// keeps one fsync, one envelope and one consensus instance per message.
+	// shared cohort-consensus slots. The envelope and cohort caps follow
+	// each application server's sampled in-flight depth: one at depth 1,
+	// where a window would be pure added latency, widening toward 64 under
+	// pipelining. Timing only; protocol semantics are unchanged. Off keeps
+	// one fsync and one envelope per message, and one register write per
+	// consensus slot.
 	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus log: decided slots below the
 	// cluster-wide applied watermark minus this tail are truncated, and a
 	// replica further behind catches up by checkpoint transfer. 0 retains
-	// every slot. Only meaningful with AdaptiveWindows.
+	// every slot — with AdaptiveWindows off, one per register write.
 	RetainSlots int
 	// Workers is the number of compute threads per application server (the
 	// paper and the default: 1); raise it for pipelined clients.

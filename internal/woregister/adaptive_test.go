@@ -10,35 +10,11 @@ import (
 	"etx/internal/msg"
 )
 
-// TestDepthOneSkipsEnrollmentHold: with a depth sampler reporting a lone
-// writer, the sequencer must head straight for the proposal instead of
-// sleeping the cohort window — an enormous window adds no latency at depth 1.
-func TestDepthOneSkipsEnrollmentHold(t *testing.T) {
-	const window = 5 * time.Second
-	r := newBatchedRig(t, window, func() int { return 1 })
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	start := time.Now()
-	w, err := r.regs[r.peers[0]].WriteA(ctx, testRID(1), id.AppServer(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if w != id.AppServer(1) {
-		t.Fatalf("winner = %v", w)
-	}
-	if elapsed >= window/2 {
-		t.Fatalf("lone write took %v against a %v window: the hold was not skipped", elapsed, window)
-	}
-}
-
 // TestDeepPipelineStillFormsCohorts: a depth sampler reporting a deep
-// pipeline keeps the enrollment hold and the widened cap, so concurrent
-// writes must still share batch slots — adaptation never degrades the
-// batching it exists to preserve.
+// pipeline widens the cap, so concurrent writes must still share batch
+// slots — adaptation never degrades the batching it exists to preserve.
 func TestDeepPipelineStillFormsCohorts(t *testing.T) {
-	r := newBatchedRig(t, 3*time.Millisecond, func() int { return 8 })
+	r := newBatchedRig(t, func() int { return 8 })
 	primary := r.regs[r.peers[0]]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

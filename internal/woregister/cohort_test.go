@@ -25,7 +25,7 @@ type batchedRig struct {
 
 // The optional depth sampler is installed on every server's sequencer
 // (core's AdaptiveWindows plumbing).
-func newBatchedRig(t *testing.T, window time.Duration, depth ...func() int) *batchedRig {
+func newBatchedRig(t *testing.T, depth ...func() int) *batchedRig {
 	t.Helper()
 	var depthFn func() int
 	if len(depth) > 0 {
@@ -60,11 +60,10 @@ func newBatchedRig(t *testing.T, window time.Duration, depth ...func() int) *bat
 			t.Fatal(err)
 		}
 		regs, err := NewBatched(node, Options{
-			CohortWindow: window,
-			Depth:        depthFn,
-			Self:         p,
-			Peers:        r.peers,
-			Detector:     det,
+			Depth:    depthFn,
+			Self:     p,
+			Peers:    r.peers,
+			Detector: det,
 			Send: func(to id.NodeID, pl msg.Payload) error {
 				return ep.Send(msg.Envelope{To: to, Payload: pl})
 			},
@@ -103,7 +102,7 @@ func newBatchedRig(t *testing.T, window time.Duration, depth ...func() int) *bat
 // cohort mixing regA and regD ops for different rids must resolve every
 // caller with its own register's outcome.
 func TestBatchedMixedCohortResolvesEveryCaller(t *testing.T) {
-	r := newBatchedRig(t, 200*time.Microsecond)
+	r := newBatchedRig(t)
 	primary := r.regs[r.peers[0]]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -187,7 +186,7 @@ func TestBatchedMixedCohortResolvesEveryCaller(t *testing.T) {
 // cohorts); exactly one value must win everywhere — the write-once
 // arbitration the whole protocol rests on.
 func TestBatchedWriteOnceAcrossReplicas(t *testing.T) {
-	r := newBatchedRig(t, 200*time.Microsecond)
+	r := newBatchedRig(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	rid := testRID(1)
@@ -227,7 +226,7 @@ func TestBatchedWriteOnceAcrossReplicas(t *testing.T) {
 // backup's forwarded writes must re-route (detector-driven) and still
 // decide.
 func TestBatchedSequencerFailover(t *testing.T) {
-	r := newBatchedRig(t, 200*time.Microsecond)
+	r := newBatchedRig(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 

@@ -14,22 +14,22 @@
 // identity of the application server executing try j, and regD[j] holds the
 // decision (result, outcome) of try j.
 //
-// # Cohort consensus
+// # The sequencer is the register
 //
-// With Options.CohortWindow set, a write no longer runs a consensus instance
-// of its own. Instead a per-server sequencer collects concurrent writes into
-// a cohort (the same window-and-cap discipline as the data tier's group
-// commit) and proposes the whole cohort as one batch-consensus slot;
-// the consensus layer applies decided slots in slot order, deciding each
-// register first-write-wins, and every caller resolves with its own
-// register's outcome. Per-register semantics are unchanged — first write
-// wins, reads observe decisions — because the slot order is agreed, so the
-// winner of any write race is the same on every replica. A server that is
-// not the preferred sequencer (the first unsuspected application server)
-// forwards its cohort there instead of contending for slots, so a saturated
-// primary folds remote writes into its own batches; consensus still
-// arbitrates safely when two servers sequence concurrently, and forwarding
-// retries re-route around a crashed sequencer.
+// A write is proposed as an op of a batch-consensus slot. A per-server
+// sequencer collects concurrent writes into a cohort of at most the cap and
+// proposes it as the next slot; the consensus layer applies decided slots in
+// slot order, deciding each register first-write-wins, and every caller
+// resolves with its own register's outcome. Per-register semantics are the
+// paper's — first write wins, reads observe decisions — because the slot
+// order is agreed, so the winner of any write race is the same on every
+// replica. With a cap of 1 (New, and core with batching off) every slot
+// carries one write: the paper's one consensus instance per write. A server
+// that is not the preferred sequencer (the first unsuspected application
+// server) forwards its pending writes there instead of contending for slots,
+// so a saturated primary folds remote writes into its own batches; consensus
+// still arbitrates safely when two servers sequence concurrently, and
+// forwarding retries re-route around a crashed sequencer.
 package woregister
 
 import (
@@ -37,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -49,30 +50,32 @@ import (
 // Registers is the pair of wo-register arrays of one application server.
 type Registers struct {
 	node *consensus.Node
-	seq  *sequencer // nil: one consensus instance per write (the paper's mode)
+	seq  *sequencer
 }
 
-// New layers the register arrays over a consensus node, one consensus
-// instance per register write (the paper's original discipline).
+// New layers the register arrays over a consensus node with a sequencer
+// that proposes every write itself, one write per slot: the paper's one
+// consensus instance per register write. Call Stop to release the sequencer
+// (it also exits when the node stops).
 func New(node *consensus.Node) *Registers {
-	return &Registers{node: node}
+	return &Registers{node: node, seq: newSequencer(node, Options{
+		MaxCohort: 1,
+		Send:      func(id.NodeID, msg.Payload) error { return nil },
+	})}
 }
 
-// Options parameterizes cohort batching (NewBatched).
+// Options parameterizes the sequencer of NewBatched.
 type Options struct {
-	// CohortWindow is how long the sequencer holds a cohort open for more
-	// writes before proposing it (under load the window is immaterial: a
-	// cohort stays open for the whole in-flight slot ahead of it). Must be
-	// > 0; a deployment that wants one instance per write uses New.
+	// CohortWindow is ignored: a cohort is whatever enrolled while the slot
+	// ahead of it was in flight. It stays for callers that still set it.
 	CohortWindow time.Duration
-	// MaxCohort caps the ops proposed in one slot. Defaults to 64.
+	// MaxCohort caps the ops proposed in one slot. Defaults to 64; 1 is the
+	// paper's one instance per write.
 	MaxCohort int
 	// Depth, when non-nil, samples the caller's in-flight pipelining depth
-	// and the sequencer adapts to it (core's AdaptiveWindows): at depth 1
-	// the enrollment hold is skipped and the cohort cap collapses to one —
-	// a lone writer has no followers worth waiting for — while deeper
-	// pipelines widen the cap toward MaxCohort. Timing only; the slot
-	// protocol itself is unchanged.
+	// and the cap adapts to it (AdaptiveCap): at depth 1 a cohort is one op
+	// — a lone writer has no followers worth waiting for — while deeper
+	// pipelines widen the cap toward MaxCohort.
 	Depth func() int
 	// Self and Peers mirror the consensus membership; Peers order selects
 	// the preferred sequencer (first unsuspected peer).
@@ -89,13 +92,10 @@ type Options struct {
 	RetryInterval time.Duration
 }
 
-// NewBatched layers the register arrays over a consensus node with cohort
-// batching: concurrent writes share batch-consensus slots. Call Stop to
-// release the sequencer.
+// NewBatched layers the register arrays over a consensus node with a
+// sequencer that forwards to the preferred sequencer among Peers. Call Stop
+// to release the sequencer.
 func NewBatched(node *consensus.Node, opts Options) (*Registers, error) {
-	if opts.CohortWindow <= 0 {
-		return nil, fmt.Errorf("woregister: CohortWindow must be positive (use New for unbatched registers)")
-	}
 	if opts.MaxCohort <= 0 {
 		opts.MaxCohort = 64
 	}
@@ -105,35 +105,31 @@ func NewBatched(node *consensus.Node, opts Options) (*Registers, error) {
 	if opts.Detector == nil || opts.Send == nil || len(opts.Peers) == 0 {
 		return nil, fmt.Errorf("woregister: batched registers need Peers, Detector and Send")
 	}
-	r := &Registers{node: node, seq: newSequencer(node, opts)}
-	return r, nil
+	return &Registers{node: node, seq: newSequencer(node, opts)}, nil
 }
 
-// Stop releases the sequencer (no-op for unbatched registers).
-func (r *Registers) Stop() {
-	if r.seq != nil {
-		r.seq.shutdown()
-	}
+// Stop releases the sequencer.
+func (r *Registers) Stop() { r.seq.shutdown() }
+
+// Pending reports how many writes wait in this server's sequencer for a
+// slot (liveness diagnostics).
+func (r *Registers) Pending() int {
+	r.seq.mu.Lock()
+	defer r.seq.mu.Unlock()
+	return len(r.seq.pending)
 }
 
 // EnqueueRemote admits a peer's forwarded register ops to this server's
 // sequencer. Ops whose registers are already decided are answered with the
 // decision instead (laggard help: the sender may have an application gap).
 func (r *Registers) EnqueueRemote(from id.NodeID, ops []msg.RegOp) {
-	if r.seq == nil {
-		return
-	}
 	r.seq.enqueueRemote(from, ops)
 }
 
-// write drives one register write: directly through a consensus instance in
-// unbatched mode, or through the cohort sequencer — registering a watch
-// first, so the caller resolves with the register's decided value no matter
-// which cohort (or which server's cohort) ends up carrying the write.
+// write drives one register write through the sequencer, registering a
+// watch first, so the caller resolves with the register's decided value no
+// matter which cohort (or which server's cohort) ends up carrying the write.
 func (r *Registers) write(ctx context.Context, key msg.RegKey, val []byte) ([]byte, error) {
-	if r.seq == nil {
-		return r.node.Propose(ctx, key, val)
-	}
 	if v, ok := r.node.Decided(key); ok {
 		return v, nil
 	}
@@ -210,10 +206,10 @@ func (r *Registers) ReadD(rid id.ResultID) (msg.Decision, bool) {
 	return d, true
 }
 
-// KnownTries returns every try for which this replica has seen regA activity
-// (a local or remote write, decided or in flight). The cleaning thread scans
-// this set in place of the paper's infinite register-array walk; the sets
-// coincide on every decided entry, which is all the paper's scan can act on.
+// KnownTries returns every try whose regA this replica holds a decision for.
+// The cleaning thread scans this set in place of the paper's infinite
+// register-array walk; the sets coincide on every decided entry, which is
+// all the paper's scan can act on.
 func (r *Registers) KnownTries() []id.ResultID {
 	keys := r.node.Keys()
 	out := make([]id.ResultID, 0, len(keys))
@@ -225,12 +221,9 @@ func (r *Registers) KnownTries() []id.ResultID {
 	return out
 }
 
-// Retire discards both registers of a try (regA[rid] and regD[rid]),
-// implementing the paper's deferred garbage-collection concern — including
-// any undecided consensus instance of either register: a try whose proposer
-// crashed between propose and decide never decides, and without the Abandon
-// path its instance (and watch subscriptions) would outlive the request
-// forever. Callers must guarantee the client will never retransmit the
+// Retire discards both registers of a try (regA[rid] and regD[rid]) and
+// their watchers, implementing the paper's deferred garbage-collection
+// concern. Callers must guarantee the client will never retransmit the
 // request again.
 func (r *Registers) Retire(rid id.ResultID) {
 	r.node.Abandon(msg.RegKey{Array: msg.RegA, RID: rid})
@@ -238,10 +231,6 @@ func (r *Registers) Retire(rid id.ResultID) {
 }
 
 // --- cohort sequencer --------------------------------------------------
-
-// minTimedWindow is the smallest cohort window the sequencer honours with a
-// real timer wait; see the flush-immediately note in run.
-const minTimedWindow = 2 * time.Millisecond
 
 // sequencer collects concurrent register writes into cohorts and drives them
 // through batch-consensus slots. One goroutine runs per server; at most one
@@ -314,16 +303,12 @@ func (s *sequencer) enqueueRemote(from id.NodeID, ops []msg.RegOp) {
 	}
 }
 
-// take claims up to MaxCohort still-undecided pending ops, preserving
-// arrival order. Decided ops are dropped (their waiters resolved through the
+// take claims up to limit still-undecided pending ops, preserving arrival
+// order. Decided ops are dropped (their waiters resolved through the
 // register's decision).
-func (s *sequencer) take() []msg.RegOp {
+func (s *sequencer) take(limit int) []msg.RegOp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	max := s.opts.MaxCohort
-	if s.opts.Depth != nil {
-		max = AdaptiveCap(max, s.opts.Depth())
-	}
 	var batch []msg.RegOp
 	kept := s.pending[:0]
 	for _, op := range s.pending {
@@ -331,7 +316,7 @@ func (s *sequencer) take() []msg.RegOp {
 			delete(s.member, op.Reg)
 			continue
 		}
-		if len(batch) < max {
+		if len(batch) < limit {
 			batch = append(batch, op)
 		} else {
 			kept = append(kept, op)
@@ -339,6 +324,15 @@ func (s *sequencer) take() []msg.RegOp {
 	}
 	s.pending = kept
 	return batch
+}
+
+// slotCap is the most ops one slot carries: MaxCohort, adapted to the
+// sampled depth when a sampler is installed.
+func (s *sequencer) slotCap() int {
+	if s.opts.Depth == nil {
+		return s.opts.MaxCohort
+	}
+	return AdaptiveCap(s.opts.MaxCohort, s.opts.Depth())
 }
 
 // AdaptiveCap sizes a batch cap to the observed in-flight depth: depth 1
@@ -394,23 +388,11 @@ func (s *sequencer) chooseSequencer() id.NodeID {
 	return s.opts.Self
 }
 
-// sleep waits d or until shutdown; returns false on shutdown.
-func (s *sequencer) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-s.ctx.Done():
-		return false
-	}
-}
-
-// run is the sequencer loop. A fresh cohort holds the window open for
-// followers; a cohort drained right after a slot decision flushes
-// immediately (the in-flight slot was its window). Forwarded cohorts stay
+// run is the sequencer loop. Writes that arrive while a slot is in flight
+// enroll in the next cohort, so under load the slot ahead of a cohort is its
+// window and an idle write is proposed at once. Forwarded cohorts stay
 // pending until their registers decide, re-sent (to a freshly chosen target)
-// every RetryInterval.
+// every RetryInterval. The loop ends with Stop or with the node.
 func (s *sequencer) run() {
 	defer s.wg.Done()
 	for {
@@ -422,28 +404,16 @@ func (s *sequencer) run() {
 			case <-s.wake:
 			case <-s.ctx.Done():
 				return
-			}
-			// First write of a fresh cohort: hold enrollment open. Sub-tick
-			// windows flush immediately instead — a sleep below the kernel
-			// timer tick overshoots to a millisecond, costing an idle
-			// write that latency for followers that are not coming; under
-			// load the in-flight slot ahead of a cohort is the effective
-			// window regardless of the configured magnitude.
-			// With a depth sampler installed, a lone writer (depth <= 1)
-			// skips the hold entirely: no follower is coming, so the window
-			// would be pure added latency.
-			hold := s.opts.CohortWindow >= minTimedWindow &&
-				(s.opts.Depth == nil || s.opts.Depth() > 1)
-			if hold && !s.sleep(s.opts.CohortWindow) {
+			case <-s.node.Done():
 				return
 			}
 		}
-		batch := s.take()
-		if len(batch) == 0 {
-			continue
-		}
 		target := s.chooseSequencer()
 		if target == s.opts.Self {
+			batch := s.take(s.slotCap())
+			if len(batch) == 0 {
+				continue
+			}
 			// LowestUndecidedSlot is always above the local truncation
 			// floor (the floor only covers applied slots), so the
 			// sequencer never proposes into truncated history. If a
@@ -456,18 +426,23 @@ func (s *sequencer) run() {
 				if errors.Is(err, consensus.ErrStopped) || s.ctx.Err() != nil {
 					return // shutting down
 				}
-				// Truncation race (or abandonment): re-pick a slot.
+				// Truncation race: re-pick a slot.
 			}
 			// Ops that lost the slot to a concurrent proposer re-enter the
 			// pool and ride the next one.
 			s.requeue(batch)
 			continue
 		}
-		// Not the preferred sequencer: forward the cohort and wait for its
-		// registers to decide (the slot coordinator's decision), for new
-		// local writes, or for the retry timer — whichever first. A retry
-		// also pulls: the target answers already-decided ops with their
-		// decision (enqueueRemote), which a missed slot decision needs.
+		// Not the preferred sequencer: forward every pending op (the target
+		// caps its own slots) and wait for the registers to decide (the slot
+		// coordinator's decision), for new local writes, or for the retry
+		// timer — whichever first. A retry also pulls: the target answers
+		// already-decided ops with their decision (enqueueRemote), which a
+		// missed slot decision needs.
+		batch := s.take(math.MaxInt)
+		if len(batch) == 0 {
+			continue
+		}
 		_ = s.opts.Send(target, msg.RegOps{Ops: batch})
 		s.requeue(batch)
 		t := time.NewTimer(s.opts.RetryInterval)
@@ -475,6 +450,9 @@ func (s *sequencer) run() {
 		case <-s.wake:
 		case <-t.C:
 		case <-s.ctx.Done():
+			t.Stop()
+			return
+		case <-s.node.Done():
 			t.Stop()
 			return
 		}

@@ -29,7 +29,9 @@ func soloRegisters(t *testing.T) *Registers {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Stop)
-	return New(node)
+	r := New(node)
+	t.Cleanup(r.Stop)
+	return r
 }
 
 func testRID(try uint64) id.ResultID {
@@ -123,6 +125,27 @@ func TestKnownTriesListsRegAOnly(t *testing.T) {
 	tries := r.KnownTries()
 	if len(tries) != 1 || tries[0] != testRID(3) {
 		t.Fatalf("KnownTries = %v, want exactly [try 3]", tries)
+	}
+}
+
+// TestNewProposesOneWritePerSlot: New is the paper's discipline, one
+// consensus instance per register write, even when writes are concurrent.
+func TestNewProposesOneWritePerSlot(t *testing.T) {
+	r := soloRegisters(t)
+	const writes = 8
+	var wg sync.WaitGroup
+	for i := 1; i <= writes; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.WriteA(context.Background(), testRID(uint64(i)), id.AppServer(1)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := r.node.Stats(); st.Proposes != writes || st.BatchOps != writes {
+		t.Fatalf("%d writes took %d proposals deciding %d ops, want one op per proposal", writes, st.Proposes, st.BatchOps)
 	}
 }
 

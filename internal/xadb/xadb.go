@@ -604,35 +604,22 @@ func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync bool) ms
 }
 
 // CommitDirect is single-phase commit for the unreliable baseline protocol
-// (Figure 7a): no vote, no prepared record — just apply and force the commit
-// record, like auto-commit against a single database. Poisoned branches
-// abort. Like every other entry point it syncs-if-behind, so a fast-path hit
-// on a concurrently batched outcome never acks an unsynced record.
+// (Figure 7a): vote and decide in one call, like auto-commit against a
+// single database, the two records appended unforced and covered by one
+// device force. The vote gate still holds: a branch that read a chain
+// predecessor's pending value cannot wait for that predecessor's outcome
+// here, so a closed gate aborts the branch — single-phase commit may abort.
+// Poisoned branches abort too.
 func (e *Engine) CommitDirect(rid id.ResultID) msg.Outcome {
 	defer e.syncIfBehind()
-	b, prev, done := e.getBranch(rid, false)
-	if done {
-		return prev
-	}
-	if b == nil {
-		e.recordOutcome(rid, msg.OutcomeCommit)
-		e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, true)
-		return msg.OutcomeCommit
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned || b.status != StatusActive {
-		e.abortLocked(b)
+	v, gate := e.vote(rid, true, nil)
+	switch {
+	case gate != nil:
+		return e.decide(rid, msg.OutcomeAbort, true)
+	case v != msg.VoteYes:
 		return msg.OutcomeAbort
 	}
-	// Single-phase: the write-set rides inside a prepared+committed pair so
-	// recovery replays it.
-	e.append(wal.Record{Type: wal.RecPrepared, RID: rid, Writes: b.writes}, false)
-	e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, true)
-	e.store.Apply(b.writes)
-	b.status = StatusCommitted
-	e.finishBranch(b, msg.OutcomeCommit)
-	return msg.OutcomeCommit
+	return e.decide(rid, msg.OutcomeCommit, true)
 }
 
 // abortLocked finishes b as aborted with a lazy abort record. Caller holds

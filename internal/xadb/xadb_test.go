@@ -333,6 +333,29 @@ func TestCommitDirectBaselinePath(t *testing.T) {
 	}
 }
 
+// TestCommitDirectRespectsVoteGate: a branch that read a chain
+// predecessor's pending value must not commit ahead of that predecessor's
+// outcome. Single-phase commit cannot wait for it, so the branch aborts, and
+// the store holds only what committed.
+func TestCommitDirectRespectsVoteGate(t *testing.T) {
+	e := newEngine(t)
+	ctx := context.Background()
+	a, b := rid(1, 1), rid(2, 1)
+	e.Exec(ctx, a, msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1})
+	if rep := e.Exec(ctx, b, msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1}); !rep.OK || rep.Num != 2 {
+		t.Fatalf("b's add = %+v, want it to read a's pending 1", rep)
+	}
+	ob := e.CommitDirect(b)
+	e.Decide(a, msg.OutcomeAbort)
+	want := int64(0)
+	if ob == msg.OutcomeCommit {
+		want = 1
+	}
+	if n, _ := e.Store().GetInt("k"); n != want {
+		t.Fatalf("CommitDirect(b) = %v and a aborted, but the store holds k = %d, want %d", ob, n, want)
+	}
+}
+
 func TestOpSleepSimulatesWork(t *testing.T) {
 	e := newEngine(t)
 	ctx := context.Background()
