@@ -1,10 +1,11 @@
-// Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, plus microbenchmarks of the substrates and the design-choice
-// ablations listed in README.md ("Benchmarks"). The latency figures here use
-// the calibrated cost model at scale 0.02 (2% of the paper's real-time
-// component costs), so ns/op values are comparable across protocols but not
-// to the paper's absolute milliseconds — `go run ./cmd/etxbench -exp f8
-// -scale 1` reproduces those.
+// Repository-level benchmarks: one per protocol of the paper's Figures 7 and
+// 8, the Figure-1 fail-over, the lock manager, and end-to-end throughput over
+// the public API. The latency figures here use the calibrated cost model at
+// scale 0.02 (2% of the paper's real-time component costs), so ns/op values
+// are comparable across protocols but not to the paper's absolute
+// milliseconds — `go run ./cmd/etxbench -exp f8 -scale 1` reproduces those.
+// The per-layer microbenchmarks (codec, consensus, wo-register, engine) are
+// benchmark/'s isolated probes.
 package etx_test
 
 import (
@@ -17,16 +18,8 @@ import (
 
 	"etx"
 	"etx/internal/bench"
-	"etx/internal/consensus"
-	"etx/internal/fd"
 	"etx/internal/id"
-	"etx/internal/kv"
 	"etx/internal/lockmgr"
-	"etx/internal/msg"
-	"etx/internal/stablestore"
-	"etx/internal/transport"
-	"etx/internal/woregister"
-	"etx/internal/xadb"
 )
 
 const benchScale = 0.02
@@ -111,109 +104,7 @@ func BenchmarkFigure1_Failover(b *testing.B) {
 	}
 }
 
-// --- substrate microbenchmarks -----------------------------------------------
-
-func BenchmarkWORegister_UncontendedWrite(b *testing.B) {
-	net := transport.NewMemNetwork(transport.Options{})
-	defer net.Close()
-	peers := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
-	var nodes []*consensus.Node
-	for _, p := range peers {
-		ep, err := net.Attach(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		node, err := consensus.New(consensus.Config{
-			Self: p, Peers: peers, Detector: fd.NewScripted(),
-			Poll: 200 * time.Microsecond,
-			Send: func(to id.NodeID, pl msg.Payload) error {
-				return ep.Send(msg.Envelope{To: to, Payload: pl})
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer node.Stop()
-		nodes = append(nodes, node)
-		go func() {
-			for env := range ep.Recv() {
-				node.Handle(env.From, env.Payload)
-			}
-		}()
-	}
-	regs := woregister.New(nodes[0])
-	defer regs.Stop()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
-		if _, err := regs.WriteA(ctx, rid, id.AppServer(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodec_Encode(b *testing.B) {
-	env := msg.Envelope{
-		From: id.AppServer(1), To: id.DBServer(2),
-		Payload: msg.Exec{
-			RID:    id.ResultID{Client: id.Client(1), Seq: 42, Try: 3},
-			CallID: 7,
-			Op:     msg.Op{Code: msg.OpAdd, Key: "acct/alice", Delta: -10},
-		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := msg.Encode(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodec_Decode(b *testing.B) {
-	env := msg.Envelope{
-		From: id.AppServer(1), To: id.DBServer(2),
-		Payload: msg.Exec{
-			RID:    id.ResultID{Client: id.Client(1), Seq: 42, Try: 3},
-			CallID: 7,
-			Op:     msg.Op{Code: msg.OpAdd, Key: "acct/alice", Delta: -10},
-		},
-	}
-	buf, err := msg.Encode(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := msg.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEngine_PreparedCommit(b *testing.B) {
-	e, err := xadb.Open(stablestore.New(0), xadb.Config{Self: id.DBServer(1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.Seed([]kv.Write{{Key: "acct", Val: kv.EncodeInt(0)}})
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
-		if rep := e.Exec(ctx, rid, msg.Op{Code: msg.OpAdd, Key: "acct", Delta: 1}); !rep.OK {
-			b.Fatal(rep.Err)
-		}
-		if v := e.Vote(rid); v != msg.VoteYes {
-			b.Fatal("vote no")
-		}
-		if o := e.Decide(rid, msg.OutcomeCommit); o != msg.OutcomeCommit {
-			b.Fatal("abort")
-		}
-	}
-}
+// --- lock manager -------------------------------------------------------------
 
 func BenchmarkLockManager_AcquireRelease(b *testing.B) {
 	m := lockmgr.New()

@@ -1,11 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"maps"
-	"os"
-	"slices"
 	"strings"
 	"testing"
 
@@ -176,17 +171,6 @@ func TestSuspicionExperimentSeparatesProtocols(t *testing.T) {
 	}
 }
 
-func TestWORegisterMicrobench(t *testing.T) {
-	w, err := RunWORegister(0.01, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", w)
-	if w.Uncontended.Mean <= 0 || w.Contended.Mean <= 0 {
-		t.Error("empty samples")
-	}
-}
-
 func TestGCAblationReclaimsRegisters(t *testing.T) {
 	g, err := RunGCAblation(40)
 	if err != nil {
@@ -203,7 +187,7 @@ func TestGCAblationReclaimsRegisters(t *testing.T) {
 }
 
 func TestPatienceSweepMorphsRegimes(t *testing.T) {
-	p, err := RunPatience(0.01, 4)
+	p, err := RunPatience(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,243 +208,6 @@ func TestPatienceSweepMorphsRegimes(t *testing.T) {
 	}
 	if impatient.Messages <= patient.Messages {
 		t.Errorf("messages: impatient %.1f <= patient %.1f", impatient.Messages, patient.Messages)
-	}
-}
-
-// commonMetrics are the per-commit rates and gauges the driver records for
-// every cell of every sweep.
-var commonMetrics = []string{
-	"consensus.proposes_per_commit", "consensus.msgs_per_commit",
-	"stablestore.syncs_per_commit", "stablestore.forces_per_commit",
-	"xadb.spec_execs_per_commit", "xadb.deferred_votes_per_commit",
-	"core.planned_ops_per_commit",
-	"consensus.rounds_per_propose", "consensus.fastpath_share", "consensus.resends",
-	"consensus.slots_pruned", "consensus.checkpoints_served", "consensus.live_slots",
-	"stablestore.forced_per_sync", "proc.heap_delta_kb",
-}
-
-// shapeT collects a sweep's timing claims apart from its counter claims: a
-// neighbour on the machine can slow either row of a comparison, so a timing
-// claim that fails is measured again (a bounded number of times) before it
-// fails the test, and is not checked at all under the race detector.
-type shapeT struct {
-	*testing.T
-	slow []string
-}
-
-func (t *shapeT) timing(ok bool, format string, args ...any) {
-	if !ok && !raceEnabled {
-		t.slow = append(t.slow, fmt.Sprintf(format, args...))
-	}
-}
-
-// sweepClaim is one named claim a sweep's quick run must show, beyond the
-// oracle and the sweep's own check (which fail the run itself).
-type sweepClaim struct {
-	name, sweep string
-	shape       func(t *shapeT, rep *Report)
-}
-
-// batchingDepth32 is the batching sweep's off and adaptive rows at depth 32.
-func batchingDepth32(t *shapeT, rep *Report) (off, on *Row) {
-	t.Helper()
-	wantRows(t, rep, 4)
-	off, on = rep.Find("depth", "32", "batching", "off"), rep.Find("depth", "32", "batching", "adaptive")
-	if off == nil || on == nil {
-		t.Fatal("missing depth-32 rows")
-	}
-	return off, on
-}
-
-// offRows calls f on each of the batching sweep's off rows, the paper's
-// protocol exactly at every depth.
-func offRows(rep *Report, f func(r Row)) {
-	for _, r := range rep.Rows {
-		if r.Params["batching"] == "off" {
-			f(r)
-		}
-	}
-}
-
-var sweepClaims = []sweepClaim{
-	{"pipeline", "pipeline", func(t *shapeT, rep *Report) { wantRows(t, rep, 3) }},
-	{"scaling", "scaling", func(t *shapeT, rep *Report) { wantRows(t, rep, 5) }},
-	{"shards", "shards", func(t *shapeT, rep *Report) {
-		wantRows(t, rep, 8)
-		wide, narrow := rep.Find("shards", "8", "keys", "uniform"), rep.Find("shards", "1", "keys", "uniform")
-		if wide == nil || narrow == nil {
-			t.Fatal("missing the 1- or 8-shard uniform row")
-		}
-		// The routing certificate: a single-shard transaction on an 8-shard
-		// tier must issue Prepare and Decide to exactly 1 engine, not 8. A
-		// handful of protocol-level resends under scheduler noise is
-		// tolerated; a broadcast would put these at 8.0.
-		for _, m := range []string{"core.prepares_per_commit", "core.decides_per_commit"} {
-			if v := wide.Metric(m); v > 1.5 {
-				t.Errorf("8-shard uniform %s = %.2f, want ~1 (participant set, not broadcast)", m, v)
-			}
-		}
-		t.timing(wide.CommitsPerS >= narrow.CommitsPerS,
-			"throughput must not fall as shards are added: 1 shard %.1f, 8 shards %.1f",
-			narrow.CommitsPerS, wide.CommitsPerS)
-	}},
-	// The batching sweep's claims, one per layer adaptive batching reaches:
-	// the log device (group commit), the consensus tier (cohort instances)
-	// and the whole path end to end.
-	{"batch", "batching", func(t *shapeT, rep *Report) {
-		const syncs = "stablestore.syncs_per_commit"
-		// Off forces a prepare and a commit per request, each its own fsync.
-		offRows(rep, func(r Row) {
-			if v := r.Metric(syncs); v != 2 {
-				t.Errorf("off at depth %d paid %.2f fsyncs/commit, want 2.00", r.Depth, v)
-			}
-		})
-		if _, on := batchingDepth32(t, rep); on.Metric(syncs) >= 1 {
-			t.Errorf("adaptive at depth 32 paid %.2f fsyncs/commit, want under 1", on.Metric(syncs))
-		}
-	}},
-	{"consensus", "batching", func(t *shapeT, rep *Report) {
-		const proposes, msgs = "consensus.proposes_per_commit", "consensus.msgs_per_commit"
-		// Off runs one consensus instance per register write.
-		offRows(rep, func(r Row) {
-			if v := r.Metric(proposes); v != 2 {
-				t.Errorf("off at depth %d ran %.2f instances/commit, want 2.00 (one per register write)", r.Depth, v)
-			}
-		})
-		off, on := batchingDepth32(t, rep)
-		if on.Metric(proposes) >= off.Metric(proposes)/2 {
-			t.Errorf("adaptive at depth 32 barely shared instances: %.2f vs %.2f", on.Metric(proposes), off.Metric(proposes))
-		}
-		if on.Metric(msgs) >= off.Metric(msgs) {
-			t.Errorf("adaptive at depth 32 did not cut consensus messages: %.2f vs %.2f", on.Metric(msgs), off.Metric(msgs))
-		}
-		for _, r := range []*Row{off, on} {
-			if v := r.Metric("consensus.fastpath_share"); v < 0.99 {
-				t.Errorf("%s: failure-free runs must ride the round-1 fast path, got %.2f", r.Params["batching"], v)
-			}
-		}
-	}},
-	{"wire", "batching", func(t *shapeT, rep *Report) {
-		off, on := batchingDepth32(t, rep)
-		t.timing(on.CommitsPerS >= off.CommitsPerS,
-			"adaptive lost throughput at depth 32: %.1f vs %.1f", on.CommitsPerS, off.CommitsPerS)
-	}},
-	{"memory", "memory", func(t *shapeT, rep *Report) {
-		off, on := rep.Find("retain", "0"), rep.Find("retain", "64")
-		if off == nil || on == nil {
-			t.Fatal("missing rows")
-		}
-		if off.Metric("consensus.slots_pruned") != 0 || on.Metric("consensus.slots_pruned") == 0 {
-			t.Errorf("pruned %v slots with retention off and %v with it on",
-				off.Metric("consensus.slots_pruned"), on.Metric("consensus.slots_pruned"))
-		}
-		if on.Metric("consensus.live_slots_max") >= off.Metric("consensus.live_slots_max") {
-			t.Errorf("retention tail did not bound the batch log: max %v slots vs %v without",
-				on.Metric("consensus.live_slots_max"), off.Metric("consensus.live_slots_max"))
-		}
-	}},
-}
-
-func wantRows(t *shapeT, rep *Report, n int) {
-	t.Helper()
-	if len(rep.Rows) != n {
-		t.Fatalf("want %d rows, got %d", n, len(rep.Rows))
-	}
-}
-
-// TestSweepsQuick runs every sweep's -quick cells through the one driver:
-// the oracle and each sweep's check fail the run itself, every row must carry
-// the common fields, and each sweep must show its claims.
-func TestSweepsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every sweep's quick cells")
-	}
-	for _, s := range sweeps {
-		if !slices.ContainsFunc(sweepClaims, func(c sweepClaim) bool { return c.sweep == s.name }) {
-			t.Errorf("sweep %q has no shape assertions", s.name)
-		}
-	}
-	for _, c := range sweepClaims {
-		t.Run(c.name, func(t *testing.T) {
-			i := slices.IndexFunc(sweeps, func(s sweep) bool { return s.name == c.sweep })
-			if i < 0 {
-				t.Fatalf("no sweep %q", c.sweep)
-			}
-			s, shape := sweeps[i], c.shape
-			for attempt := 1; ; attempt++ {
-				rep, err := s.run(options{quick: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("\n%s", rep)
-				for _, r := range rep.Rows {
-					if r.Depth <= 0 || r.Requests <= 0 || r.CommitsPerS <= 0 || r.P50Ms <= 0 || r.P99Ms < r.P50Ms {
-						t.Errorf("row %v lacks a common field: %+v", r.Params, r)
-					}
-					for _, p := range rep.Params {
-						if r.Label(p) == "" {
-							t.Errorf("row %v has no %q label", r.Params, p)
-						}
-					}
-					for _, m := range append(commonMetrics, rep.Metrics...) {
-						_, rate := r.PerCommit[m]
-						_, gauge := r.Gauges[m]
-						if !rate && !gauge {
-							t.Errorf("row %v has no %q", r.Params, m)
-						}
-					}
-				}
-				st := &shapeT{T: t}
-				shape(st, rep)
-				if len(st.slow) == 0 || t.Failed() {
-					return
-				}
-				if attempt == 3 {
-					t.Fatalf("after %d measurements: %s", attempt, strings.Join(st.slow, "; "))
-				}
-				t.Logf("attempt %d: %s; re-measuring", attempt, strings.Join(st.slow, "; "))
-			}
-		})
-	}
-}
-
-// TestReportSchema pins the JSON key set every sweep's report shares.
-func TestReportSchema(t *testing.T) {
-	blob, err := json.Marshal(Report{Note: "n", Rows: []Row{{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	var rows []map[string]json.RawMessage
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(doc["rows"], &rows); err != nil {
-		t.Fatal(err)
-	}
-	keys := func(m map[string]json.RawMessage) string {
-		return strings.Join(slices.Sorted(maps.Keys(m)), " ")
-	}
-	if got, want := keys(doc), "exp metrics note params rows title"; got != want {
-		t.Errorf("report keys = %q, want %q", got, want)
-	}
-	want := "commit_p50_ms commit_p99_ms commits_per_s depth gauges params per_commit requests"
-	if got := keys(rows[0]); got != want {
-		t.Errorf("row keys = %q, want %q", got, want)
-	}
-}
-
-// TestReadmeListsEverySweep holds the README's experiment table to the sweep
-// table it is generated from.
-func TestReadmeListsEverySweep(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range Sweeps() {
-		if line := fmt.Sprintf("| `%s` | %s |", s[0], s[1]); !strings.Contains(string(readme), line) {
-			t.Errorf("README.md lacks the row %q", line)
-		}
 	}
 }
 

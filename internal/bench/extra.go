@@ -9,15 +9,12 @@ import (
 	"time"
 
 	"etx/internal/cluster"
-	"etx/internal/consensus"
 	"etx/internal/core"
 	"etx/internal/fd"
 	"etx/internal/id"
 	"etx/internal/latcost"
-	"etx/internal/metrics"
 	"etx/internal/msg"
 	"etx/internal/transport"
-	"etx/internal/woregister"
 )
 
 // --- EXP-FS: false suspicions — AR stays safe, primary-backup does not ------
@@ -164,139 +161,6 @@ func (s *Suspicion) String() string {
 	fmt.Fprintf(&b, "%-18s %14d %14d\n", ProtocolAR, s.ARInconsistent, s.ARDeliveredAll)
 	fmt.Fprintf(&b, "(PB inconsistency: %s;\n AR tolerates unreliable failure detection by construction)\n", s.PBDescription)
 	return b.String()
-}
-
-// --- EXP-WO: wo-register microbenchmark --------------------------------------
-
-// WORegister reports write latency of the register substrate.
-type WORegister struct {
-	Replicas    int
-	Uncontended metrics.Summary
-	Contended   metrics.Summary
-}
-
-// RunWORegister measures wo-register writes over a consensus group with the
-// calibrated app-app latency, one write per slot: the uncontended case
-// (coordinator writes, the paper's single-round-trip fast path) and the
-// contended case (all replicas write one register simultaneously, each
-// proposing a slot of its own).
-func RunWORegister(scale float64, replicas, writes int) (*WORegister, error) {
-	if scale <= 0 {
-		scale = 0.05
-	}
-	if replicas <= 0 {
-		replicas = 3
-	}
-	if writes <= 0 {
-		writes = 20
-	}
-	model := latcost.Paper(scale)
-	rig, err := newConsensusRig(model, replicas)
-	if err != nil {
-		return nil, err
-	}
-	defer rig.stop()
-
-	out := &WORegister{Replicas: replicas}
-	unc := metrics.NewSample()
-	ctx := context.Background()
-	for i := 0; i < writes; i++ {
-		rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
-		t0 := time.Now()
-		if _, err := rig.regs[0].WriteA(ctx, rid, id.AppServer(1)); err != nil {
-			return nil, errf("woregister uncontended write %d: %w", i, err)
-		}
-		unc.AddDuration(time.Since(t0))
-	}
-	out.Uncontended = unc.Summarize()
-
-	con := metrics.NewSample()
-	for i := 0; i < writes; i++ {
-		rid := id.ResultID{Client: id.Client(2), Seq: uint64(i), Try: 1}
-		t0 := time.Now()
-		errs := make(chan error, len(rig.regs))
-		for r, regs := range rig.regs {
-			go func() {
-				_, err := regs.WriteD(ctx, rid, msg.Decision{Result: []byte{byte(r)}, Outcome: msg.OutcomeCommit})
-				errs <- err
-			}()
-		}
-		for range rig.regs {
-			if err := <-errs; err != nil {
-				return nil, errf("woregister contended write %d: %w", i, err)
-			}
-		}
-		con.AddDuration(time.Since(t0))
-	}
-	out.Contended = con.Summarize()
-	return out, nil
-}
-
-// String renders the microbenchmark report.
-func (w *WORegister) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "wo-register write latency (%d replicas)\n", w.Replicas)
-	fmt.Fprintf(&b, "%-14s %s\n", "uncontended:", w.Uncontended)
-	fmt.Fprintf(&b, "%-14s %s\n", "contended:", w.Contended)
-	b.WriteString("(the uncontended coordinator write is the paper's one-round-trip fast path)\n")
-	return b.String()
-}
-
-// consensusRig wires consensus nodes, each with the registers New layers
-// over it, for microbenchmarks.
-type consensusRig struct {
-	net   *transport.MemNetwork
-	regs  []*woregister.Registers
-	stops []func()
-}
-
-func (r *consensusRig) stop() {
-	for i := len(r.stops) - 1; i >= 0; i-- {
-		r.stops[i]()
-	}
-	r.net.Close()
-}
-
-func newConsensusRig(model latcost.Model, replicas int) (*consensusRig, error) {
-	rig := &consensusRig{net: transport.NewMemNetwork(transport.Options{Latency: model.LatencyFunc()})}
-	var peers []id.NodeID
-	for i := 1; i <= replicas; i++ {
-		peers = append(peers, id.AppServer(i))
-	}
-	for _, p := range peers {
-		ep, err := rig.net.Attach(p)
-		if err != nil {
-			rig.stop()
-			return nil, err
-		}
-		node, err := consensus.New(consensus.Config{
-			Self: p, Peers: peers, Detector: fd.NewScripted(),
-			Poll: 500 * time.Microsecond,
-			Send: func(to id.NodeID, pl msg.Payload) error {
-				return ep.Send(msg.Envelope{To: to, Payload: pl})
-			},
-		})
-		if err != nil {
-			rig.stop()
-			return nil, err
-		}
-		regs := woregister.New(node)
-		rig.regs = append(rig.regs, regs)
-		rig.stops = append(rig.stops, node.Stop, regs.Stop)
-		done := make(chan struct{})
-		go func(ep transport.Endpoint, node *consensus.Node) {
-			defer close(done)
-			for env := range ep.Recv() {
-				node.Handle(env.From, env.Payload)
-			}
-		}(ep, node)
-		epRef := ep
-		rig.stops = append(rig.stops, func() {
-			epRef.Close()
-			<-done
-		})
-	}
-	return rig, nil
 }
 
 // --- EXP-GC: register retirement ablation ------------------------------------

@@ -34,8 +34,7 @@ type PatienceRow struct {
 // concurrently commit or abort a result ... like in an active replication
 // scheme". Sweeping the client's back-off exposes the morphing.
 type Patience struct {
-	Scale float64
-	Rows  []PatienceRow
+	Rows []PatienceRow
 }
 
 // RunPatience sweeps the client's back-off period from far below the
@@ -46,15 +45,14 @@ type Patience struct {
 // the paper's time base) after the primary receives the request — far below
 // what scaled-down costs and kernel timer resolution can express. This
 // experiment therefore runs at the paper's real-time network costs with the
-// SQL work shortened tenfold so a full sweep still takes under a second;
-// the scale argument is accepted for interface uniformity but ignored.
-func RunPatience(_ float64, requests int) (*Patience, error) {
+// SQL work shortened tenfold so a full sweep still takes under a second.
+func RunPatience(requests int) (*Patience, error) {
 	if requests <= 0 {
 		requests = 8
 	}
 	model := latcost.Paper(1.0)
 	model.SQLWork /= 10
-	out := &Patience{Scale: 1.0}
+	out := &Patience{}
 	// Below ~0.03 of the total, the broadcast reaches the backups before the
 	// primary's regA decision does and they forward writes of their own
 	// (visible racing); after that window they read the decided register.
@@ -146,7 +144,7 @@ func (p *Patience) String() string {
 	fmt.Fprintf(&b, "%-18s %12s %12s %14s\n", "backoff/latency", "msgs/req", "regA racers", "latency (ms)")
 	for _, r := range p.Rows {
 		fmt.Fprintf(&b, "%-18.2f %12.1f %12.1f %14.1f\n",
-			r.BackoffFraction, r.Messages, r.RegARaces, r.Latency.Mean/p.Scale)
+			r.BackoffFraction, r.Messages, r.RegARaces, r.Latency.Mean)
 	}
 	b.WriteString("(impatient clients broadcast early: every replica races on regA, like\n" +
 		" active replication; patient clients leave the primary alone, like\n" +

@@ -1,15 +1,15 @@
-// Package bench contains the experiment harness that regenerates every
-// table and figure of the paper's evaluation (Appendix 3), plus the
-// extension experiments. The closed-loop sweeps are entries of one cell
-// table (sweeps.go) run by one driver into one row schema (cell.go); the
-// scenario experiments (the figures, failover response time, false-suspicion
-// robustness, wo-register microbenchmarks, client patience, the
-// garbage-collection ablation, raw TCP framing) have a file each.
+// Package bench contains the experiment harness that regenerates the tables
+// and figures of the paper's evaluation (Appendix 3) and the scenarios its
+// text describes: the Figure-8 latency table, the Figure-7 message patterns,
+// the Figure-1 executions, failover response time, false-suspicion
+// robustness, client patience and the garbage-collection ablation, a file
+// or a section each.
 //
 // Each experiment builds fresh deployments on the in-memory network with the
 // calibrated latcost model, runs the paper's bank workload, and reports
 // paper-style tables. Absolute values depend on the Scale knob; the claims
 // under reproduction are about shape: ordering, ratios and crossover points.
+// Throughput is measured elsewhere, over loopback TCP (benchmark/).
 package bench
 
 import (
@@ -50,13 +50,35 @@ func benchRequest() []byte {
 	return workload.EncodeBank(workload.BankRequest{Account: seedAccount, Amount: -1})
 }
 
-// scenarioConfig is the deployment the scenario experiments start from: the
-// sweeps' paperDeployment with one client working the one bench account.
-// Scenarios that inject failures override the timers the failure exercises.
+// scenarioConfig is the deployment the scenario experiments start from: three
+// application servers, one database and one client working the one bench
+// account with the bank logic, on the paper's calibrated cost model (its
+// per-tier message latencies, simulated SQL time and forced-write cost), with
+// protocol timers generous enough that nothing fires spuriously in a
+// failure-free run. Scenarios that inject failures override the timers the
+// failure exercises.
 func scenarioConfig(model latcost.Model) cluster.Config {
-	cfg := paperDeployment(model, 0, []string{seedAccount}, true)
-	cfg.Clients = 1
-	return cfg
+	return cluster.Config{
+		AppServers:  3,
+		DataServers: 1,
+		Clients:     1,
+		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
+			return workload.Bank(ctx, tx, req, model.SQLWork)
+		}),
+		Seed: benchSeed(),
+		Tuning: deploy.Tuning{
+			HeartbeatInterval: 10 * time.Millisecond,
+			SuspectTimeout:    time.Second,
+		},
+		Net:          transport.Options{Latency: model.LatencyFunc()},
+		ForceLatency: model.DBForce,
+
+		ResendInterval:    5 * time.Second,
+		CleanInterval:     50 * time.Millisecond,
+		ClientBackoff:     5 * time.Second,
+		ClientRebroadcast: 5 * time.Second,
+		ComputeTimeout:    30 * time.Second,
+	}
 }
 
 // arDeployment builds a failure-free AR cluster calibrated with the model.

@@ -311,3 +311,113 @@ func TestPaperExactWritesRideOneSlotEach(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchingPerCommitCounts holds the batching switch to its per-commit
+// counts, which need no timing. Batching off is the paper's protocol exactly
+// at every depth: each commit forces a prepare and an outcome record (two
+// device syncs) and writes two registers through one round-1 instance each.
+// Adaptive batching at depth 32 shares syncs, slots and consensus messages
+// across concurrent requests. Keys are disjoint self-transfers, so no vote
+// ever parks behind another request's and every count is the protocol's own.
+func TestBatchingPerCommitCounts(t *testing.T) {
+	const requests = 96
+	type counts struct {
+		syncs int64
+		cons  consensus.Stats
+	}
+	measure := func(t *testing.T, adaptive bool, depth int) counts {
+		accts := make([]string, 8*depth)
+		var seed []kv.Write
+		for i := range accts {
+			accts[i] = fmt.Sprintf("pc%03d", i)
+			seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(100)})
+		}
+		cfg := Config{
+			Shards:       1,
+			Logic:        transferKeyed(),
+			Seed:         seed,
+			ForceLatency: 500 * time.Microsecond,
+			Tuning:       deploy.Tuning{Workers: depth},
+			Terminators:  depth,
+		}
+		fastKnobs(&cfg)
+		cfg.AdaptiveWindows = adaptive
+		// A patient client, patient Prepare/Decide resends and a lenient
+		// detector: at depth 32 off, a request can wait longer than
+		// fastKnobs' 30 ms resend for the serialized forces ahead of it, and
+		// a resent Prepare forces its vote again; a client retransmission or
+		// a false suspicion adds a try, and with it syncs and proposes.
+		cfg.ClientBackoff, cfg.ClientRebroadcast = 10*time.Second, 10*time.Second
+		cfg.ResendInterval = 10 * time.Second
+		cfg.SuspectTimeout = 5 * time.Second
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		store := c.Engine(1).StableStore()
+		syncs0, cons0 := store.Syncs(), consensusTotals(c, 3)
+
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		sem := make(chan struct{}, depth)
+		var wg sync.WaitGroup
+		for i := 0; i < requests; i++ {
+			a := accts[i%len(accts)]
+			sem <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-sem }()
+				if _, err := c.Client(1).Issue(ctx, []byte(a+":"+a+":1")); err != nil {
+					t.Errorf("issue %s: %v", a, err)
+				}
+			}()
+		}
+		wg.Wait()
+		mustOracle(t, c)
+		cons := consensusTotals(c, 3)
+		cons.Proposes -= cons0.Proposes
+		cons.FastPath -= cons0.FastPath
+		cons.Messages -= cons0.Messages
+		return counts{syncs: store.Syncs() - syncs0, cons: cons}
+	}
+	per := func(n int64) float64 { return float64(n) / requests }
+
+	for _, depth := range []int{1, 32} {
+		var off counts
+		t.Run(fmt.Sprintf("depth=%d/off", depth), func(t *testing.T) {
+			off = measure(t, false, depth)
+			t.Logf("%d syncs, %s", off.syncs, off.cons)
+			if v := per(off.syncs); v != 2 {
+				t.Errorf("off paid %.2f syncs/commit, want 2.00 (a forced prepare and outcome each)", v)
+			}
+			if v := per(int64(off.cons.Proposes)); v != 2 {
+				t.Errorf("off ran %.2f proposes/commit, want 2.00 (one instance per register write)", v)
+			}
+			if off.cons.FastPath != off.cons.Proposes {
+				t.Errorf("off decided %d of %d instances on the round-1 fast path, want all",
+					off.cons.FastPath, off.cons.Proposes)
+			}
+		})
+		t.Run(fmt.Sprintf("depth=%d/adaptive", depth), func(t *testing.T) {
+			on := measure(t, true, depth)
+			t.Logf("%d syncs, %s", on.syncs, on.cons)
+			if depth == 1 {
+				return // nothing to share one request at a time: the oracle is the claim
+			}
+			if v := per(on.syncs); v >= 1 {
+				t.Errorf("adaptive paid %.2f syncs/commit, want under 1", v)
+			}
+			if off.cons.Proposes == 0 {
+				t.Skip("no off run to compare against")
+			}
+			if 2*on.cons.Proposes >= off.cons.Proposes {
+				t.Errorf("adaptive barely shared instances: %d proposes vs off's %d", on.cons.Proposes, off.cons.Proposes)
+			}
+			if on.cons.Messages >= off.cons.Messages {
+				t.Errorf("adaptive did not cut consensus messages: %d vs off's %d", on.cons.Messages, off.cons.Messages)
+			}
+		})
+	}
+}

@@ -19,7 +19,6 @@
 package latcost
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -73,46 +72,6 @@ func Paper(scale float64) Model {
 		CoordForce:  ms(12.5),
 		ClientStart: ms(3.4),
 		ClientEnd:   ms(3.4),
-	}
-}
-
-// LAN returns a network-only model for a modern datacenter LAN: sub-
-// millisecond one-way latencies, no injected compute or disk costs (the
-// benchmark supplies its own). Used by etxbench's -net lan profile.
-func LAN() Model {
-	return Model{
-		Scale:     1,
-		ClientApp: 250 * time.Microsecond,
-		AppApp:    150 * time.Microsecond,
-		AppDB:     150 * time.Microsecond,
-	}
-}
-
-// WAN returns a network-only model for a metro/regional WAN: single-digit-
-// millisecond one-way latencies between tiers. Used by etxbench's -net wan
-// profile.
-func WAN() Model {
-	return Model{
-		Scale:     1,
-		ClientApp: 8 * time.Millisecond,
-		AppApp:    5 * time.Millisecond,
-		AppDB:     5 * time.Millisecond,
-	}
-}
-
-// Profile maps an etxbench -net name to memnet transport options carrying
-// the corresponding latency model and a proportionate jitter. The empty
-// name returns zero options (the experiment's own defaults).
-func Profile(name string) (transport.Options, error) {
-	switch name {
-	case "":
-		return transport.Options{}, nil
-	case "lan":
-		return transport.Options{Latency: LAN().LatencyFunc(), Jitter: 50 * time.Microsecond}, nil
-	case "wan":
-		return transport.Options{Latency: WAN().LatencyFunc(), Jitter: 2 * time.Millisecond}, nil
-	default:
-		return transport.Options{}, fmt.Errorf("latcost: unknown net profile %q (want lan or wan)", name)
 	}
 }
 

@@ -105,30 +105,3 @@ func TestRecorder(t *testing.T) {
 		t.Errorf("summary n = %d", s.N)
 	}
 }
-
-func TestProfile(t *testing.T) {
-	empty, err := Profile("")
-	if err != nil || empty.Latency != nil || empty.Jitter != 0 {
-		t.Errorf("empty profile = %+v, %v; want zero options", empty, err)
-	}
-	lan, err := Profile("lan")
-	if err != nil || lan.Latency == nil {
-		t.Fatalf("lan profile: %+v, %v", lan, err)
-	}
-	if d := lan.Latency(id.AppServer(1), id.DBServer(1), nil); d != 150*time.Microsecond {
-		t.Errorf("lan app-db latency = %v", d)
-	}
-	wan, err := Profile("wan")
-	if err != nil || wan.Latency == nil {
-		t.Fatalf("wan profile: %+v, %v", wan, err)
-	}
-	if d := wan.Latency(id.Client(1), id.AppServer(1), nil); d != 8*time.Millisecond {
-		t.Errorf("wan client-app latency = %v", d)
-	}
-	if wan.Jitter <= lan.Jitter {
-		t.Errorf("wan jitter %v must exceed lan's %v", wan.Jitter, lan.Jitter)
-	}
-	if _, err := Profile("dialup"); err == nil {
-		t.Error("unknown profile accepted")
-	}
-}

@@ -34,7 +34,7 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 
 // Gauge is a level that moves both ways, safe for concurrent use. Unlike a
 // Counter it reports occupancy, not activity: the consensus layer uses one
-// for the live batch-log slot map so the memory experiments can watch it
+// for the live batch-log slot map so the memory soak can watch it
 // stay flat under the checkpointed truncation instead of growing with every
 // decided cohort.
 type Gauge struct {

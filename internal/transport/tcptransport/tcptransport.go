@@ -105,7 +105,7 @@ type Config struct {
 	QueueDepth int
 	// MaxWritev caps the frames one kernel flush covers. Default 64;
 	// 1 reproduces the historical one-write-per-frame transport (the
-	// wire benchmark's baseline).
+	// parity tests' one-frame-per-write reference).
 	MaxWritev int
 }
 

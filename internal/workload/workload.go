@@ -1,8 +1,6 @@
-// Package workload defines the business logics the experiments and examples
-// run: the paper's measured workload (updating a bank account on a single
-// database, Appendix 3) and the travel-booking scenario its introduction
-// motivates (flight + hotel + car across three databases, with the
-// footnote-4 treatment of sold-out inventory).
+// Package workload defines the business logic the experiments run: the
+// paper's measured workload (updating a bank account on a single database,
+// Appendix 3).
 //
 // Logic bodies are written once against the Execer interface, which both
 // core.Tx (the replicated protocol) and baseline.Tx (the comparison
@@ -13,7 +11,6 @@ package workload
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -156,111 +153,4 @@ func Bank(ctx context.Context, x Execer, req []byte, sqlWork time.Duration) ([]b
 		}
 	}
 	return EncodeBankResult(BankResult{Account: r.Account, Balance: rep.Num}), nil
-}
-
-// --- travel workload (the paper's introduction scenario) --------------------
-
-// TravelRequest books a trip: one seat on Flight, one room at Hotel, one car
-// of class Car. Flights live on database 1, hotels on 2, cars on 3 (or all
-// on database 1 when the deployment has a single database).
-type TravelRequest struct {
-	Flight string `json:"flight"`
-	Hotel  string `json:"hotel"`
-	Car    string `json:"car"`
-}
-
-// EncodeTravel marshals a travel request.
-func EncodeTravel(r TravelRequest) []byte {
-	b, _ := json.Marshal(r)
-	return b
-}
-
-// TravelResult reports either a booked itinerary (Booked true, with the
-// remaining inventory) or a sold-out notice naming the missing item — the
-// footnote-4 "result that informs the user of the booking problem".
-type TravelResult struct {
-	Booked  bool   `json:"booked"`
-	SoldOut string `json:"sold_out,omitempty"`
-	Flight  int64  `json:"flight_left"`
-	Hotel   int64  `json:"hotel_left"`
-	Car     int64  `json:"car_left"`
-}
-
-// DecodeTravelResult unmarshals a travel result.
-func DecodeTravelResult(b []byte) (TravelResult, error) {
-	var r TravelResult
-	if err := json.Unmarshal(b, &r); err != nil {
-		return TravelResult{}, fmt.Errorf("workload: bad travel result: %w", err)
-	}
-	return r, nil
-}
-
-// TravelSeed returns initial inventory for the travel workload, keyed for a
-// deployment with nDBs databases.
-func TravelSeed(flightSeats, hotelRooms, cars int64) []kv.Write {
-	return []kv.Write{
-		{Key: "flight/LX1", Val: kv.EncodeInt(flightSeats)},
-		{Key: "hotel/Ritz", Val: kv.EncodeInt(hotelRooms)},
-		{Key: "car/compact", Val: kv.EncodeInt(cars)},
-	}
-}
-
-// Travel books flight, hotel and car atomically across the database tier.
-// Availability is read first; if anything is sold out, an informational
-// result is computed that touches nothing (and therefore commits), per the
-// paper's footnote 4. Otherwise each item is decremented with a guard the
-// databases enforce at commitment.
-func Travel(ctx context.Context, x Execer, req []byte) ([]byte, error) {
-	var r TravelRequest
-	if err := json.Unmarshal(req, &r); err != nil {
-		return nil, fmt.Errorf("workload: bad travel request: %w", err)
-	}
-	dbs := x.DBs()
-	dbFor := func(i int) id.NodeID {
-		if i < len(dbs) {
-			return dbs[i]
-		}
-		return dbs[0]
-	}
-	items := []struct {
-		db  id.NodeID
-		key string
-	}{
-		{dbFor(0), "flight/" + r.Flight},
-		{dbFor(1), "hotel/" + r.Hotel},
-		{dbFor(2), "car/" + r.Car},
-	}
-
-	// Availability pass (reads lock shared; cheap).
-	var left [3]int64
-	for i, it := range items {
-		rep, err := x.Exec(ctx, it.db, msg.Op{Code: msg.OpGet, Key: it.key})
-		if err != nil {
-			return nil, err
-		}
-		if !rep.OK {
-			return nil, fmt.Errorf("workload: read %s: %s", it.key, rep.Err)
-		}
-		if rep.Num <= 0 {
-			res := TravelResult{Booked: false, SoldOut: it.key}
-			return json.Marshal(res)
-		}
-		left[i] = rep.Num
-	}
-
-	// Booking pass: decrement with commitment-time guards.
-	for i, it := range items {
-		rep, err := x.Exec(ctx, it.db, msg.Op{Code: msg.OpAdd, Key: it.key, Delta: -1})
-		if err != nil {
-			return nil, err
-		}
-		if !rep.OK {
-			return nil, fmt.Errorf("workload: book %s: %s", it.key, rep.Err)
-		}
-		left[i] = rep.Num
-		if _, err := x.Exec(ctx, it.db, msg.Op{Code: msg.OpCheckGE, Key: it.key, Delta: 0}); err != nil {
-			return nil, err
-		}
-	}
-	return json.Marshal(TravelResult{Booked: true, Flight: left[0], Hotel: left[1], Car: left[2]})
 }

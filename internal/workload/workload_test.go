@@ -139,61 +139,3 @@ func TestBankSeed(t *testing.T) {
 		t.Fatalf("seed value = %d (%v)", v, err)
 	}
 }
-
-func TestTravelBooksAllThree(t *testing.T) {
-	x := newFakeExecer()
-	x.data["flight/LX1"] = 3
-	x.data["hotel/Ritz"] = 2
-	x.data["car/compact"] = 1
-	res, err := Travel(context.Background(), x,
-		EncodeTravel(TravelRequest{Flight: "LX1", Hotel: "Ritz", Car: "compact"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeTravelResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Booked || out.Flight != 2 || out.Hotel != 1 || out.Car != 0 {
-		t.Fatalf("result = %+v", out)
-	}
-}
-
-func TestTravelSoldOutComputesInformationalResult(t *testing.T) {
-	x := newFakeExecer()
-	x.data["flight/LX1"] = 3
-	x.data["hotel/Ritz"] = 0 // sold out
-	x.data["car/compact"] = 1
-	res, err := Travel(context.Background(), x,
-		EncodeTravel(TravelRequest{Flight: "LX1", Hotel: "Ritz", Car: "compact"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := DecodeTravelResult(res)
-	if out.Booked || out.SoldOut != "hotel/Ritz" {
-		t.Fatalf("result = %+v", out)
-	}
-	// Footnote 4: the informational result must not have booked anything.
-	for _, op := range x.ops {
-		if op.Code == msg.OpAdd {
-			t.Fatal("sold-out path must not decrement inventory")
-		}
-	}
-}
-
-func TestTravelPropagatesExecErrors(t *testing.T) {
-	x := newFakeExecer()
-	x.data["flight/LX1"] = 1
-	x.failAt = "flight/LX1"
-	if _, err := Travel(context.Background(), x,
-		EncodeTravel(TravelRequest{Flight: "LX1", Hotel: "H", Car: "C"})); err == nil {
-		t.Fatal("exec failure must propagate")
-	}
-}
-
-func TestTravelSeed(t *testing.T) {
-	ws := TravelSeed(5, 4, 3)
-	if len(ws) != 3 {
-		t.Fatalf("seed = %v", ws)
-	}
-}
