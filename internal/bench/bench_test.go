@@ -17,7 +17,11 @@ func TestFigure8ReproducesPaperShape(t *testing.T) {
 	// Whatever else runs on the machine only ever adds time to a request, so
 	// the ordering and the overheads are read off each column's fastest
 	// request, and a run whose confidence interval a scheduler hiccup blew is
-	// measured again, a bounded number of times.
+	// measured again, a bounded number of times. The run is at the harness's
+	// default scale: every unscaled millisecond is read back 1/scale times
+	// larger, and at 0.02 the goroutine hops of AR's in-memory register
+	// rounds, magnified 50x, could outweigh their modelled cost on a loaded
+	// machine and overturn the log-row and overhead comparisons.
 	noisy := func(f *Figure8) bool {
 		for _, col := range []Figure8Column{f.Baseline, f.AR, f.TwoPC} {
 			if col.TotalCI90 > 0.1*col.Total {
@@ -29,7 +33,7 @@ func TestFigure8ReproducesPaperShape(t *testing.T) {
 	var f *Figure8
 	for attempt := 1; attempt <= 8; attempt++ {
 		var err error
-		f, err = RunFigure8(Figure8Config{Scale: 0.02, Requests: 12, Warmup: 2})
+		f, err = RunFigure8(Figure8Config{Scale: 0.05, Requests: 12, Warmup: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
