@@ -108,15 +108,18 @@ func runLoad(cfg cluster.Config, depth, requests int, accounts []string, retire 
 		}
 	}
 
-	var prepares, decides atomic.Uint64
+	var prepares, decides, batches atomic.Uint64
 	c.Net.AddSniffer(func(ev transport.SniffEvent) {
 		if ev.Dropped || ev.To.Role != id.RoleDBServer {
 			return
 		}
-		if k := ev.Payload.Kind(); k == msg.KindPrepare {
+		switch ev.Payload.Kind() {
+		case msg.KindPrepare:
 			prepares.Add(1)
-		} else if k == msg.KindDecide {
+		case msg.KindDecide:
 			decides.Add(1)
+		case msg.KindBatch:
+			batches.Add(1)
 		}
 	})
 	read := func() (l loadCounts) {
@@ -179,6 +182,11 @@ func runLoad(cfg cluster.Config, depth, requests int, accounts []string, retire 
 	}
 	if rep := c.CheckProperties(); !rep.Ok() {
 		return loadCounts{}, fmt.Errorf("oracle: %s", rep)
+	}
+	// Prepares and Decides leave the application tier at once, one per
+	// envelope, at every depth: nothing batches them on a timer.
+	if n := batches.Load(); n != 0 {
+		return loadCounts{}, fmt.Errorf("%d msg.Batch envelopes reached the database tier, want 0", n)
 	}
 	end := read()
 	return loadCounts{

@@ -105,25 +105,21 @@ type AppServerConfig struct {
 	// AdaptiveWindows and RetainSlots are knobs every process of a
 	// deployment must agree on; deploy.Tuning documents them and is where
 	// they are normally set. AdaptiveWindows is the one batching switch: it
-	// sets the cap of Prepare/Decide envelopes to the same participant (a
-	// 500µs window) and of the register writes one consensus slot carries.
-	// Off, both caps are 1: every message leaves at once and every slot
-	// carries one write. On, both are woregister.AdaptiveCap(64, depth) of
-	// the sampled in-flight depth. RetainSlots > 0 truncates decided slots
-	// behind the cluster-wide applied watermark. Both zero is the paper-exact
-	// server.
+	// sets the cap of the register writes one consensus slot carries. Off,
+	// the cap is 1 and every slot carries one write; on, it is
+	// woregister.AdaptiveCap(64, depth) of the sampled in-flight depth.
+	// Prepares and Decides leave at once either way. RetainSlots > 0
+	// truncates decided slots behind the cluster-wide applied watermark.
+	// Both zero is the paper-exact server.
 	AdaptiveWindows bool
 	RetainSlots     int
 	// Hooks carries optional instrumentation and crash injection.
 	Hooks *Hooks
 }
 
-// The application tier's adaptive point: how long an outbound envelope stays
-// open, and the cap envelopes and register cohorts widen toward.
-const (
-	envelopeWindow = 500 * time.Microsecond
-	batchCap       = 64
-)
+// batchCap is the application tier's adaptive point: the cap register
+// cohorts widen toward.
+const batchCap = 64
 
 func (c *AppServerConfig) setDefaults() {
 	if c.ResendInterval <= 0 {
@@ -194,11 +190,7 @@ type AppServer struct {
 	termMu  sync.Mutex
 	terming map[id.ResultID]bool
 
-	// agg batches outbound Prepare/Decide fan-out per participant, up to the
-	// cap AppServerConfig.AdaptiveWindows sets.
-	agg *outAgg
-
-	// depthEWMA smooths the sampled in-flight depth the caps adapt to.
+	// depthEWMA smooths the sampled in-flight depth the cohort cap adapts to.
 	depthEWMA *metrics.EWMA
 
 	calls  callRouter
@@ -269,14 +261,13 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.calls.init()
-	// Off, a cap of 1 sends every message at once and proposes every write
-	// in a slot of its own: the paper's protocol.
+	// Off, a cap of 1 proposes every write in a slot of its own: the
+	// paper's protocol.
 	maxBatch := 1
 	if cfg.AdaptiveWindows {
 		maxBatch = batchCap
 	}
 	s.depthEWMA = metrics.NewEWMA(0.125)
-	s.agg = newOutAgg(cfg.Endpoint, envelopeWindow, maxBatch, s.inflightDepth)
 
 	if cfg.Detector != nil {
 		s.det = cfg.Detector
@@ -409,7 +400,6 @@ func (s *AppServer) Start() {
 // Stop terminates every goroutine of the server.
 func (s *AppServer) Stop() {
 	s.cancel()
-	s.agg.stop()
 	s.computeQ.Close()
 	s.termQ.Close()
 	s.regs.Stop()
@@ -539,16 +529,17 @@ func (s *AppServer) observeNewPrimary(from id.NodeID, m msg.NewPrimary) {
 }
 
 // sendDB sends one commit-path message (Prepare/Decide) to a database
-// server through the outbound aggregator. On a replicated deployment the
-// boot-time shard identity recorded in dlists is translated to the shard's
-// current primary at send time, so every protocol-level resend (prepare and
-// terminate rounds tick through here)
-// re-resolves routing for free after a promotion.
+// server at once; nothing holds it back to batch. The database server's
+// mailbox drain forms its engine cohort from whatever queued behind its
+// in-flight batch. On a replicated deployment the boot-time shard identity
+// recorded in dlists is translated to the shard's current primary at send
+// time, so every protocol-level resend (prepare and terminate rounds tick
+// through here) re-resolves routing for free after a promotion.
 func (s *AppServer) sendDB(db id.NodeID, p msg.Payload) {
 	if s.view != nil {
 		db = s.view.Current(db)
 	}
-	s.agg.send(db, p)
+	_ = s.cfg.Endpoint.Send(msg.Envelope{To: db, Payload: p})
 }
 
 // enqueue admits a request to the compute queue, deduplicating tries already
@@ -571,10 +562,10 @@ func (s *AppServer) clearPending(rid id.ResultID) {
 }
 
 // inflightDepth samples the number of requests admitted and not yet
-// terminated — the pipelining depth the adaptive windows key on. The
+// terminated — the pipelining depth the cohort cap keys on. The
 // instantaneous count is folded into an EWMA and the larger of the two is
 // returned, so a momentary trough between bursts does not collapse the
-// windows mid-load while a fresh burst widens them immediately.
+// cap mid-load while a fresh burst widens it immediately.
 func (s *AppServer) inflightDepth() int {
 	s.pendingMu.Lock()
 	n := len(s.pending)
@@ -1073,124 +1064,6 @@ func wireStats(ep transport.Endpoint) (string, bool) {
 		ep = u.Inner()
 	}
 	return "", false
-}
-
-// --- outbound batching -------------------------------------------------------
-
-// outAgg coalesces the commit path's outbound fan-out: Prepare/Decide sends
-// to the same database server buffer for up to a window (or a size cap) and
-// leave as one msg.Batch envelope. The receiver serves the batch as one
-// group-commit cohort, so the window trades a little request latency for a
-// large reduction in forced log writes and per-message transport overhead.
-// With max 1 (batching off) every message leaves at once, on its own.
-type outAgg struct {
-	ep     transport.Endpoint
-	window time.Duration
-	max    int
-	// depth samples the in-flight pipelining depth and the effective batch
-	// cap adapts to it (woregister.AdaptiveCap): cap 1 at depth 1 (flush
-	// immediately, no window latency), widening toward max as the pipeline
-	// deepens. Because the collapse is append-then-flush rather than a
-	// bypass, buffered and unbuffered sends can never reorder.
-	depth func() int
-
-	mu     sync.Mutex
-	closed bool
-	pend   map[id.NodeID]*aggBuf
-}
-
-type aggBuf struct {
-	msgs  []msg.Payload
-	timer *time.Timer
-}
-
-func newOutAgg(ep transport.Endpoint, window time.Duration, max int, depth func() int) *outAgg {
-	return &outAgg{ep: ep, window: window, max: max, depth: depth, pend: make(map[id.NodeID]*aggBuf)}
-}
-
-// send buffers p for db, flushing when the batch cap is reached; the first
-// message of a buffer arms the window timer that flushes the rest.
-func (a *outAgg) send(db id.NodeID, p msg.Payload) {
-	// Sample the depth before taking a.mu: inflightDepth takes the server's
-	// pendingMu and lock nesting stays flat.
-	max := woregister.AdaptiveCap(a.max, a.depth())
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = a.ep.Send(msg.Envelope{To: db, Payload: p})
-		return
-	}
-	b := a.pend[db]
-	if b == nil {
-		b = &aggBuf{}
-		a.pend[db] = b
-	}
-	b.msgs = append(b.msgs, p)
-	if len(b.msgs) >= max {
-		msgs := b.msgs
-		b.msgs = nil
-		if b.timer != nil {
-			b.timer.Stop()
-			b.timer = nil
-		}
-		a.mu.Unlock()
-		a.flush(db, msgs)
-		return
-	}
-	if b.timer == nil {
-		b.timer = time.AfterFunc(a.window, func() { a.flushDest(db) })
-	}
-	a.mu.Unlock()
-}
-
-// flushDest is the timer path: it claims whatever is pending for db.
-func (a *outAgg) flushDest(db id.NodeID) {
-	a.mu.Lock()
-	b := a.pend[db]
-	if b == nil || len(b.msgs) == 0 {
-		if b != nil {
-			b.timer = nil
-		}
-		a.mu.Unlock()
-		return
-	}
-	msgs := b.msgs
-	b.msgs = nil
-	b.timer = nil
-	a.mu.Unlock()
-	a.flush(db, msgs)
-}
-
-func (a *outAgg) flush(db id.NodeID, msgs []msg.Payload) {
-	if len(msgs) == 1 {
-		_ = a.ep.Send(msg.Envelope{To: db, Payload: msgs[0]})
-		return
-	}
-	_ = a.ep.Send(msg.Envelope{To: db, Payload: msg.Batch{Msgs: msgs}})
-}
-
-// stop flushes every pending buffer and sends all later traffic directly.
-func (a *outAgg) stop() {
-	a.mu.Lock()
-	a.closed = true
-	type rest struct {
-		db   id.NodeID
-		msgs []msg.Payload
-	}
-	var out []rest
-	for db, b := range a.pend {
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		if len(b.msgs) > 0 {
-			out = append(out, rest{db: db, msgs: b.msgs})
-		}
-	}
-	a.pend = make(map[id.NodeID]*aggBuf)
-	a.mu.Unlock()
-	for _, r := range out {
-		a.flush(r.db, r.msgs)
-	}
 }
 
 // --- business-data access for Logic -----------------------------------------

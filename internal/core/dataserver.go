@@ -302,21 +302,16 @@ func (d *DataServer) loop() {
 
 // drain opportunistically empties the mailbox behind first, up to the batch
 // cap, without blocking: whatever queued up while the previous batch was
-// being served is exactly the group-commit cohort. The cap counts messages,
-// not envelopes — a Batch envelope counts as its member count, so an
-// aggregating middle tier cannot inflate one engine batch to cap² messages
-// (the last envelope may overshoot the cap by its own size).
+// being served is exactly the group-commit cohort.
 func (d *DataServer) drain(first msg.Envelope) []msg.Envelope {
 	batch := []msg.Envelope{first}
-	n := msgCount(first)
-	for n < d.cfg.MaxBatch {
+	for len(batch) < d.cfg.MaxBatch {
 		select {
 		case env, ok := <-d.cfg.Endpoint.Recv():
 			if !ok {
 				return batch
 			}
 			batch = append(batch, env)
-			n += msgCount(env)
 		default:
 			return batch
 		}
@@ -324,20 +319,12 @@ func (d *DataServer) drain(first msg.Envelope) []msg.Envelope {
 	return batch
 }
 
-// msgCount is an envelope's weight against the drain cap.
-func msgCount(env msg.Envelope) int {
-	if b, ok := env.Payload.(msg.Batch); ok {
-		return len(b.Msgs)
-	}
-	return 1
-}
-
-// serveBatch serves one drained batch: Batch envelopes are flattened, the
-// Prepares and Decides are run through the engine's batched entry points so
-// their records share one forced write, and replies to the same application
-// server coalesce into one Batch envelope. A vote gated on an undecided chain
-// predecessor is parked in the engine; it leaves with the replies of the
-// drain whose decide releases it.
+// serveBatch serves one drained batch: the Prepares and Decides are run
+// through the engine's batched entry points so their records share one
+// forced write, and replies to the same application server coalesce into one
+// Batch envelope. A vote gated on an undecided chain predecessor is parked
+// in the engine; it leaves with the replies of the drain whose decide
+// releases it.
 func (d *DataServer) serveBatch(envs []msg.Envelope) {
 	var decFrom []id.NodeID
 	var voteReqs []xadb.VoteReq
@@ -346,11 +333,12 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 	var snapFrom []id.NodeID
 	var snaps []msg.Exec // answered at the batch boundary
 
-	handle := func(from id.NodeID, p msg.Payload) {
-		switch m := p.(type) {
+	for _, env := range envs {
+		from := env.From
+		switch m := env.Payload.(type) {
 		case msg.Exec:
 			if d.deposed.Load() {
-				return // fenced: a later-epoch primary serves this shard now
+				continue // fenced: a later-epoch primary serves this shard now
 			}
 			if m.Op.Code == msg.OpSnapRead {
 				snapFrom = append(snapFrom, from)
@@ -360,18 +348,18 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 			}
 		case msg.Prepare:
 			if d.deposed.Load() {
-				return
+				continue
 			}
 			voteReqs = append(voteReqs, xadb.VoteReq{RID: m.RID, From: from})
 		case msg.Decide:
 			if d.deposed.Load() {
-				return
+				continue
 			}
 			decFrom = append(decFrom, from)
 			decReqs = append(decReqs, xadb.DecideReq{RID: m.RID, O: m.O})
 		case msg.Commit1P:
 			if d.deposed.Load() {
-				return
+				continue
 			}
 			// Single-phase commit for the unreliable baseline (Figure 7a).
 			d.wg.Add(1)
@@ -404,21 +392,13 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 			msg.PBOutcome, msg.PBOutcomeAck, msg.ReplRecord:
 			// Database servers are pure servers: requests/results belong to
 			// the client edge, consensus and register traffic to the
-			// application tier, RData/RAck/Batch to the transport layers
-			// below this demux, PB* to the primary-backup baseline, and
+			// application tier, RData/RAck to the transport layers below
+			// this demux, PB* to the primary-backup baseline, and
 			// ReplRecord to backup appliers (a deposed predecessor's stale
-			// stream is ignored here). Nested Batch payloads are flattened by
-			// the caller, never here.
+			// stream is ignored here). Batch envelopes travel only toward
+			// the application tier: every sender sends a data server one
+			// message per envelope.
 		}
-	}
-	for _, env := range envs {
-		if b, ok := env.Payload.(msg.Batch); ok {
-			for _, p := range b.Msgs {
-				handle(env.From, p)
-			}
-			continue
-		}
-		handle(env.From, env.Payload)
 	}
 
 	if len(decReqs) > 0 || len(voteReqs) > 0 {

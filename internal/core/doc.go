@@ -16,16 +16,16 @@
 // AppServerConfig.AdaptiveWindows is the one batching switch, and it sets
 // caps only: the code path is the same either way. Every register write
 // rides the cohort sequencer into a consensus slot, and every Prepare/Decide
-// leaves through the outbound aggregator. Off, both caps are 1: each slot
-// carries one write — the paper's one consensus instance per write — and
-// each message leaves at once. On, the commit path runs group commit end to
-// end: application servers aggregate Prepare/Decide fan-out to the same
-// participant into msg.Batch envelopes and fold concurrent register writes
-// into shared slots, database servers drain their mailbox and serve those
-// rounds through the engine's batched entry points, and the stable store
-// combines the resulting forced writes into shared fsyncs. Every cap follows
-// the server's own sampled in-flight depth (EWMA-smoothed): batching
-// collapses for a lone request and widens under pipelining. Batching changes timing only, never protocol
+// leaves at once, one per envelope. Off, the cohort cap is 1: each slot
+// carries one write — the paper's one consensus instance per write. On, the
+// commit path runs group commit end to end: application servers fold
+// concurrent register writes into shared slots, database servers drain
+// their mailbox and serve the Prepares and Decides of one drain through the
+// engine's batched entry points, and the stable store combines the resulting
+// forced writes into shared fsyncs. No batch waits on a timer: each is what
+// queued behind the work in flight. The cohort cap follows the server's own
+// sampled in-flight depth (EWMA-smoothed): batching collapses for a lone
+// request and widens under pipelining. Batching changes timing only, never protocol
 // semantics or span meaning — the messages, register writes and forced-log
 // rules are identical at every depth, and SpanPrepare and SpanCommit bound
 // the same exchanges — so off is exactly the paper's protocol and on is the

@@ -37,18 +37,16 @@ import (
 // each mechanism.
 type Tuning struct {
 	// AdaptiveWindows is the one batching switch. On, the databases' stable
-	// stores combine concurrent forced writes into shared fsyncs (a 500µs
-	// group-commit window, cohorts of at most 64, a lone leader skips the
-	// window), the database servers serve mailbox drains of up to 64
+	// stores combine concurrent forced writes into shared fsyncs (cohorts of
+	// at most 64), the database servers serve mailbox drains of up to 64
 	// Prepares and Decides under one forced write, and the application
-	// servers aggregate Prepare/Decide fan-out to the same participant into
-	// Batch envelopes (500µs) and fold concurrent register writes into
-	// shared cohort-consensus slots. The envelope and cohort caps follow
-	// each application server's sampled in-flight depth: one at depth 1,
-	// where a window would be pure added latency, widening toward 64 under
-	// pipelining. Timing only; protocol semantics are unchanged. Off keeps
-	// one fsync and one envelope per message, and one register write per
-	// consensus slot.
+	// servers fold concurrent register writes into shared cohort-consensus
+	// slots, with a cap that follows each application server's sampled
+	// in-flight depth: one at depth 1, widening toward 64 under pipelining.
+	// No batch waits on a timer: each forms from what queued behind the
+	// work in flight. Timing only; protocol semantics are unchanged. Off
+	// keeps one fsync per forced write and one register write per consensus
+	// slot.
 	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus log: decided slots below the
 	// cluster-wide applied watermark minus this tail are truncated, and a
@@ -97,7 +95,7 @@ func ServerDefaults() Tuning {
 // is called are the flags' defaults. Both server binaries register the same
 // set, so one flag list tunes every process of a deployment alike.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "batching: group commit at the stores, batched Prepare/Decide serving, batch envelopes and cohort consensus at the application servers, every cap following the in-flight depth; off runs the paper's one fsync, one envelope and one consensus instance per message")
+	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "batching: group commit at the stores, batched Prepare/Decide serving at the database servers, cohort consensus at the application servers with a cap following the in-flight depth; off runs the paper's one fsync per forced write and one consensus instance per register write")
 	fs.IntVar(&t.RetainSlots, "retain-slots", t.RetainSlots, "application servers: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up by checkpoint transfer); 0 retains every slot")
 	fs.IntVar(&t.Workers, "workers", t.Workers, "application servers: compute threads (raise for pipelined clients)")
 	fs.DurationVar(&t.LockTimeout, "lock-timeout", t.LockTimeout, "database servers: bound on a vote's wait for undecided predecessors on the same keys (0 = 250ms)")
@@ -125,12 +123,7 @@ func Groups(shards, replicas int) [][]id.NodeID {
 type groupCommitter interface {
 	SetBatchWindow(time.Duration)
 	SetMaxBatch(int)
-	SetAdaptive(bool)
 }
-
-// groupCommitWindow is how long an adaptive store's cohort leader waits for
-// followers.
-const groupCommitWindow = 500 * time.Microsecond
 
 // batchCap caps the data tier's group-commit cohorts and mailbox drains: 64
 // with AdaptiveWindows, no batching without.
@@ -141,18 +134,14 @@ func (t Tuning) batchCap() int {
 	return 0
 }
 
-// applyStore installs the group-commit settings of t. Adaptive keeps the
-// full accumulation window for pipelined forces but lets a lone leader skip
-// it (the combiner's own in-flight count is the depth signal), so depth-1
-// commits pay no leader sleep.
+// applyStore installs the group-commit settings of t.
 func (t Tuning) applyStore(st groupCommitter) {
-	var window time.Duration
 	if t.AdaptiveWindows {
-		window = groupCommitWindow
+		// Any positive duration switches the combiner on; its value is
+		// ignored.
+		st.SetBatchWindow(time.Nanosecond)
 	}
-	st.SetBatchWindow(window)
 	st.SetMaxBatch(t.batchCap())
-	st.SetAdaptive(t.AdaptiveWindows)
 }
 
 // engineConfig is the engine configuration of a resolved t.

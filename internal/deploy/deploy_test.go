@@ -14,14 +14,12 @@ import (
 
 // fakeStore records the group-commit settings applyStore installs.
 type fakeStore struct {
-	window   time.Duration
+	combine  bool
 	maxBatch int
-	adaptive bool
 }
 
-func (s *fakeStore) SetBatchWindow(d time.Duration) { s.window = d }
+func (s *fakeStore) SetBatchWindow(d time.Duration) { s.combine = d > 0 }
 func (s *fakeStore) SetMaxBatch(n int)              { s.maxBatch = n }
-func (s *fakeStore) SetAdaptive(on bool)            { s.adaptive = on }
 
 // TestEveryTuningFieldHasAFlagAndALanding walks Tuning by reflection: every
 // field must be settable through a flag of RegisterFlags, and the value set
@@ -69,7 +67,7 @@ func TestEveryTuningFieldHasAFlagAndALanding(t *testing.T) {
 	// (TestBatchingPoints pins what AdaptiveWindows turns on in the data
 	// tier.)
 	landings := map[string][]any{
-		"AdaptiveWindows":   {app.AdaptiveWindows, store.adaptive, srv.MaxBatch > 1},
+		"AdaptiveWindows":   {app.AdaptiveWindows, store.combine, srv.MaxBatch > 1},
 		"RetainSlots":       {app.RetainSlots},
 		"Workers":           {app.Workers},
 		"LockTimeout":       {eng.LockTimeout},
@@ -125,9 +123,9 @@ func TestResolveDefaults(t *testing.T) {
 
 // TestBatchingPoints pins the two points a deployment can run. Off lands
 // nothing batched anywhere: the paper-exact protocol. On lands exactly what
-// the end-to-end benchmark's rig wires by hand — store window 500µs, cohorts
-// of 64, adaptive leader; mailbox drains of 64; AdaptiveWindows on the
-// application servers — so the deploy path and the benchmark run one point.
+// the end-to-end benchmark's rig wires by hand — group commit on, cohorts of
+// 64; mailbox drains of 64; AdaptiveWindows on the application servers — so
+// the deploy path and the benchmark run one point.
 func TestBatchingPoints(t *testing.T) {
 	type point struct {
 		store    fakeStore
@@ -140,7 +138,7 @@ func TestBatchingPoints(t *testing.T) {
 	}{
 		{Tuning{}, point{}},
 		{Tuning{AdaptiveWindows: true}, point{
-			store:    fakeStore{window: 500 * time.Microsecond, maxBatch: 64, adaptive: true},
+			store:    fakeStore{combine: true, maxBatch: 64},
 			drain:    64,
 			adaptive: true,
 		}},

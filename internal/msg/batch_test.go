@@ -7,8 +7,8 @@ import (
 )
 
 // TestBatchRoundTripEmpty pins the edge case of a Batch with no members:
-// legal on the wire (an aggregator never produces one, but the codec must
-// not choke on it).
+// legal on the wire (no sender produces one, but the codec must not choke on
+// it).
 func TestBatchRoundTripEmpty(t *testing.T) {
 	env := Envelope{From: id.AppServer(1), To: id.DBServer(1), Payload: Batch{}}
 	b, err := Encode(env)

@@ -58,7 +58,7 @@ const (
 	KindPBOutcomeAck
 
 	// Batch framing: several protocol payloads to one destination in one
-	// envelope (outbound aggregation and group-commit replies).
+	// envelope (a database server's group-commit replies).
 	KindBatch
 
 	// Cohort-consensus framing: a forwarded batch of wo-register operations
@@ -590,11 +590,10 @@ func (PBOutcomeAck) Kind() Kind { return KindPBOutcomeAck }
 // --- Batch framing -----------------------------------------------------------
 
 // Batch packs several payloads bound for the same destination into one
-// envelope. Application servers aggregate concurrent Prepare/Decide fan-out
-// to the same participant into a Batch; database servers answer a batched
-// round with a Batch of votes/acks whose forced log writes shared one device
-// force. Receivers treat a Batch exactly as if its members had arrived back
-// to back; Batches do not nest.
+// envelope. Database servers answer a batched round with a Batch of
+// votes/acks whose forced log writes shared one device force; application
+// servers treat it exactly as if its members had arrived back to back.
+// Batches do not nest.
 type Batch struct {
 	Msgs []Payload
 }

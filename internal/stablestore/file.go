@@ -2,6 +2,7 @@ package stablestore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,23 +31,44 @@ const (
 
 // OpenFile opens (or creates) a file-backed store at path. Forced appends
 // additionally pay forceLatency, so the same cost model applies to real
-// deployments. The journal is replayed into memory before returning.
+// deployments. The journal is replayed into memory before returning, and a
+// torn tail is cut off so later appends start on a record boundary.
 func OpenFile(path string, forceLatency time.Duration) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("stablestore: open %s: %w", path, err)
 	}
 	s := New(forceLatency)
-	if err := replay(f, s); err != nil {
+	good, err := replay(f, s)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("stablestore: replay %s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err := cutTail(f, good); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("stablestore: seek %s: %w", path, err)
+		return nil, fmt.Errorf("stablestore: truncate %s: %w", path, err)
 	}
 	s.persist = &filePersist{f: f, w: bufio.NewWriter(f)}
 	return s, nil
+}
+
+// cutTail truncates f to good, durably, when bytes follow it, and leaves
+// the write offset at good.
+func cutTail(f *os.File, good int64) error {
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return err
+	}
+	if good < end {
+		if err := f.Truncate(good); err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+	}
+	_, err = f.Seek(good, io.SeekStart)
+	return err
 }
 
 // CloseFile flushes and closes the backing file, if any.
@@ -97,35 +119,50 @@ func (p *filePersist) journal(tag byte, name string, rec []byte, sync bool) {
 	}
 }
 
-// replay loads the journal into the in-memory maps.
-func replay(f *os.File, s *Store) error {
-	r := bufio.NewReader(f)
+// replay loads the journal into the in-memory maps and returns the offset
+// just past its last whole record. A short final record (a crash
+// mid-append) or an all-zero tail (the file's size reached the disk, its
+// data did not) ends the journal there; any other unparseable record is
+// corruption.
+func replay(f *os.File, s *Store) (int64, error) {
+	r := &countingReader{r: bufio.NewReader(f)}
 	for {
+		good := r.n
 		tag, err := r.ReadByte()
 		if errors.Is(err, io.EOF) {
-			return nil
+			return good, nil
 		}
 		if err != nil {
-			return err
+			return good, err
+		}
+		if tag == 0 {
+			rest, err := io.ReadAll(r)
+			if err != nil {
+				return good, err
+			}
+			if len(bytes.TrimLeft(rest, "\x00")) == 0 {
+				return good, nil
+			}
+			return good, errors.New("corrupt journal: unknown tag 0")
 		}
 		nameLen, err := binary.ReadUvarint(r)
 		if err != nil {
-			return truncated(err)
+			return good, truncated(err)
 		}
 		recLen, err := binary.ReadUvarint(r)
 		if err != nil {
-			return truncated(err)
+			return good, truncated(err)
 		}
 		if nameLen > 1<<20 || recLen > 64<<20 {
-			return errors.New("corrupt journal: oversized record")
+			return good, errors.New("corrupt journal: oversized record")
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(r, name); err != nil {
-			return truncated(err)
+			return good, truncated(err)
 		}
 		rec := make([]byte, recLen)
 		if _, err := io.ReadFull(r, rec); err != nil {
-			return truncated(err)
+			return good, truncated(err)
 		}
 		switch tag {
 		case tagAppend:
@@ -135,9 +172,29 @@ func replay(f *os.File, s *Store) error {
 		case tagTrunc:
 			delete(s.logs, string(name))
 		default:
-			return fmt.Errorf("corrupt journal: unknown tag %d", tag)
+			return good, fmt.Errorf("corrupt journal: unknown tag %d", tag)
 		}
 	}
+}
+
+// countingReader counts the bytes replay has consumed.
+type countingReader struct {
+	r *bufio.Reader
+	n int64
+}
+
+func (c *countingReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
+	}
+	return b, err
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // truncated maps partial-final-record errors (a crash mid-append of an

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestGroupCommitCombinesForces: with a batch window, N concurrent forced
+// TestGroupCommitCombinesForces: with group commit on, N concurrent forced
 // appends share device forces — the run finishes in a fraction of the
 // serialized time and pays far fewer fsyncs than forces.
 func TestGroupCommitCombinesForces(t *testing.T) {
@@ -42,6 +42,41 @@ func TestGroupCommitCombinesForces(t *testing.T) {
 	}
 	if got := s.LogLen("wal"); got != n {
 		t.Errorf("log has %d records, want %d", got, n)
+	}
+}
+
+// TestGroupCommitLeaderNeverSleeps: the batch window's value is ignored. A
+// cohort leader heads straight for the device, so concurrent forces finish
+// in a few device forces even with a ten-second window, and still share
+// them.
+func TestGroupCommitLeaderNeverSleeps(t *testing.T) {
+	const n = 8
+	s := New(time.Millisecond)
+	s.SetBatchWindow(10 * time.Second)
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			s.Append("wal", []byte("rec"), true)
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	close(start)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("forced appends still blocked after 2s: a cohort leader waited on the window")
+	}
+	if syncs, forces := s.Syncs(), s.ForcedWrites(); syncs >= forces {
+		t.Errorf("Syncs = %d, ForcedWrites = %d: no force rode another leader's fsync", syncs, forces)
 	}
 }
 

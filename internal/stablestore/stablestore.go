@@ -9,16 +9,16 @@
 // (forced disk writes, Figure 8: log-start 12.5 ms) from the paper's
 // replicated scheme (in-memory consensus round, 4.5 ms).
 //
-// A server has one log device, so forces queue behind each other. With the
-// default batch window of 0 every forced write pays its own serialized
-// device force — the per-database commit bottleneck that makes sharding a
-// throughput lever. A positive batch window enables the group-commit
-// combiner: concurrent forced writes form a cohort, one leader pays a single
-// device force (one fsync) that covers every record the cohort appended, and
-// the whole cohort is released together. Because a cohort stays open until
-// its leader actually reaches the device, everything that arrives while the
-// previous force is in flight piggybacks on the next one — batching emerges
-// under load without tuning.
+// A server has one log device, so forces queue behind each other. By default
+// every forced write pays its own serialized device force — the per-database
+// commit bottleneck that makes sharding a throughput lever. SetBatchWindow
+// switches on the group-commit combiner: concurrent forced writes form a
+// cohort, one leader pays a single device force (one fsync) that covers
+// every record the cohort appended, and the whole cohort is released
+// together. The leader never waits to batch: a cohort stays open only until
+// its leader reaches the device, so everything that arrives while the
+// previous force is in flight piggybacks on the next one, and a lone force
+// on an idle device goes straight through.
 package stablestore
 
 import (
@@ -33,10 +33,8 @@ import (
 // key-value area for registers like the incarnation counter.
 type Store struct {
 	forceLatency atomic.Int64 // nanoseconds per device force
-	batchWindow  atomic.Int64 // group-commit accumulation window; 0 disables
+	combine      atomic.Bool  // group commit on
 	maxBatch     atomic.Int64 // cohort size cap; 0 = unlimited
-	adaptive     atomic.Bool  // lone leaders skip the accumulation window
-	forcers      atomic.Int64 // force() calls currently in flight
 	forcedWrites atomic.Int64 // forced writes requested (Append force, Put, Sync)
 	totalWrites  atomic.Int64
 	syncs        atomic.Int64 // device forces actually paid
@@ -77,23 +75,19 @@ func New(forceLatency time.Duration) *Store {
 // SetForceLatency changes the simulated fsync cost.
 func (s *Store) SetForceLatency(d time.Duration) { s.forceLatency.Store(int64(d)) }
 
-// SetBatchWindow sets the group-commit window: 0 (the default) keeps every
-// forced write paying its own serialized device force; any positive value
-// enables the combiner, with the window being the extra time a cohort leader
-// waits for followers before forcing (useful when the device is idle —
-// under load, arrivals piggyback on the in-flight force regardless).
-func (s *Store) SetBatchWindow(d time.Duration) { s.batchWindow.Store(int64(d)) }
+// SetBatchWindow switches the group-commit combiner on for any positive d
+// and off for 0, the default, where every forced write pays its own
+// serialized device force. The value of a positive d is ignored: no leader
+// waits for followers, a cohort is whatever enrolled while the force ahead
+// of it was in flight.
+func (s *Store) SetBatchWindow(d time.Duration) { s.combine.Store(d > 0) }
 
 // SetMaxBatch caps the group-commit cohort size; 0 means unlimited.
 func (s *Store) SetMaxBatch(n int) { s.maxBatch.Store(int64(n)) }
 
-// SetAdaptive makes the combiner's accumulation window depth-aware: a cohort
-// leader that observes no other force in flight heads straight for the
-// device instead of sleeping the window — a lone writer has no followers
-// worth waiting for — while concurrent arrivals still pay the window and
-// share the force. The observed signal is the combiner's own in-flight
-// count, so no caller plumbing is needed.
-func (s *Store) SetAdaptive(on bool) { s.adaptive.Store(on) }
+// SetAdaptive does nothing: no cohort leader waits for followers, so there
+// is no window to adapt. It stays for callers that still set it.
+func (s *Store) SetAdaptive(bool) {}
 
 // ForcedWrites returns how many forced writes were requested and completed:
 // forced appends, puts and Syncs (metrics).
@@ -140,18 +134,14 @@ func (s *Store) Sync() {
 }
 
 // force makes everything journaled so far durable and pays the simulated
-// device latency, combining with concurrent forces when a batch window is
-// configured.
+// device latency, combining with concurrent forces when group commit is on.
 func (s *Store) force() {
 	if time.Duration(s.forceLatency.Load()) <= 0 && s.persist == nil {
 		// No device to speak of: nothing to combine, nothing to pay — and
 		// nothing counted, Syncs() reports device forces actually paid.
 		return
 	}
-	s.forcers.Add(1)
-	defer s.forcers.Add(-1)
-	window := time.Duration(s.batchWindow.Load())
-	if window <= 0 {
+	if !s.combine.Load() {
 		// Pre-group-commit behaviour: one serialized device force each.
 		s.forceMu.Lock()
 		s.syncDevice()
@@ -175,17 +165,9 @@ func (s *Store) force() {
 	s.cohort = c
 	s.cohortMu.Unlock()
 
-	// Accumulate followers for the window, then head for the device. The
-	// cohort stays open until the device is actually ours: everything that
-	// arrives while the previous force is still in flight joins this cohort
-	// and is covered by our single force. An adaptive lone leader skips the
-	// accumulation entirely — the snapshot may miss a racing arrival, but
-	// the racer either enrolls before this leader reaches the device (the
-	// cohort is still open) or leads its own cohort; durability never
-	// depends on the window.
-	if !s.adaptive.Load() || s.forcers.Load() > 1 {
-		spin.Sleep(window)
-	}
+	// Head straight for the device. The cohort stays open until the device
+	// is actually ours: everything that arrives while the previous force is
+	// still in flight joins this cohort and is covered by our single force.
 	s.forceMu.Lock()
 	s.cohortMu.Lock()
 	if s.cohort == c {

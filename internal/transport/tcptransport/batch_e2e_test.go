@@ -13,9 +13,9 @@ import (
 
 // TestBatchedCommitPathOverTCP runs the stack over real loopback TCP with the
 // whole batching stack on — group-commit combiner at the store, batched serve
-// loop at the database server, outbound aggregation at the application
-// servers — and pipelined concurrent requests, verifying Batch envelopes
-// survive the codec/framing path and that fsyncs were genuinely shared.
+// loop at the database server, cohort consensus at the application servers —
+// and pipelined concurrent requests, verifying batched replies survive the
+// codec/framing path and that fsyncs were genuinely shared.
 func TestBatchedCommitPathOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP end-to-end test skipped in -short mode")

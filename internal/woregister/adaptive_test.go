@@ -53,3 +53,26 @@ func TestDeepPipelineStillFormsCohorts(t *testing.T) {
 		t.Error("no ops decided through batch slots")
 	}
 }
+
+// TestAdaptiveCap pins the cohort sequencer's cap curve: collapse to 1 at
+// depth <= 1, then at least 8 and roughly 2x the depth, never past the
+// configured cap.
+func TestAdaptiveCap(t *testing.T) {
+	cases := []struct {
+		configured, depth, want int
+	}{
+		{64, 0, 1},
+		{64, 1, 1},
+		{64, 2, 8},  // floor: small pipelines still batch usefully
+		{64, 4, 8},  // 2*4 = 8, at the floor
+		{64, 8, 16}, // 2x headroom over the observed depth
+		{64, 32, 64},
+		{64, 64, 64}, // clamped to the configured cap
+		{4, 64, 4},   // the configured cap always wins
+	}
+	for _, c := range cases {
+		if got := AdaptiveCap(c.configured, c.depth); got != c.want {
+			t.Errorf("AdaptiveCap(%d, %d) = %d, want %d", c.configured, c.depth, got, c.want)
+		}
+	}
+}

@@ -336,10 +336,9 @@ func (s *sequencer) slotCap() int {
 }
 
 // AdaptiveCap sizes a batch cap to the observed in-flight depth: depth 1
-// collapses batching entirely (a cohort of one op, an envelope that flushes
-// at once), deeper pipelines widen toward the configured cap — at least 8,
-// roughly twice the depth. The cohort sequencer sizes its slots with it, and
-// core's outbound aggregator its Batch envelopes.
+// collapses batching entirely (a cohort of one op), deeper pipelines widen
+// toward the configured cap — at least 8, roughly twice the depth. The
+// cohort sequencer sizes its slots with it.
 func AdaptiveCap(configured, depth int) int {
 	if depth <= 1 {
 		return 1
