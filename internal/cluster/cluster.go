@@ -77,7 +77,6 @@ type Config struct {
 	DBDetector func(self id.NodeID) fd.Detector
 
 	// Knobs forwarded to the processes (zero = package defaults).
-	ConsensusPoll     time.Duration
 	ResendInterval    time.Duration
 	CleanInterval     time.Duration
 	ComputeTimeout    time.Duration
@@ -381,7 +380,6 @@ func (c *Cluster) startApp(appID id.NodeID) error {
 		Endpoint:       ep,
 		Logic:          &loggedLogic{c: c, inner: c.cfg.Logic},
 		Detector:       det,
-		ConsensusPoll:  c.cfg.ConsensusPoll,
 		ResendInterval: c.cfg.ResendInterval,
 		CleanInterval:  c.cfg.CleanInterval,
 		ComputeTimeout: c.cfg.ComputeTimeout,

@@ -23,7 +23,6 @@ import (
 func fastKnobs(cfg *Config) {
 	cfg.HeartbeatInterval = 5 * time.Millisecond
 	cfg.SuspectTimeout = 40 * time.Millisecond
-	cfg.ConsensusPoll = 500 * time.Microsecond
 	cfg.ResendInterval = 30 * time.Millisecond
 	cfg.CleanInterval = 10 * time.Millisecond
 	cfg.ComputeTimeout = 3 * time.Second

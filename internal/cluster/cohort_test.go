@@ -16,7 +16,6 @@ import (
 // among it — on top of the usual fast test timings.
 func cohortKnobs(cfg *Config) {
 	fastKnobs(cfg)
-	cfg.ConsensusPoll = 0 // event-driven waits with the safety-net default
 	cfg.AdaptiveWindows = true
 }
 

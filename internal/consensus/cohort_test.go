@@ -243,7 +243,7 @@ func TestMergeBatches(t *testing.T) {
 	}
 }
 
-// newRigPoll is newRig with an explicit safety-net poll.
+// newRigPoll is newRig with an explicit tick (Config.Poll).
 func newRigPoll(t *testing.T, n int, poll time.Duration) *rig {
 	t.Helper()
 	return newRigWith(t, n, transport.Options{}, poll)

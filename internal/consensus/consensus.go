@@ -37,9 +37,9 @@
 // decision is already on its way to its sender). A process the broadcast
 // missed pulls the decision, on paths that exist anyway:
 //
-//   - a participant that acked re-acks on its blocked-phase timer, as an
-//     estimate locked at the round: a coordinator still tallying counts it
-//     as the ack, and a decided one answers it with the decision;
+//   - a participant that acked re-acks on the node's tick, as an estimate
+//     locked at the round: a coordinator still tallying counts it as the
+//     ack, and a decided one answers it with the decision;
 //   - if the coordinator is gone, round r+1 re-decides the same value,
 //     because the acking majority is locked on it (CT's locking argument —
 //     an echo of the decision adds nothing to safety);
@@ -59,11 +59,14 @@
 //     additionally merges any round-1 estimates already in hand (all timestamps 0, so the union of proposed batches is as
 //     valid a proposal as any single one), which folds a concurrent
 //     proposer's cohort into the slot instead of forcing it to retry.
-//   - Event-driven waits: a blocked phase sleeps until a message arrives
-//     (the instance mailbox signals), a local proposal lands, or the failure
-//     detector announces a suspicion transition (fd.Notifier). Poll survives
-//     only as a safety-net timer for detectors that cannot announce
-//     transitions.
+//   - No goroutine per instance: an instance is plain state under the node's
+//     lock, and stepLocked advances it whenever an input reaches it — a
+//     message (Handle), a local proposal (Propose) or a suspicion transition
+//     the detector announces (fd.Notifier, which Config requires). What a
+//     step sends leaves once the lock is released. The node's one goroutine
+//     relays the detector's transitions and ticks every Poll; a tick
+//     retransmits only for an instance that has heard nothing for a full
+//     resend interval, which a failure-free run never sees.
 //
 // # Batch-log truncation
 //
@@ -105,7 +108,6 @@ import (
 	"etx/internal/id"
 	"etx/internal/metrics"
 	"etx/internal/msg"
-	"etx/internal/queue"
 )
 
 // SendFunc transmits a payload to a peer.
@@ -123,14 +125,12 @@ type Config struct {
 	// Send transmits consensus messages. Messages to Self short-circuit and
 	// never touch Send.
 	Send SendFunc
-	// Detector provides the suspect() predicate (◊P suffices for ◊S). When
-	// it also implements fd.Notifier, blocked phases sleep until a suspicion
-	// transition instead of re-polling.
+	// Detector provides the suspect() predicate (◊P suffices for ◊S). It
+	// must implement fd.Notifier: a suspicion transition is what moves a
+	// phase blocked on a crashed coordinator.
 	Detector fd.Detector
-	// Poll is the safety-net interval at which a blocked phase re-checks the
-	// failure detector. With a notifying detector it defaults to 25ms (a
-	// backstop; wakeups are event-driven); otherwise to 1ms (the polling is
-	// the only way to observe the detector).
+	// Poll is the node's tick, at which an instance that has heard nothing
+	// for max(Poll, 20ms) retransmits. Defaults to 25ms.
 	Poll time.Duration
 	// RetainSlots enables checkpointed truncation of the batch log: decided
 	// slots at or below the cluster-wide minimum applied watermark minus this
@@ -155,6 +155,9 @@ func (c Config) validate() error {
 	}
 	if c.Detector == nil {
 		return errors.New("consensus: Detector is required")
+	}
+	if _, ok := c.Detector.(fd.Notifier); !ok {
+		return errors.New("consensus: Detector must implement fd.Notifier")
 	}
 	found := false
 	for _, p := range c.Peers {
@@ -181,10 +184,9 @@ var ErrNotSlot = errors.New("consensus: not a batch-log slot")
 // there again could only re-litigate it.
 var ErrSlotTruncated = errors.New("consensus: slot below truncation floor")
 
-// minResendInterval floors the blocked-phase retransmission cadence: a
-// sub-millisecond safety-net poll (legacy non-notifying detectors, tests)
-// must re-check the detector that often, but re-broadcasting estimates at
-// that rate would amplify one lost message into a flood.
+// minResendInterval floors the retransmission cadence: a test may tick far
+// faster, but re-broadcasting estimates at that rate would amplify one lost
+// message into a flood.
 const minResendInterval = 20 * time.Millisecond
 
 // Counters aggregates a node's protocol activity (see Stats).
@@ -195,7 +197,7 @@ type Counters struct {
 	Messages  metrics.Counter // remote consensus messages sent
 	FastPath  metrics.Counter // round-1 coordinator fast-path proposals
 	BatchOps  metrics.Counter // register ops decided through applied slots
-	Resends   metrics.Counter // safety-net retransmissions from blocked phases
+	Resends   metrics.Counter // tick retransmissions by instances that heard nothing
 
 	SlotsPruned   metrics.Counter // batch-log slots truncated below the floor
 	CkptServed    metrics.Counter // checkpoint answers sent to laggards
@@ -253,9 +255,9 @@ func (s Stats) String() string {
 
 // Node multiplexes consensus instances for one process.
 type Node struct {
-	cfg  Config
-	maj  int
-	poll time.Duration
+	cfg         Config
+	maj         int
+	resendEvery time.Duration // max(Poll, minResendInterval)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -266,13 +268,6 @@ type Node struct {
 	// appliedWM mirrors nextApply-1 so the send path can stamp outgoing
 	// messages with the applied watermark without taking mu.
 	appliedWM atomic.Uint64
-
-	// fdCh is the node's single subscription to the detector's transition
-	// notifications (nil without fd.Notifier); a long-lived fan-out
-	// goroutine broadcasts each signal to every live instance's wake
-	// channel. One subscription per node, not per instance: instances come
-	// and go thousands of times a second on the batched hot path.
-	fdCh chan struct{}
 
 	mu        sync.Mutex
 	stopped   bool                         // guarded by mu
@@ -314,17 +309,13 @@ type Node struct {
 }
 
 // New creates a consensus node. Call Stop when done to release its
-// goroutines.
+// goroutine.
 func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Poll <= 0 {
-		if _, ok := cfg.Detector.(fd.Notifier); ok {
-			cfg.Poll = 25 * time.Millisecond
-		} else {
-			cfg.Poll = time.Millisecond
-		}
+		cfg.Poll = 25 * time.Millisecond
 	}
 	if cfg.RetainSlots < 0 {
 		cfg.RetainSlots = 0
@@ -334,55 +325,65 @@ func New(cfg Config) (*Node, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		cfg:       cfg,
-		maj:       len(cfg.Peers)/2 + 1,
-		poll:      cfg.Poll,
-		ctx:       ctx,
-		cancel:    cancel,
-		instances: make(map[uint64]*instance),
-		slots:     make(map[uint64][]byte),
-		regs:      make(map[msg.RegKey][]byte),
-		subs:      make(map[msg.RegKey][]chan []byte),
-		nextApply: 1,
-		peerWM:    make(map[id.NodeID]uint64, len(cfg.Peers)),
-		lastCkpt:  make(map[id.NodeID]time.Time, len(cfg.Peers)),
+		cfg:         cfg,
+		maj:         len(cfg.Peers)/2 + 1,
+		resendEvery: max(cfg.Poll, minResendInterval),
+		ctx:         ctx,
+		cancel:      cancel,
+		instances:   make(map[uint64]*instance),
+		slots:       make(map[uint64][]byte),
+		regs:        make(map[msg.RegKey][]byte),
+		subs:        make(map[msg.RegKey][]chan []byte),
+		nextApply:   1,
+		peerWM:      make(map[id.NodeID]uint64, len(cfg.Peers)),
+		lastCkpt:    make(map[id.NodeID]time.Time, len(cfg.Peers)),
 	}
-	if notif, ok := cfg.Detector.(fd.Notifier); ok {
-		n.fdCh = make(chan struct{}, 1)
-		notif.Subscribe(n.fdCh)
-		n.wg.Add(1)
-		go n.fanoutDetector(notif)
-	}
+	notif := cfg.Detector.(fd.Notifier)
+	fdCh := make(chan struct{}, 1)
+	notif.Subscribe(fdCh)
+	n.wg.Add(1)
+	go n.loop(notif, fdCh)
 	return n, nil
 }
 
 // now reads the injected clock.
 func (n *Node) now() time.Time { return n.cfg.Now() }
 
-// fanoutDetector relays the detector's transition signals to every live
-// instance's wake channel.
-func (n *Node) fanoutDetector(notif fd.Notifier) {
+// loop is the node's one goroutine. A suspicion transition steps every live
+// instance (a phase blocked on the coordinator may nack now, or an acked
+// participant move on); a tick gives every instance its retransmission
+// check.
+func (n *Node) loop(notif fd.Notifier, fdCh chan struct{}) {
 	defer n.wg.Done()
-	defer notif.Unsubscribe(n.fdCh)
+	defer notif.Unsubscribe(fdCh)
+	tick := time.NewTicker(n.cfg.Poll)
+	defer tick.Stop()
 	for {
 		select {
-		case <-n.fdCh:
-			n.mu.Lock()
-			for _, inst := range n.instances {
-				select {
-				case inst.fdWake <- struct{}{}:
-				default:
-				}
-			}
-			n.mu.Unlock()
+		case <-fdCh:
+			n.stepAll((*instance).stepLocked)
+		case <-tick.C:
+			n.stepAll((*instance).resendLocked)
 		case <-n.ctx.Done():
 			return
 		}
 	}
 }
 
-// Stop shuts down all instance goroutines and fails pending Proposes with
-// ErrStopped.
+// stepAll runs step on every live instance under one hold of n.mu, then
+// flushes what they produced.
+func (n *Node) stepAll(step func(*instance, *outbox)) {
+	var o outbox
+	n.mu.Lock()
+	for _, inst := range n.instances {
+		step(inst, &o)
+	}
+	n.mu.Unlock()
+	n.flush(&o)
+}
+
+// Stop ends the node's goroutine, fails pending Proposes with ErrStopped,
+// and turns away every later message and proposal.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	n.stopped = true
@@ -443,25 +444,24 @@ func (n *Node) Propose(ctx context.Context, key msg.RegKey, val []byte) ([]byte,
 		return nil, fmt.Errorf("propose %s: %w", key, ErrNotSlot)
 	}
 	n.mu.Lock()
-	v, decided := n.slots[key.Slot]
-	truncated := key.Slot <= n.floor
-	n.mu.Unlock()
-	if decided {
+	if v, decided := n.slots[key.Slot]; decided {
+		n.mu.Unlock()
 		return v, nil
 	}
-	if truncated {
+	if key.Slot <= n.floor {
+		n.mu.Unlock()
 		return nil, fmt.Errorf("propose %s: %w", key, ErrSlotTruncated)
 	}
-	inst := n.getInstance(key)
+	inst := n.instanceLocked(key)
 	if inst == nil {
-		// Decided between the check and instance creation.
-		if v, ok := n.Decided(key); ok {
-			return v, nil
-		}
+		n.mu.Unlock()
 		return nil, ErrStopped
 	}
 	n.counters.Proposes.Inc()
-	inst.propose(val)
+	var o outbox
+	inst.proposeLocked(val, &o)
+	n.mu.Unlock()
+	n.flush(&o)
 	select {
 	case <-inst.done:
 		return inst.result, nil
@@ -558,15 +558,12 @@ func (n *Node) Keys() []msg.RegKey {
 // write is blocked). ok is false when no instance is running.
 func (n *Node) InstanceState(slot uint64) (round uint32, coord id.NodeID, ok bool) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	inst := n.instances[slot]
-	n.mu.Unlock()
 	if inst == nil {
 		return 0, id.NodeID{}, false
 	}
-	r := inst.roundNow.Load()
-	if r == 0 {
-		r = 1 // still acquiring an estimate; round 1 is next
-	}
+	r := max(inst.round, 1) // round 0: still acquiring an estimate, round 1 is next
 	return r, inst.coord(r), true
 }
 
@@ -580,7 +577,7 @@ func (n *Node) Handle(from id.NodeID, p msg.Payload) {
 	case msg.CDecision:
 		// Record first: a slot decision carries the sender's watermark,
 		// which already covers the slot itself and must not read as a gap.
-		n.learn(m.Reg, m.Val, false)
+		n.learn(m.Reg, m.Val)
 		n.ObserveWatermark(from, m.WM)
 	case msg.Estimate:
 		n.ObserveWatermark(from, m.WM)
@@ -729,9 +726,9 @@ func (n *Node) installCheckpoint(m msg.Checkpoint) {
 		n.mu.Unlock()
 		return
 	}
-	var effects []decideEffect
+	var o outbox
 	for _, op := range m.Regs {
-		effects = n.decideLocked(op, effects)
+		n.decideLocked(op, &o)
 	}
 	// Drop slots we hold that are now below the floor (decided but never
 	// applied: the gap in front of them is what stranded us).
@@ -740,22 +737,18 @@ func (n *Node) installCheckpoint(m msg.Checkpoint) {
 	// Slot instances at or below the floor can never decide now (every
 	// up-to-date peer answers them with a checkpoint): finish them so their
 	// proposing sequencers re-enqueue the surviving ops at a live slot.
-	var stranded []*instance
 	for s, inst := range n.instances {
 		if s <= n.floor {
-			stranded = append(stranded, inst)
 			delete(n.instances, s)
+			o.effects = append(o.effects, decideEffect{val: msg.EncodeRegOps(nil), inst: inst})
 		}
 	}
-	effects = n.applyLocked(effects)
+	n.applyLocked(&o)
 	n.gcLocked()
 	n.mu.Unlock()
 
 	n.counters.CkptInstalled.Inc()
-	for _, inst := range stranded {
-		inst.finish(msg.EncodeRegOps(nil))
-	}
-	n.deliver(effects)
+	n.flush(&o)
 }
 
 // dispatch routes a phase message to its slot's instance, answering it
@@ -772,7 +765,7 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 	if k := p.Kind(); (k == msg.KindAck || k == msg.KindNack) && (decided || truncated) {
 		// A reply reaching a finished instance is a late original: the
 		// deciding coordinator's decision is already on its way to the
-		// sender. A participant that lost it pulls with its blocked-phase
+		// sender. A participant that lost it pulls with its tick
 		// re-ack, an estimate, which is answered below.
 		n.mu.Unlock()
 		return
@@ -809,68 +802,50 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 		}
 		return
 	}
-	n.mu.Unlock()
-	inst := n.getInstance(key)
-	if inst == nil {
-		return
+	var o outbox
+	if inst := n.instanceLocked(key); inst != nil {
+		inst.receive(from, p)
+		inst.stepLocked(&o)
 	}
-	inst.inbox.Push(inMsg{from: from, p: p})
+	n.mu.Unlock()
+	n.flush(&o)
 }
 
-// decideEffect is one deferred side effect of recording a decision: the
-// deciding slot instance to finish and, when relay is set, the decision to
-// send to every peer; or a register's watchers to wake.
+// outbox collects what one hold of n.mu produces, for flush to carry out
+// once the lock is released: the remote messages in the order they were
+// produced, then the effects of recorded decisions.
+type outbox struct {
+	msgs    []outMsg
+	effects []decideEffect
+}
+
+type outMsg struct {
+	to id.NodeID
+	p  msg.Payload
+}
+
+// decideEffect is one deferred side effect of recording a decision: a slot
+// instance to finish, or a register's watchers to wake.
 type decideEffect struct {
-	key   msg.RegKey
-	val   []byte
-	inst  *instance
-	subs  []chan []byte
-	relay bool
+	val  []byte
+	inst *instance
+	subs []chan []byte
 }
 
-// learn records a decision. relay is the caller's role: phase 4 of the
-// coordinator that gathered the ack majority passes true and sends the
-// decision to every peer; a decision received from a peer (Handle) passes
-// false and is recorded only — the coordinator already sent it to every
-// other peer, and a peer it did not reach pulls it (re-ack, round r+1, or
-// the slot gap probe), so a learner never echoes. A slot decision triggers
-// in-order application of every ready slot: the registers named by the
-// batches decide first-write-wins, resolving their waiters, without a
-// message of their own (the slot decision carries them). A register
-// decision is a peer sequencer's answer to a forwarded write whose register
-// it already holds.
-func (n *Node) learn(key msg.RegKey, val []byte, relay bool) {
-	n.mu.Lock()
-	var effects []decideEffect
-	if key.Array == msg.RegBatch {
-		effects = n.recordLocked(key, val, relay)
-		// Applying slots moved our watermark; the floor may follow.
-		n.gcLocked()
-	} else {
-		effects = n.decideLocked(msg.RegOp{Reg: key, Val: val}, nil)
-	}
-	n.mu.Unlock()
-	n.deliver(effects)
-}
-
-// deliver resolves the deferred side effects of recorded decisions outside
-// the node lock: sending the deciding coordinator's decision to its peers,
-// finishing instances and waking watchers, in that order. The decision
-// leaves before the deciding instance finishes, so a proposer that chains
+// flush sends o's messages, then finishes its instances and wakes its
+// watchers. A deciding coordinator's decision is among the messages, so it
+// leaves before the deciding instance finishes: a proposer that chains
 // instances (the cohort sequencer) cannot put slot s+1 on a link ahead of
 // slot s's decision, and over FIFO links no peer holds decided slots above
 // a gap of that proposer's making.
-func (n *Node) deliver(effects []decideEffect) {
-	for _, e := range effects {
-		if e.relay {
-			for _, p := range n.cfg.Peers {
-				if p != n.cfg.Self {
-					n.send(p, msg.CDecision{Reg: e.key, Val: e.val})
-				}
-			}
-		}
+func (n *Node) flush(o *outbox) {
+	for _, m := range o.msgs {
+		n.send(m.to, m.p)
+	}
+	for _, e := range o.effects {
 		if e.inst != nil {
-			e.inst.finish(e.val)
+			e.inst.result = e.val
+			close(e.inst.done)
 		}
 		for _, ch := range e.subs {
 			ch <- e.val
@@ -878,108 +853,110 @@ func (n *Node) deliver(effects []decideEffect) {
 	}
 }
 
-// recordLocked stores a slot decision and applies every slot it makes
-// ready, collecting the deferred side effects; relay asks for the decision
-// to be sent to every peer (the deciding coordinator only). A slot is
-// recorded, and so relayed, at most once. Caller holds n.mu.
-func (n *Node) recordLocked(key msg.RegKey, val []byte, relay bool) []decideEffect {
+// learn records a decision received from a peer (Handle). It is recorded
+// only: the deciding coordinator already sent it to every other peer, and a
+// peer it did not reach pulls it (re-ack, round r+1, or the slot gap probe),
+// so a learner never echoes. A slot decision triggers in-order application
+// of every ready slot: the registers named by the batches decide
+// first-write-wins, resolving their waiters, without a message of their own
+// (the slot decision carries them). A register decision is a peer
+// sequencer's answer to a forwarded write whose register it already holds.
+func (n *Node) learn(key msg.RegKey, val []byte) {
+	var o outbox
+	n.mu.Lock()
+	if key.Array == msg.RegBatch {
+		n.recordLocked(key, val, &o)
+		// Applying slots moved our watermark; the floor may follow.
+		n.gcLocked()
+	} else {
+		n.decideLocked(msg.RegOp{Reg: key, Val: val}, &o)
+	}
+	n.mu.Unlock()
+	n.flush(&o)
+}
+
+// recordLocked stores a slot decision, ends the slot's instance (its
+// per-round tallies go with it; the decided value stays) and applies every
+// slot the decision makes ready, collecting the deferred side effects in o.
+// A slot is recorded at most once. Caller holds n.mu.
+func (n *Node) recordLocked(key msg.RegKey, val []byte, o *outbox) {
 	if key.Slot <= n.floor {
 		// A straggling replay of a truncated slot (e.g. a tail-retaining
 		// peer's CDecision racing a checkpoint install): its effects are
 		// already part of the applied state; re-recording would leak the
 		// slot below the floor forever.
-		return nil
+		return
 	}
 	if _, ok := n.slots[key.Slot]; ok {
-		return nil
+		return
 	}
 	n.slots[key.Slot] = val
 	n.counters.LiveSlots.Inc()
-	return n.applyLocked([]decideEffect{{key: key, val: val, inst: n.instances[key.Slot], relay: relay}})
+	if inst := n.instances[key.Slot]; inst != nil {
+		delete(n.instances, key.Slot)
+		o.effects = append(o.effects, decideEffect{val: val, inst: inst})
+	}
+	n.applyLocked(o)
 }
 
 // applyLocked applies every decided-and-ready slot in slot order, appending
-// side effects to out. Each register op decides its register unless an
+// side effects to o. Each register op decides its register unless an
 // earlier slot (or a register decision learned from a peer) got there
 // first — the first-write-wins race is resolved by the agreed slot order, so
 // every node computes the same winner. Caller holds n.mu.
-func (n *Node) applyLocked(out []decideEffect) []decideEffect {
-	defer func() {
-		n.appliedWM.Store(n.nextApply - 1)
-	}()
+func (n *Node) applyLocked(o *outbox) {
 	for {
 		raw, ok := n.slots[n.nextApply]
 		if !ok {
-			return out
+			break
 		}
 		if ops, err := msg.DecodeRegOps(raw); err == nil {
 			held := len(n.regs)
 			for _, op := range ops {
-				out = n.decideLocked(op, out)
+				n.decideLocked(op, o)
 			}
 			n.counters.BatchOps.Add(uint64(len(n.regs) - held))
 		}
 		n.nextApply++
 	}
+	n.appliedWM.Store(n.nextApply - 1)
 }
 
 // decideLocked decides a register first-write-wins — one already decided
-// keeps its value — and appends its waiters, if any, to out. Registers
+// keeps its value — and appends its waiters, if any, to o. Registers
 // decided here send nothing (the slot decision carries them). Caller holds
 // n.mu.
-func (n *Node) decideLocked(op msg.RegOp, out []decideEffect) []decideEffect {
+func (n *Node) decideLocked(op msg.RegOp, o *outbox) {
 	if _, dup := n.regs[op.Reg]; dup {
-		return out
+		return
 	}
 	n.regs[op.Reg] = op.Val
-	subs := n.subs[op.Reg]
-	if len(subs) == 0 {
-		return out
+	if subs := n.subs[op.Reg]; len(subs) > 0 {
+		delete(n.subs, op.Reg)
+		o.effects = append(o.effects, decideEffect{val: op.Val, subs: subs})
 	}
-	delete(n.subs, op.Reg)
-	return append(out, decideEffect{key: op.Reg, val: op.Val, subs: subs})
 }
 
-// getInstance returns the live instance of slot key, creating and starting
-// it if needed. Returns nil if the node is stopped or the slot is already
-// decided or truncated.
-func (n *Node) getInstance(key msg.RegKey) *instance {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if inst, ok := n.instances[key.Slot]; ok {
-		return inst
-	}
-	if _, ok := n.slots[key.Slot]; ok {
+// instanceLocked returns the live instance of slot key, creating it if
+// needed; nil once the node has stopped. The callers have checked that the
+// slot is neither decided nor truncated. Caller holds n.mu.
+func (n *Node) instanceLocked(key msg.RegKey) *instance {
+	if n.stopped {
 		return nil
 	}
-	if key.Slot <= n.floor || n.stopped {
-		// A truncated slot could only be re-litigated (the callers check
-		// too, but the floor may have advanced since they dropped the lock).
-		return nil
+	inst, ok := n.instances[key.Slot]
+	if !ok {
+		inst = &instance{node: n, key: key, done: make(chan struct{})}
+		n.instances[key.Slot] = inst
+		n.counters.Instances.Inc()
 	}
-	inst := newInstance(n, key)
-	n.instances[key.Slot] = inst
-	n.counters.Instances.Inc()
-	n.wg.Add(1)
-	go inst.run(n.ctx)
 	return inst
-}
-
-// forget drops inst's bookkeeping once its run goroutine exits (its memory
-// of per-round tallies is released; the decided value stays). A checkpoint
-// install may have dropped it already.
-func (n *Node) forget(inst *instance) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.instances[inst.key.Slot] == inst {
-		delete(n.instances, inst.key.Slot)
-	}
 }
 
 // send transmits to another node, stamped with the applied watermark (the
 // truncation protocol's piggyback). Its callers never address this node:
-// the only messages a node sends itself are an instance's own, and those go
-// through inst.send.
+// the only messages a node sends itself are an instance's own, and those
+// are tallied in place (instance.emit).
 func (n *Node) send(to id.NodeID, p msg.Payload) {
 	n.counters.Messages.Inc()
 	_ = n.cfg.Send(to, n.stamp(p))
@@ -1014,104 +991,46 @@ func (n *Node) stamp(p msg.Payload) msg.Payload {
 
 // --- instance ---------------------------------------------------------------
 
-type inMsg struct {
-	from id.NodeID
-	p    msg.Payload
-}
-
 type estVal struct {
 	val []byte
 	ts  uint32
 }
 
-// instance is one consensus execution. All protocol state is confined to the
-// run goroutine; cross-goroutine interaction happens via inbox, proposeCh and
-// done.
+// phase is what a live instance waits for; stepLocked moves it on as far as
+// its input allows.
+type phase uint8
+
+const (
+	acquiring     phase = iota // no estimate yet: a local proposal or a peer's value
+	gathering                  // coordinator, phase 2: a majority of estimates
+	awaitProposal              // phase 3: the coordinator's proposal, or to suspect it
+	awaitDecision              // acked participant: the decision, a suspicion or a higher round
+	tallying                   // coordinator, phase 4: a majority of acks, or of replies
+)
+
+// instance is one consensus execution: plain state under node.mu, advanced
+// by stepLocked on whichever goroutine brings it input, and removed from
+// the node by the decision (recordLocked) or a checkpoint install. Proposers
+// wait on done.
 type instance struct {
 	node *Node
 	key  msg.RegKey
 
-	inbox *queue.Queue[inMsg]
+	done   chan struct{} // closed by flush once the decision has been sent
+	result []byte        // written before done closes
 
-	proposeMu sync.Mutex
-	proposal  []byte
-	hasProp   bool
-	propWake  chan struct{}
-
-	fdWake chan struct{} // suspicion-transition wakeups (nil without Notifier)
-
-	done   chan struct{} // closed once result is set
-	result []byte
-	dOnce  sync.Once
-
-	roundNow atomic.Uint32 // mirror of round for InstanceState
-
-	lastResend time.Time // throttles blocked-phase retransmissions
-
-	// goroutine-local protocol state. The per-round tally maps are lazily
-	// allocated on first use: a fast-path instance that never tallies
-	// estimates should not pay for the maps (instances are created
+	// Protocol state; read and written under node.mu only. The per-round
+	// tally maps are allocated on first use: a fast-path instance that never
+	// tallies estimates should not pay for them (instances are created
 	// thousands of times a second on the hot path).
-	est       []byte
-	hasEst    bool
-	ts        uint32
-	round     uint32
-	estimates map[uint32]map[id.NodeID]estVal
-	proposals map[uint32][]byte
-	replies   map[uint32]map[id.NodeID]bool // sender -> isAck
-	decided   bool
-}
-
-func newInstance(n *Node, key msg.RegKey) *instance {
-	inst := &instance{
-		node:     n,
-		key:      key,
-		inbox:    queue.New[inMsg](),
-		propWake: make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}
-	if n.fdCh != nil {
-		inst.fdWake = make(chan struct{}, 1)
-	}
-	return inst
-}
-
-// propose records the local proposal (first one wins locally) and wakes the
-// run loop.
-func (inst *instance) propose(val []byte) {
-	inst.proposeMu.Lock()
-	if !inst.hasProp {
-		inst.proposal = val
-		inst.hasProp = true
-	}
-	inst.proposeMu.Unlock()
-	select {
-	case inst.propWake <- struct{}{}:
-	default:
-	}
-}
-
-// finish publishes the decided value and unblocks waiters. Called by
-// Node.learn (possibly from another goroutine than run).
-func (inst *instance) finish(val []byte) {
-	inst.dOnce.Do(func() {
-		inst.result = val
-		close(inst.done)
-	})
-}
-
-// send transmits one of this instance's protocol messages. A message to
-// self never touches the network — it goes straight into the instance's own
-// inbox, so a register write by the round-1 coordinator costs exactly one
-// network round trip, as the paper's analysis assumes. It does not go
-// through Handle: this instance is the only receiver a self-send of its own
-// could have had.
-func (inst *instance) send(to id.NodeID, p msg.Payload) {
-	if to == inst.node.cfg.Self {
-		inst.inbox.Push(inMsg{from: to, p: p})
-		return
-	}
-	inst.node.send(to, p)
+	phase      phase
+	round      uint32 // 0 until the estimate is acquired
+	est        []byte
+	ts         uint32
+	quietSince time.Time // last input or round start; the resend clock
+	estimates  map[uint32]map[id.NodeID]estVal
+	proposals  map[uint32][]byte
+	replies    map[uint32]map[id.NodeID]bool // sender -> isAck
 }
 
 func (inst *instance) coord(r uint32) id.NodeID {
@@ -1119,55 +1038,65 @@ func (inst *instance) coord(r uint32) id.NodeID {
 	return peers[int((r-1)%uint32(len(peers)))]
 }
 
-// drain processes every queued message. It returns false if the instance is
-// finished (decided externally).
-func (inst *instance) drain() bool {
-	select {
-	case <-inst.done:
-		return false
-	default:
+// proposeLocked makes val the estimate of an instance that has none yet (the
+// first local proposal wins; a later one only waits for the decision) and
+// steps it. Caller holds inst.node.mu.
+func (inst *instance) proposeLocked(val []byte, o *outbox) {
+	inst.quietSince = inst.node.now()
+	if inst.phase == acquiring {
+		inst.est, inst.ts = val, 0
+		inst.startRound(o)
 	}
-	//etxlint:allow golifecycle — bounded queue drain: every iteration pops until the inbox empties, then returns
-	for {
-		m, ok := inst.inbox.Pop()
-		if !ok {
-			return true
+	inst.stepLocked(o)
+}
+
+// receive tallies one phase message, from a peer (Handle fenced its
+// watermark) or from this instance itself (emit).
+func (inst *instance) receive(from id.NodeID, p msg.Payload) {
+	inst.quietSince = inst.node.now()
+	//etxlint:allow kindswitch — an instance only ever receives the four phase messages dispatch routes to it
+	switch p := p.(type) {
+	case msg.Estimate:
+		inst.estimate(p.Round, from, estVal{val: p.Est, ts: p.TS})
+		if p.TS == p.Round {
+			// A phase-1 estimate carries a timestamp below its round; one
+			// locked at its own round is a participant's re-ack (see
+			// resendLocked), and counts as the ack it repeats.
+			inst.reply(p.Round, from, true)
 		}
-		//etxlint:allow kindswitch — the inbox only ever carries the phase messages Handle enqueues
-		switch p := m.p.(type) {
-		case msg.Estimate:
-			byNode, ok := inst.estimates[p.Round]
-			if !ok {
-				byNode = make(map[id.NodeID]estVal)
-				if inst.estimates == nil {
-					//etxlint:allow epochfence — inbox payloads were fenced at Node.Handle (ObserveWatermark + slot routing) before enqueue
-					inst.estimates = make(map[uint32]map[id.NodeID]estVal)
-				}
-				inst.estimates[p.Round] = byNode
-			}
-			if _, dup := byNode[m.from]; !dup {
-				byNode[m.from] = estVal{val: p.Est, ts: p.TS}
-			}
-			if p.TS == p.Round {
-				// A phase-1 estimate carries a timestamp below its round;
-				// one locked at its own round is a participant's re-ack
-				// (see run), and counts as the ack it repeats.
-				inst.reply(p.Round, m.from, true)
-			}
-		case msg.Propose:
-			if _, dup := inst.proposals[p.Round]; !dup {
-				if inst.proposals == nil {
-					//etxlint:allow epochfence — inbox payloads were fenced at Node.Handle (ObserveWatermark + slot routing) before enqueue
-					inst.proposals = make(map[uint32][]byte)
-				}
-				inst.proposals[p.Round] = p.Val
-			}
-		case msg.CAck:
-			inst.reply(p.Round, m.from, true)
-		case msg.CNack:
-			inst.reply(p.Round, m.from, false)
-		}
+	case msg.Propose:
+		inst.proposal(p.Round, p.Val)
+	case msg.CAck:
+		inst.reply(p.Round, from, true)
+	case msg.CNack:
+		inst.reply(p.Round, from, false)
 	}
+}
+
+// estimate records from's round estimate; the first one per sender counts.
+func (inst *instance) estimate(round uint32, from id.NodeID, ev estVal) {
+	byNode, ok := inst.estimates[round]
+	if !ok {
+		byNode = make(map[id.NodeID]estVal)
+		if inst.estimates == nil {
+			inst.estimates = make(map[uint32]map[id.NodeID]estVal)
+		}
+		inst.estimates[round] = byNode
+	}
+	if _, dup := byNode[from]; !dup {
+		byNode[from] = ev
+	}
+}
+
+// proposal records the coordinator's proposal for round.
+func (inst *instance) proposal(round uint32, val []byte) {
+	if _, dup := inst.proposals[round]; dup {
+		return
+	}
+	if inst.proposals == nil {
+		inst.proposals = make(map[uint32][]byte)
+	}
+	inst.proposals[round] = val
 }
 
 func (inst *instance) reply(round uint32, from id.NodeID, ack bool) {
@@ -1184,305 +1113,212 @@ func (inst *instance) reply(round uint32, from id.NodeID, ack bool) {
 	}
 }
 
-// blockEvent is what ended one blocked wait.
-type blockEvent uint8
-
-const (
-	blockExit    blockEvent = iota // shutdown or external decision
-	blockWake                      // message, proposal or detector transition
-	blockTimeout                   // safety-net timer: re-check and RETRANSMIT
-)
-
-// block waits for new input: a message, a local proposal, a failure-detector
-// transition, the safety-net poll tick, or shutdown. With a notifying
-// detector the poll timer is a pure backstop; every productive wakeup is
-// event-driven. A timeout is reported distinctly so the blocked phase can
-// retransmit its outbound message: consensus assumes reliable channels, but
-// the links underneath are fair-loss (a transient partition silently drops
-// messages), and a dropped estimate, proposal or ack would otherwise stall
-// the instance forever despite a live majority.
-func (inst *instance) block(ctx context.Context, timer *time.Timer) blockEvent {
-	if !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	timer.Reset(inst.node.poll)
-	if inst.fdWake == nil {
-		select {
-		case <-inst.inbox.Out():
-			return blockWake
-		case <-inst.propWake:
-			return blockWake
-		case <-timer.C:
-			return blockTimeout
-		case <-inst.done:
-			return blockExit
-		case <-ctx.Done():
-			return blockExit
-		}
-	}
-	select {
-	case <-inst.inbox.Out():
-		return blockWake
-	case <-inst.propWake:
-		return blockWake
-	case <-inst.fdWake:
-		return blockWake
-	case <-timer.C:
-		return blockTimeout
-	case <-inst.done:
-		return blockExit
-	case <-ctx.Done():
-		return blockExit
-	}
-}
-
-// run executes the CT round structure until a decision is reached or the
-// node stops.
-func (inst *instance) run(ctx context.Context) {
-	defer inst.node.wg.Done()
-	defer inst.node.forget(inst)
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-
-	self := inst.node.cfg.Self
-	maj := inst.node.maj
-
-	// Acquire an initial estimate: the local proposal, or the first value
-	// observed in any incoming estimate/proposal.
-	for !inst.hasEst {
-		if !inst.drain() {
-			return
-		}
-		inst.proposeMu.Lock()
-		if inst.hasProp {
-			inst.est, inst.hasEst, inst.ts = inst.proposal, true, 0
-		}
-		inst.proposeMu.Unlock()
-		if !inst.hasEst {
-			inst.adoptFromMessages()
-		}
-		if inst.hasEst {
-			break
-		}
-		if inst.block(ctx, timer) == blockExit {
-			return
-		}
-	}
-
-	for {
-		inst.round++
-		inst.roundNow.Store(inst.round)
-		inst.node.counters.Rounds.Inc()
-		r := inst.round
-		c := inst.coord(r)
-
-		// Phase 1 + 2. In round 1 a coordinator that is up to date can skip
-		// gathering estimates: no value can be locked before round 1, so its
-		// own estimate is safe to propose directly. This is the optimization
-		// the paper's analysis assumes ("in a nice run, it takes only a round
-		// trip for the first primary to write into the register"); the
-		// fast-path proposal folds in any round-1 estimates already
-		// received (all timestamps are 0, so a merged batch is as
-		// proposable as any single one). In every other case the
-		// estimate is broadcast to all peers — the coordinator tallies it,
-		// and it simultaneously announces the instance to passive replicas
-		// so that they join and keep every round live.
-		var proposedVal []byte
-		_, haveProposal := inst.proposals[r]
-		switch {
-		case c == self && r == 1:
-			proposedVal = mergeBatches(inst.est, inst.estimates[r])
-			inst.node.counters.FastPath.Inc()
-			for _, p := range inst.node.cfg.Peers {
-				inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
-			}
-		case haveProposal:
-			// The round's proposal is already in hand (we joined late): our
-			// phase-1 estimate could no longer influence it, so skip the
-			// broadcast and fall through to phase 3.
-		default:
-			for _, p := range inst.node.cfg.Peers {
-				inst.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
-			}
-			if c == self {
-				// Phase 2: gather a majority of estimates, propose the freshest.
-				for {
-					if !inst.drain() {
-						return
-					}
-					if len(inst.estimates[r]) >= maj {
-						break
-					}
-					switch inst.block(ctx, timer) {
-					case blockExit:
-						return
-					case blockTimeout:
-						// Re-announce the round: a participant whose
-						// estimate (or whose copy of ours) fell to a
-						// fair-loss link re-joins and re-answers.
-						inst.resendEstimates(r)
-					}
-				}
-				best := estVal{}
-				first := true
-				for _, ev := range inst.estimates[r] {
-					if first || ev.ts > best.ts {
-						best = ev
-						first = false
-					}
-				}
-				proposedVal = best.val
-				if best.ts == 0 {
-					// No gathered estimate carries a lock (a decided value
-					// would have locked a majority, and any majority
-					// intersects ours), so the union of the proposed batches
-					// is safe to propose — concurrent cohorts merge instead
-					// of fighting over the slot.
-					proposedVal = mergeBatches(proposedVal, inst.estimates[r])
-				}
-				for _, p := range inst.node.cfg.Peers {
-					inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
-				}
-			}
-		}
-
-		// Phase 3 (everyone): adopt the coordinator's proposal, or nack if the
-		// coordinator is suspected.
-		acked := false
-		for {
-			if !inst.drain() {
-				return
-			}
-			if v, ok := inst.proposals[r]; ok {
-				inst.est, inst.ts = v, r
-				inst.send(c, msg.CAck{Reg: inst.key, Round: r})
-				acked = true
-				break
-			}
-			if c != self && inst.node.cfg.Detector.Suspects(c) {
-				inst.send(c, msg.CNack{Reg: inst.key, Round: r})
-				break
-			}
-			switch inst.block(ctx, timer) {
-			case blockExit:
-				return
-			case blockTimeout:
-				// Our estimate may never have reached the coordinator (its
-				// phase-2 gather would stall on a live majority), or the
-				// proposal may have been dropped on its way to us (a decided
-				// coordinator answers chatter with the decision).
-				inst.resendEstimates(r)
-			}
-		}
-
-		// Practical refinement over textbook CT: a participant that acked
-		// waits for the decision before starting the next round, advancing
-		// early only if it comes to suspect the coordinator or sees evidence
-		// of a higher round (the coordinator moved on after a failed round).
-		// This removes the round-cycling chatter of eager participants
-		// without touching liveness: every exit condition is driven by a
-		// message that the assumptions guarantee, or by the detector.
-		if acked && c != self {
-			for {
-				if !inst.drain() {
-					return
-				}
-				if inst.node.cfg.Detector.Suspects(c) || inst.sawRoundAbove(r) {
-					break
-				}
-				switch inst.block(ctx, timer) {
-				case blockExit:
-					return
-				case blockTimeout:
-					// Our ack (or the decision, which only the coordinator
-					// sends) may have been lost: re-ack, as an estimate
-					// locked at this round. A coordinator still tallying
-					// counts it as the ack; one that already decided
-					// answers it with the decision — the laggard's pull.
-					if inst.shouldResend() {
-						inst.node.counters.Resends.Inc()
-						inst.send(c, msg.Estimate{Reg: inst.key, Round: r, TS: r, Est: inst.est})
-					}
-				}
-			}
-		}
-
-		// Phase 4 (coordinator): a majority of acks decides.
-		if c == self {
-			if proposedVal == nil {
-				proposedVal = inst.proposals[r]
-			}
-			for {
-				if !inst.drain() {
-					return
-				}
-				acks, nacks := 0, 0
-				for _, isAck := range inst.replies[r] {
-					if isAck {
-						acks++
-					} else {
-						nacks++
-					}
-				}
-				if acks >= maj {
-					inst.node.learn(inst.key, proposedVal, true)
-					return
-				}
-				if acks+nacks >= maj {
-					break // round failed; move on
-				}
-				switch inst.block(ctx, timer) {
-				case blockExit:
-					return
-				case blockTimeout:
-					// A dropped proposal leaves participants blocked in
-					// phase 3 with nothing to answer: re-propose.
-					if inst.shouldResend() {
-						inst.node.counters.Resends.Inc()
-						for _, p := range inst.node.cfg.Peers {
-							inst.send(p, msg.Propose{Reg: inst.key, Round: r, Val: proposedVal})
-						}
-					}
-				}
-			}
-		}
-
-		// Release tallies of the finished round.
-		delete(inst.estimates, r)
-		delete(inst.replies, r)
-		delete(inst.proposals, r)
-	}
-}
-
-// shouldResend throttles blocked-phase retransmissions to at most one per
-// max(Poll, minResendInterval): the safety-net timer may tick far faster
-// than that (legacy 1ms polling), and re-broadcasting on every tick would
-// amplify one lost message into a flood.
-func (inst *instance) shouldResend() bool {
-	interval := inst.node.poll
-	if interval < minResendInterval {
-		interval = minResendInterval
-	}
-	now := inst.node.now()
-	if !inst.lastResend.IsZero() && now.Sub(inst.lastResend) < interval {
-		return false
-	}
-	inst.lastResend = now
-	return true
-}
-
-// resendEstimates re-broadcasts this round's phase-1 estimate (the
-// safety-net retransmission of blocked phases 2 and 3).
-func (inst *instance) resendEstimates(r uint32) {
-	if !inst.shouldResend() {
+// emit queues one of this instance's protocol messages. A message to self
+// never touches the network: it is tallied at once, and the step loop that
+// emitted it acts on it next — so a register write by the round-1
+// coordinator costs exactly one network round trip, as the paper's analysis
+// assumes.
+func (inst *instance) emit(o *outbox, to id.NodeID, p msg.Payload) {
+	if to == inst.node.cfg.Self {
+		inst.receive(to, p)
 		return
 	}
-	inst.node.counters.Resends.Inc()
-	for _, p := range inst.node.cfg.Peers {
-		inst.send(p, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
+	o.msgs = append(o.msgs, outMsg{to: to, p: p})
+}
+
+// broadcast emits p to every peer, this node included.
+func (inst *instance) broadcast(o *outbox, p msg.Payload) {
+	for _, to := range inst.node.cfg.Peers {
+		inst.emit(o, to, p)
+	}
+}
+
+// startRound enters the next round: phase 1, or the round-1 coordinator's
+// fast path. In round 1 a coordinator can skip gathering estimates: no value
+// can be locked before round 1, so its own estimate is safe to propose
+// directly. This is the optimization the paper's analysis assumes ("in a
+// nice run, it takes only a round trip for the first primary to write into
+// the register"); the fast-path proposal folds in any round-1 estimates
+// already received (all timestamps are 0, so a merged batch is as proposable
+// as any single one). In every other case the estimate is broadcast to all
+// peers — the coordinator tallies it, and it simultaneously announces the
+// instance to passive replicas so that they join and keep every round live.
+func (inst *instance) startRound(o *outbox) {
+	n := inst.node
+	inst.round++
+	inst.quietSince = n.now()
+	n.counters.Rounds.Inc()
+	r, c := inst.round, inst.coord(inst.round)
+	_, haveProposal := inst.proposals[r]
+	switch {
+	case c == n.cfg.Self && r == 1:
+		n.counters.FastPath.Inc()
+		inst.broadcast(o, msg.Propose{Reg: inst.key, Round: r, Val: mergeBatches(inst.est, inst.estimates[r])})
+	case haveProposal:
+		// The round's proposal is already in hand (we joined late): our
+		// phase-1 estimate could no longer influence it, so skip the
+		// broadcast and go to phase 3.
+	default:
+		inst.broadcast(o, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
+		if c == n.cfg.Self {
+			inst.phase = gathering
+			return
+		}
+	}
+	inst.phase = awaitProposal
+}
+
+// nextRound releases the finished round's tallies and enters the next.
+func (inst *instance) nextRound(o *outbox) {
+	r := inst.round
+	delete(inst.estimates, r)
+	delete(inst.replies, r)
+	delete(inst.proposals, r)
+	inst.startRound(o)
+}
+
+// stepLocked advances the instance through the CT round structure as far as
+// its input allows, queueing what it sends in o; it returns when the
+// instance waits for more input or has decided. Caller holds inst.node.mu.
+func (inst *instance) stepLocked(o *outbox) {
+	n := inst.node
+	self := n.cfg.Self
+	for {
+		r := inst.round
+		switch inst.phase {
+		case acquiring:
+			// A passive participant adopts the first value any incoming
+			// estimate or proposal carries.
+			if !inst.adoptFromMessages() {
+				return
+			}
+			inst.startRound(o)
+
+		case gathering:
+			// Phase 2: propose the freshest of a majority of estimates.
+			ests := inst.estimates[r]
+			if len(ests) < n.maj {
+				return
+			}
+			best := estVal{}
+			first := true
+			for _, ev := range ests {
+				if first || ev.ts > best.ts {
+					best = ev
+					first = false
+				}
+			}
+			val := best.val
+			if best.ts == 0 {
+				// No gathered estimate carries a lock (a decided value
+				// would have locked a majority, and any majority intersects
+				// ours), so the union of the proposed batches is safe to
+				// propose — concurrent cohorts merge instead of fighting
+				// over the slot.
+				val = mergeBatches(val, ests)
+			}
+			inst.broadcast(o, msg.Propose{Reg: inst.key, Round: r, Val: val})
+			inst.phase = awaitProposal
+
+		case awaitProposal:
+			// Phase 3 (everyone): adopt the coordinator's proposal, or nack
+			// if the coordinator is suspected.
+			c := inst.coord(r)
+			if v, ok := inst.proposals[r]; ok {
+				inst.est, inst.ts = v, r
+				inst.emit(o, c, msg.CAck{Reg: inst.key, Round: r})
+				inst.phase = tallying
+				if c != self {
+					inst.phase = awaitDecision
+				}
+				continue
+			}
+			if c == self || !n.cfg.Detector.Suspects(c) {
+				return
+			}
+			inst.emit(o, c, msg.CNack{Reg: inst.key, Round: r})
+			inst.nextRound(o)
+
+		case awaitDecision:
+			// Practical refinement over textbook CT: a participant that
+			// acked waits for the decision before starting the next round,
+			// advancing early only if it comes to suspect the coordinator
+			// or sees evidence of a higher round (the coordinator moved on
+			// after a failed round). This removes the round-cycling chatter
+			// of eager participants without touching liveness: every exit
+			// condition is driven by a message that the assumptions
+			// guarantee, or by the detector.
+			if !n.cfg.Detector.Suspects(inst.coord(r)) && !inst.sawRoundAbove(r) {
+				return
+			}
+			inst.nextRound(o)
+
+		case tallying:
+			// Phase 4 (coordinator): a majority of acks decides; a majority
+			// of replies without one fails the round.
+			acks, nacks := 0, 0
+			for _, isAck := range inst.replies[r] {
+				if isAck {
+					acks++
+				} else {
+					nacks++
+				}
+			}
+			switch {
+			case acks >= n.maj:
+				val := inst.proposals[r]
+				for _, p := range n.cfg.Peers {
+					if p != self {
+						o.msgs = append(o.msgs, outMsg{to: p, p: msg.CDecision{Reg: inst.key, Val: val}})
+					}
+				}
+				n.recordLocked(inst.key, val, o)
+				n.gcLocked()
+				return
+			case acks+nacks >= n.maj:
+				inst.nextRound(o)
+			default:
+				return
+			}
+		}
+	}
+}
+
+// resendLocked is the tick's retransmission. Consensus assumes reliable
+// channels, but the links underneath are fair-loss (a transient partition
+// silently drops messages), and a dropped estimate, proposal or ack would
+// otherwise stall the instance forever despite a live majority. An instance
+// that has heard nothing for a full resend interval repeats what its phase
+// waits on an answer to; a failure-free instance hears from its peers well
+// within that and never resends. Caller holds inst.node.mu.
+func (inst *instance) resendLocked(o *outbox) {
+	n := inst.node
+	now := n.now()
+	if inst.phase == acquiring || now.Sub(inst.quietSince) < n.resendEvery {
+		return
+	}
+	inst.quietSince = now
+	n.counters.Resends.Inc()
+	r := inst.round
+	switch inst.phase {
+	case gathering, awaitProposal:
+		// Re-announce the round: our estimate may never have reached the
+		// coordinator (its phase-2 gather would stall on a live majority),
+		// a participant whose estimate fell to a fair-loss link re-joins
+		// and re-answers, and a proposal dropped on its way to us is pulled
+		// (a decided coordinator answers chatter with the decision).
+		inst.broadcast(o, msg.Estimate{Reg: inst.key, Round: r, TS: inst.ts, Est: inst.est})
+	case awaitDecision:
+		// Our ack (or the decision, which only the coordinator sends) may
+		// have been lost: re-ack, as an estimate locked at this round. A
+		// coordinator still tallying counts it as the ack; one that
+		// already decided answers it with the decision — the laggard's
+		// pull.
+		inst.emit(o, inst.coord(r), msg.Estimate{Reg: inst.key, Round: r, TS: r, Est: inst.est})
+	case tallying:
+		// A dropped proposal leaves participants blocked in phase 3 with
+		// nothing to answer: re-propose.
+		inst.broadcast(o, msg.Propose{Reg: inst.key, Round: r, Val: inst.proposals[r]})
 	}
 }
 
@@ -1508,18 +1344,19 @@ func (inst *instance) sawRoundAbove(r uint32) bool {
 }
 
 // adoptFromMessages bootstraps a passive participant's estimate from any
-// value-carrying message already received.
-func (inst *instance) adoptFromMessages() {
+// value-carrying message already received, reporting whether it found one.
+func (inst *instance) adoptFromMessages() bool {
 	for _, byNode := range inst.estimates {
 		for _, ev := range byNode {
-			inst.est, inst.hasEst, inst.ts = ev.val, true, 0
-			return
+			inst.est, inst.ts = ev.val, 0
+			return true
 		}
 	}
 	for _, v := range inst.proposals {
-		inst.est, inst.hasEst, inst.ts = v, true, 0
-		return
+		inst.est, inst.ts = v, 0
+		return true
 	}
+	return false
 }
 
 // mergeBatches folds every timestamp-0 batch estimate into base, keeping the

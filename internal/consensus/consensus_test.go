@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -463,10 +464,45 @@ func TestConfigValidation(t *testing.T) {
 		{Self: good.Self, Peers: good.Peers, Detector: good.Detector},                                    // no Send
 		{Self: good.Self, Peers: good.Peers, Send: good.Send},                                            // no Detector
 		{Self: good.Self, Peers: []id.NodeID{id.AppServer(2)}, Send: good.Send, Detector: good.Detector}, // Self not a peer
+		{Self: good.Self, Peers: good.Peers, Send: good.Send, Detector: &fd.Perfect{}},                   // detector announces no transitions
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestNoGoroutinePerSlot: an instance is state on its node, not a goroutine
+// of its own. A thousand undecided slots, each started by a peer's round-1
+// estimate, leave the goroutine count where it was, and Stop takes the
+// node's own goroutine with it.
+func TestNoGoroutinePerSlot(t *testing.T) {
+	peers := []id.NodeID{id.AppServer(1), id.AppServer(2), id.AppServer(3)}
+	before := runtime.NumGoroutine()
+	n, err := New(Config{
+		Self:     peers[1],
+		Peers:    peers,
+		Detector: fd.NewScripted(),
+		Send:     func(id.NodeID, msg.Payload) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slots = 1000
+	for s := uint64(1); s <= slots; s++ {
+		n.Handle(peers[0], msg.Estimate{Reg: msg.SlotKey(s), Round: 1, Est: msg.EncodeRegOps(nil)})
+	}
+	if st := n.Stats(); st.Instances != slots {
+		t.Fatalf("%d instances, want %d", st.Instances, slots)
+	}
+	if grew := runtime.NumGoroutine() - before; grew >= 10 {
+		t.Fatalf("%d undecided slots added %d goroutines, want fewer than 10", slots, grew)
+	}
+	n.Stop()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before New", runtime.NumGoroutine(), before)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func watchCases() []watchCase {
 
 // TestDroppedDecisionPulledByReack: the coordinator's decision to one
 // participant is lost. Nobody else relays it, so the participant must pull:
-// its blocked-phase re-ack reaches the decided coordinator, which answers
+// its re-ack on the tick reaches the decided coordinator, which answers
 // with the decision. The participant only watches the register (it never
 // proposes), and its watch resolves with the coordinator's value.
 func TestDroppedDecisionPulledByReack(t *testing.T) {

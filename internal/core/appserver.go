@@ -76,12 +76,6 @@ type AppServerConfig struct {
 	// HeartbeatInterval and SuspectTimeout tune the built-in detector.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
-	// ConsensusPoll is the safety-net interval at which blocked consensus
-	// phases re-check the failure detector. 0 lets the consensus layer pick:
-	// with a notifying detector (the built-in heartbeat) blocked phases wake
-	// on message arrival and suspicion transitions, and the poll is a 25ms
-	// backstop rather than a busy loop.
-	ConsensusPoll time.Duration
 	// ResendInterval is the protocol-level retransmission period of
 	// Prepare/Decide rounds. Defaults to 100ms.
 	ResendInterval time.Duration
@@ -296,7 +290,6 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		Self:        cfg.Self,
 		Peers:       cfg.AppServers,
 		Detector:    s.det,
-		Poll:        cfg.ConsensusPoll,
 		RetainSlots: cfg.RetainSlots,
 		Send: func(to id.NodeID, p msg.Payload) error {
 			return cfg.Endpoint.Send(msg.Envelope{To: to, Payload: p})
