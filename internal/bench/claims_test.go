@@ -41,7 +41,6 @@ func loadConfig(depth int, accounts []string) cluster.Config {
 			HeartbeatInterval: 10 * time.Millisecond,
 			SuspectTimeout:    time.Second,
 		},
-		Terminators: depth,
 
 		ResendInterval:    5 * time.Second,
 		CleanInterval:     50 * time.Millisecond,

@@ -29,7 +29,6 @@ func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 		Logic:        transferKeyed(),
 		ForceLatency: 2 * time.Millisecond,
 		Tuning:       deploy.Tuning{Workers: requests},
-		Terminators:  requests,
 	}
 	batchKnobs(&cfg)
 	accts := make([]string, requests)

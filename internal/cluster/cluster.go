@@ -83,7 +83,6 @@ type Config struct {
 	ClientBackoff     time.Duration
 	ClientRebroadcast time.Duration
 	ClientMaxInFlight int
-	Terminators       int
 
 	// Hooks, if set, supplies per-application-server instrumentation.
 	Hooks func(self id.NodeID) *core.Hooks
@@ -383,7 +382,6 @@ func (c *Cluster) startApp(appID id.NodeID) error {
 		ResendInterval: c.cfg.ResendInterval,
 		CleanInterval:  c.cfg.CleanInterval,
 		ComputeTimeout: c.cfg.ComputeTimeout,
-		Terminators:    c.cfg.Terminators,
 		Hooks:          hooks,
 	}, c.cfg.Tuning)
 	if err != nil {

@@ -109,11 +109,10 @@ func TestCohortParityWithUnbatched(t *testing.T) {
 
 	run := func(cohort bool, retain int) (map[string]int64, consensus.Stats) {
 		cfg := Config{
-			Shards:      1,
-			Logic:       transferKeyed(),
-			Seed:        seed,
-			Tuning:      deploy.Tuning{Workers: inflight, RetainSlots: retain},
-			Terminators: inflight,
+			Shards: 1,
+			Logic:  transferKeyed(),
+			Seed:   seed,
+			Tuning: deploy.Tuning{Workers: inflight, RetainSlots: retain},
 		}
 		if cohort {
 			cohortKnobs(&cfg)
@@ -204,11 +203,10 @@ func TestCohortPrimaryCrashMidBatch(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(1000)})
 	}
 	cfg := Config{
-		Shards:      1,
-		Logic:       transferKeyed(),
-		Seed:        seed,
-		Tuning:      deploy.Tuning{Workers: inflight},
-		Terminators: inflight,
+		Shards: 1,
+		Logic:  transferKeyed(),
+		Seed:   seed,
+		Tuning: deploy.Tuning{Workers: inflight},
 	}
 	cohortKnobs(&cfg)
 	c, err := New(cfg)
@@ -337,7 +335,6 @@ func TestBatchingPerCommitCounts(t *testing.T) {
 			Seed:         seed,
 			ForceLatency: 500 * time.Microsecond,
 			Tuning:       deploy.Tuning{Workers: depth},
-			Terminators:  depth,
 		}
 		fastKnobs(&cfg)
 		cfg.AdaptiveWindows = adaptive

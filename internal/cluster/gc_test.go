@@ -70,11 +70,10 @@ func TestCheckpointCatchUpAfterPartition(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(1000)})
 	}
 	cfg := Config{
-		Shards:      1,
-		Logic:       transferKeyed(),
-		Seed:        seed,
-		Tuning:      deploy.Tuning{Workers: inflight},
-		Terminators: inflight,
+		Shards: 1,
+		Logic:  transferKeyed(),
+		Seed:   seed,
+		Tuning: deploy.Tuning{Workers: inflight},
 	}
 	gcKnobs(&cfg, retain)
 	c, err := New(cfg)
@@ -202,7 +201,6 @@ func TestBoundedSlotMemorySoak(t *testing.T) {
 			HeartbeatInterval: 10 * time.Millisecond,
 			SuspectTimeout:    time.Second,
 		},
-		Terminators: inflight,
 
 		// Failure-free by design: generous timers (and the detector's, in
 		// Tuning above) so CPU load cannot fire spurious suspicions mid-soak.
@@ -346,11 +344,10 @@ func TestRetireAbandonsUndecidedInstances(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(1000)})
 	}
 	cfg := Config{
-		Shards:      1,
-		Logic:       transferKeyed(),
-		Seed:        seed,
-		Tuning:      deploy.Tuning{Workers: inflight},
-		Terminators: inflight,
+		Shards: 1,
+		Logic:  transferKeyed(),
+		Seed:   seed,
+		Tuning: deploy.Tuning{Workers: inflight},
 	}
 	cohortKnobs(&cfg)
 	c, err := New(cfg)

@@ -86,11 +86,10 @@ func TestQueueConservesWithoutLocks(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(100)})
 	}
 	cfg := Config{
-		Shards:      1,
-		Logic:       transferKeyed(),
-		Seed:        seed,
-		Tuning:      deploy.Tuning{Workers: inflight},
-		Terminators: inflight,
+		Shards: 1,
+		Logic:  transferKeyed(),
+		Seed:   seed,
+		Tuning: deploy.Tuning{Workers: inflight},
 	}
 	queueKnobs(&cfg)
 	c, err := New(cfg)
@@ -143,11 +142,10 @@ func TestQueuePrimaryCrashMidRun(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(1000)})
 	}
 	cfg := Config{
-		Shards:      1,
-		Logic:       transferKeyed(),
-		Seed:        seed,
-		Tuning:      deploy.Tuning{Workers: inflight},
-		Terminators: inflight,
+		Shards: 1,
+		Logic:  transferKeyed(),
+		Seed:   seed,
+		Tuning: deploy.Tuning{Workers: inflight},
 	}
 	queueKnobs(&cfg)
 	c, err := New(cfg)

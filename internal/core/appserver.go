@@ -76,23 +76,19 @@ type AppServerConfig struct {
 	// HeartbeatInterval and SuspectTimeout tune the built-in detector.
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
-	// ResendInterval is the protocol-level retransmission period of
-	// Prepare/Decide rounds. Defaults to 100ms.
+	// ResendInterval is the demux's tick: a Prepare/Decide round that has
+	// heard nothing for a full interval re-sends to the participants yet to
+	// answer. It also paces Exec re-routing. Defaults to 100ms.
 	ResendInterval time.Duration
 	// CleanInterval is the cleaning thread's scan period. Defaults to 25ms.
 	CleanInterval time.Duration
 	// ComputeTimeout bounds one compute() invocation. Defaults to 5s.
 	ComputeTimeout time.Duration
-	// Workers is the number of compute threads. The paper runs exactly one;
+	// Workers is the number of compute threads. They run compute() and the
+	// register writes around it; a try waiting on votes or acks holds none,
+	// so Workers bounds computation only. The paper runs exactly one;
 	// values >1 are a documented generalization. Defaults to 1.
 	Workers int
-	// Terminators is the size of the background termination pool: decided
-	// tries are driven to their participants by these goroutines instead of
-	// the compute workers, so a database that crashed and never recovers
-	// stalls at most this many terminations — never a compute thread.
-	// Every result delivery rides a terminator, so the pool must keep up
-	// with the compute tier: defaults to max(4, Workers).
-	Terminators int
 	// CommitCacheSize caps the committed-decision cache and the cleaning
 	// thread's dedup cache (oldest entries evicted first). Defaults to 4096.
 	CommitCacheSize int
@@ -128,12 +124,6 @@ func (c *AppServerConfig) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.Terminators <= 0 {
-		c.Terminators = 4
-		if c.Workers > c.Terminators {
-			c.Terminators = c.Workers
-		}
-	}
 	if c.CommitCacheSize <= 0 {
 		c.CommitCacheSize = 4096
 	}
@@ -162,33 +152,29 @@ type AppServer struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	computeQ *queue.Queue[msg.Request]
+	// computeQ feeds the compute threads: requests to execute, and tries
+	// whose vote is in, to record and terminate.
+	computeQ *queue.Queue[func()]
 
-	pendingMu sync.Mutex
-	pending   map[id.ResultID]bool
-
-	// committed caches decided requests for client retransmissions. It is
-	// capped (FIFO eviction via commitOrder) and pruned by Retire.
-	commitMu    sync.Mutex
-	committed   map[id.RequestKey]cachedDecision
-	commitOrder []id.RequestKey
-
-	// cleaned is the cleaning thread's dedup set, capped like committed.
-	cleanMu    sync.Mutex
-	cleaned    map[id.ResultID]bool
-	cleanOrder []id.ResultID
-
-	// termQ feeds the background terminator pool; terming dedups in-flight
-	// terminations per try.
-	termQ   *queue.Queue[termJob]
-	termMu  sync.Mutex
-	terming map[id.ResultID]bool
+	// mu guards the server's per-try soft state. pending holds the tries
+	// queued or computing, up to their regD write. committed caches decided
+	// requests for client retransmissions, and cleaned is the cleaning
+	// thread's dedup set; both are capped (FIFO eviction via their order
+	// slices) and pruned by Retire. rounds holds each try's open 2PC round,
+	// and execs each pending Exec call's reply channel.
+	mu          sync.Mutex
+	pending     map[id.ResultID]bool          // guarded by mu
+	committed   map[id.RequestKey]msg.Result  // guarded by mu
+	commitOrder []id.RequestKey               // guarded by mu
+	cleaned     map[id.ResultID]bool          // guarded by mu
+	cleanOrder  []id.ResultID                 // guarded by mu
+	rounds      map[id.ResultID]*round        // guarded by mu
+	execs       map[uint64]chan msg.ExecReply // guarded by mu
+	execPool    sync.Pool                     // recycled exec-reply channels; every data op makes one
+	execID      atomic.Uint64
 
 	// depthEWMA smooths the sampled in-flight depth the cohort cap adapts to.
 	depthEWMA *metrics.EWMA
-
-	calls  callRouter
-	execID atomic.Uint64
 
 	// staleRejects counts data-tier messages dropped by the epoch guard: a
 	// vote or ack from a node the view says is no longer its shard's primary.
@@ -197,17 +183,6 @@ type AppServer struct {
 	// execRetries counts Exec/GetFast calls re-routed mid-wait because the
 	// view moved their shard to a new primary.
 	execRetries metrics.Counter
-}
-
-// termJob is one decided try awaiting termination at its participants.
-type termJob struct {
-	rid id.ResultID
-	dec msg.Decision
-}
-
-type cachedDecision struct {
-	try uint64
-	dec msg.Decision
 }
 
 // NewAppServer creates an application-server process. Call Start to run it.
@@ -246,15 +221,14 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		cfg:       cfg,
 		place:     place,
 		view:      cfg.View,
-		computeQ:  queue.New[msg.Request](),
+		computeQ:  queue.New[func()](),
 		pending:   make(map[id.ResultID]bool),
-		committed: make(map[id.RequestKey]cachedDecision),
+		committed: make(map[id.RequestKey]msg.Result),
 		cleaned:   make(map[id.ResultID]bool),
-		termQ:     queue.New[termJob](),
-		terming:   make(map[id.ResultID]bool),
+		rounds:    make(map[id.ResultID]*round),
+		execs:     make(map[uint64]chan msg.ExecReply),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.calls.init()
 	// Off, a cap of 1 proposes every write in a slot of its own: the
 	// paper's protocol.
 	maxBatch := 1
@@ -350,15 +324,14 @@ func (s *AppServer) Stats() AppServerStats {
 // known to have delivered the result and will not retransmit — the ablation
 // benchmark quantifies the memory it reclaims.
 func (s *AppServer) Retire(req id.RequestKey, maxTry uint64) {
-	s.commitMu.Lock()
+	s.mu.Lock()
 	delete(s.committed, req)
-	s.commitMu.Unlock()
 	for try := uint64(1); try <= maxTry; try++ {
-		rid := id.ResultID{Client: req.Client, Seq: req.Seq, Try: try}
-		s.cleanMu.Lock()
-		delete(s.cleaned, rid)
-		s.cleanMu.Unlock()
-		s.regs.Retire(rid)
+		delete(s.cleaned, id.ResultID{Client: req.Client, Seq: req.Seq, Try: try})
+	}
+	s.mu.Unlock()
+	for try := uint64(1); try <= maxTry; try++ {
+		s.regs.Retire(id.ResultID{Client: req.Client, Seq: req.Seq, Try: try})
 	}
 }
 
@@ -370,8 +343,9 @@ func (s *AppServer) Detector() fd.Detector { return s.det }
 // diagnostics.
 func (s *AppServer) ConsensusStats() consensus.Stats { return s.cons.Stats() }
 
-// Start launches the demultiplexer, the compute thread(s), the terminator
-// pool and the cleaning thread — the cobegin of Figure 4.
+// Start launches the demultiplexer, the compute thread(s) and the cleaning
+// thread — the cobegin of Figure 4. The demultiplexer also steps every try's
+// prepare() and terminate() round: no goroutine is started per try.
 func (s *AppServer) Start() {
 	if s.hb != nil {
 		s.hb.Start(s.ctx)
@@ -382,19 +356,15 @@ func (s *AppServer) Start() {
 		s.wg.Add(1)
 		go s.computeThread()
 	}
-	for i := 0; i < s.cfg.Terminators; i++ {
-		s.wg.Add(1)
-		go s.terminatorThread()
-	}
 	s.wg.Add(1)
 	go s.cleanThread()
 }
 
-// Stop terminates every goroutine of the server.
+// Stop terminates every goroutine of the server. Open rounds are soft state
+// and go with it.
 func (s *AppServer) Stop() {
 	s.cancel()
 	s.computeQ.Close()
-	s.termQ.Close()
 	s.regs.Stop()
 	s.cons.Stop()
 	s.wg.Wait()
@@ -404,11 +374,16 @@ func (s *AppServer) Stop() {
 }
 
 // demux routes incoming messages to the consensus node, the failure
-// detector, the compute queue and the pending-call router.
+// detector, the compute queue, the try rounds and the pending Exec calls,
+// and ticks the rounds' resends.
 func (s *AppServer) demux() {
 	defer s.wg.Done()
+	tick := time.NewTicker(s.cfg.ResendInterval)
+	defer tick.Stop()
 	for {
 		select {
+		case <-tick.C:
+			s.resend()
 		case env, ok := <-s.cfg.Endpoint.Recv():
 			if !ok {
 				return
@@ -442,25 +417,21 @@ func (s *AppServer) handlePayload(from id.NodeID, payload msg.Payload) {
 	case msg.Request:
 		s.enqueue(m)
 	case msg.VoteMsg:
-		if s.staleSender(from) {
-			return
+		if !s.staleSender(from) {
+			s.hear(from, m.RID, voting, m.V == msg.VoteYes, m.Inc)
 		}
-		s.calls.routeVote(from, m)
 	case msg.AckDecide:
-		if s.staleSender(from) {
-			return
+		if !s.staleSender(from) {
+			s.hear(from, m.RID, terminating, true, 0)
 		}
-		s.calls.routeAck(from, m)
 	case msg.Ready:
-		if s.staleSender(from) {
-			return
+		if !s.staleSender(from) {
+			s.onReady(from)
 		}
-		s.calls.routeReady(from, m.Inc)
 	case msg.ExecReply:
-		if s.staleSender(from) {
-			return
+		if !s.staleSender(from) {
+			s.routeExecReply(m)
 		}
-		s.calls.routeExecReply(m)
 	case msg.NewPrimary:
 		s.observeNewPrimary(from, m)
 	case msg.RegOps:
@@ -521,13 +492,11 @@ func (s *AppServer) observeNewPrimary(from id.NodeID, m msg.NewPrimary) {
 	}
 }
 
-// sendDB sends one commit-path message (Prepare/Decide) to a database
-// server at once; nothing holds it back to batch. The database server's
-// mailbox drain forms its engine cohort from whatever queued behind its
-// in-flight batch. On a replicated deployment the boot-time shard identity
-// recorded in dlists is translated to the shard's current primary at send
-// time, so every protocol-level resend (prepare and terminate rounds tick
-// through here) re-resolves routing for free after a promotion.
+// sendDB sends one Prepare or Decide to a database server at once; nothing
+// holds it back to batch. On a replicated deployment the boot-time shard
+// identity recorded in dlists is translated to the shard's current primary
+// at send time, so every round's resend re-resolves routing after a
+// promotion.
 func (s *AppServer) sendDB(db id.NodeID, p msg.Payload) {
 	if s.view != nil {
 		db = s.view.Current(db)
@@ -538,20 +507,24 @@ func (s *AppServer) sendDB(db id.NodeID, p msg.Payload) {
 // enqueue admits a request to the compute queue, deduplicating tries already
 // queued or being executed (client retransmissions).
 func (s *AppServer) enqueue(req msg.Request) {
-	s.pendingMu.Lock()
+	s.mu.Lock()
 	if s.pending[req.RID] {
-		s.pendingMu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	s.pending[req.RID] = true
-	s.pendingMu.Unlock()
-	s.computeQ.Push(req)
+	s.mu.Unlock()
+	s.computeQ.Push(func() {
+		if !s.handleRequest(req) {
+			s.clearPending(req.RID)
+		}
+	})
 }
 
 func (s *AppServer) clearPending(rid id.ResultID) {
-	s.pendingMu.Lock()
+	s.mu.Lock()
 	delete(s.pending, rid)
-	s.pendingMu.Unlock()
+	s.mu.Unlock()
 }
 
 // inflightDepth samples the number of requests admitted and not yet
@@ -560,9 +533,9 @@ func (s *AppServer) clearPending(rid id.ResultID) {
 // returned, so a momentary trough between bursts does not collapse the
 // cap mid-load while a fresh burst widens it immediately.
 func (s *AppServer) inflightDepth() int {
-	s.pendingMu.Lock()
+	s.mu.Lock()
 	n := len(s.pending)
-	s.pendingMu.Unlock()
+	s.mu.Unlock()
 	s.depthEWMA.Observe(float64(n))
 	if sm := int(s.depthEWMA.Value() + 0.5); sm > n {
 		return sm
@@ -571,16 +544,17 @@ func (s *AppServer) inflightDepth() int {
 }
 
 // computeThread is the paper's computation thread (Figure 5): it serves
-// queued requests one at a time.
+// queued requests, and the register writes of tries whose vote is in, one at
+// a time.
 func (s *AppServer) computeThread() {
 	defer s.wg.Done()
 	for {
 		for {
-			req, ok := s.computeQ.Pop()
+			f, ok := s.computeQ.Pop()
 			if !ok {
 				break
 			}
-			s.handleRequest(req)
+			f()
 		}
 		if s.computeQ.Closed() {
 			return
@@ -593,45 +567,46 @@ func (s *AppServer) computeThread() {
 	}
 }
 
-// handleRequest executes Figure 5 for one incoming [Request, request, j].
-func (s *AppServer) handleRequest(req msg.Request) {
+// handleRequest executes Figure 5 for one incoming [Request, request, j], up
+// to the voting round. It reports whether the try went on to its vote: the
+// try then stays pending — a retransmission of it is not recomputed — until
+// decide has written regD.
+func (s *AppServer) handleRequest(req msg.Request) bool {
 	rid := req.RID
-	defer s.clearPending(rid)
 
 	// Figure 5, lines 3-4: a committed decision for this request is simply
 	// re-sent (the client retransmitted because the result got lost).
-	s.commitMu.Lock()
-	cached, haveCached := s.committed[rid.Request()]
-	s.commitMu.Unlock()
-	if haveCached && cached.try == rid.Try {
-		s.sendResult(rid, cached.dec)
-		return
+	s.mu.Lock()
+	cached, ok := s.committed[rid.Request()]
+	s.mu.Unlock()
+	if ok && cached.RID == rid {
+		s.sendResult(rid, cached.Dec)
+		return false
 	}
 
 	// A try whose decision is already in regD (e.g. the cleaning thread
 	// finished it) is re-terminated: decides are idempotent at the
 	// databases and the client deduplicates results.
 	if dec, ok := s.regs.ReadD(rid); ok {
-		s.enqueueTerminate(rid, dec)
-		return
+		s.startTerminate(rid, dec)
+		return false
 	}
 
 	// Figure 5, line 6: claim the try in regA.
 	t0 := s.cfg.Hooks.now()
 	winner, err := s.regs.WriteA(s.ctx, rid, s.cfg.Self)
 	if err != nil {
-		return // shutting down
+		return false // shutting down
 	}
 	s.cfg.Hooks.since(rid, SpanLogStart, t0)
 	s.cfg.Hooks.crash(PointAfterRegA, rid)
 	if winner != s.cfg.Self {
 		// Figure 5, line 7: another server owns this try; it (or its
 		// cleaner) will answer the client.
-		return
+		return false
 	}
 
 	// Figure 5, lines 8-9: compute, then run the voting phase.
-	decision := msg.Decision{Outcome: msg.OutcomeAbort} // (nil, abort)
 	cctx, cancel := context.WithTimeout(s.ctx, s.cfg.ComputeTimeout)
 	tx := &Tx{s: s, rid: rid}
 	t0 = s.cfg.Hooks.now()
@@ -643,247 +618,239 @@ func (s *AppServer) handleRequest(req msg.Request) {
 	// whether it commits or aborts: termination (here, at a cleaner, or at a
 	// retransmission handler on another server) must reach exactly those
 	// branches, and nothing else.
-	decision.Participants = tx.participants()
-	if err == nil {
-		decision.Result = result
-		t0 = s.cfg.Hooks.now()
-		decision.Outcome = s.prepare(rid, tx)
-		s.cfg.Hooks.since(rid, SpanPrepare, t0)
-	}
-	s.cfg.Hooks.crash(PointAfterPrepare, rid)
-
-	// Figure 5, line 10: the wo-register arbitrates with any cleaner.
-	t0 = s.cfg.Hooks.now()
-	final, err := s.regs.WriteD(s.ctx, rid, decision)
+	decision := msg.Decision{Outcome: msg.OutcomeAbort, Participants: tx.participants()} // (nil, abort)
 	if err != nil {
+		s.decide(rid, decision)
+		return true
+	}
+	decision.Result = result
+	decision.Outcome = msg.OutcomeCommit
+	s.prepare(rid, tx, decision)
+	return true
+}
+
+// creditFor returns the index of the participant in parts a reply from
+// `from` answers for: the participant itself or, on a replicated deployment,
+// its shard's current primary. A promoted primary's votes carry its own
+// (higher) incarnation, so a try whose Execs ran on the old primary aborts on
+// the incarnation check as if the database had restarted.
+func (s *AppServer) creditFor(from id.NodeID, parts []id.NodeID) (int, bool) {
+	for i, db := range parts {
+		if from == db {
+			return i, true
+		}
+		if s.view == nil {
+			continue
+		}
+		shf, okf := s.view.ShardOf(from)
+		shd, okd := s.view.ShardOf(db)
+		if okf && okd && shf == shd && s.view.IsCurrent(from) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// roundPhase is the part of Figure 4 a round runs: prepare() or terminate().
+type roundPhase string
+
+const (
+	voting      roundPhase = "voting"
+	terminating roundPhase = "terminating"
+)
+
+// round is one try's 2PC exchange with its participants, kept in s.rounds
+// and stepped under s.mu by the demux on each vote, ack, Ready and resend
+// tick. No goroutine waits on it; what a step sends leaves after s.mu is
+// released.
+type round struct {
+	phase   roundPhase
+	out     msg.Payload // what the round sends its targets: Prepare or Decide
+	targets []id.NodeID
+	incs    []uint64 // voting: the incarnation targets[i]'s branch executed against
+	heard   []bool   // targets[i] answered (voting) or acked (terminating)
+	left    int      // targets not yet heard
+	// dec is the decision being driven, or — voting — the one the vote
+	// yields: commit until an answer refuses.
+	dec        msg.Decision
+	start      time.Time // the span's start; zero when spans are off
+	quietSince time.Time // the last send or input: the resend clock
+}
+
+// open registers r as rid's round and sends r.out to every target, unless
+// rid has a round open already.
+func (s *AppServer) open(rid id.ResultID, r *round) {
+	r.heard = make([]bool, len(r.targets))
+	r.left = len(r.targets)
+	r.quietSince = time.Now()
+	s.mu.Lock()
+	if _, busy := s.rounds[rid]; busy {
+		s.mu.Unlock()
 		return
+	}
+	s.rounds[rid] = r
+	s.mu.Unlock()
+	for _, db := range r.targets {
+		s.sendDB(db, r.out)
+	}
+}
+
+// prepare implements Figure 4's prepare(): a voting round over the shards
+// the business logic touched. Commit needs a yes vote from each, from the
+// incarnation the logic executed against; the last answer queues the try
+// for decide. A try that touched nothing, or has a branch no Exec completed
+// against (it cannot be validated, so it aborts), goes to decide at once.
+func (s *AppServer) prepare(rid id.ResultID, tx *Tx, dec msg.Decision) {
+	r := &round{phase: voting, out: msg.Prepare{RID: rid}, targets: dec.Participants, start: s.cfg.Hooks.now()}
+	for _, db := range r.targets {
+		inc, ok := tx.incarnation(db)
+		if !ok {
+			dec.Outcome = msg.OutcomeAbort
+		}
+		r.incs = append(r.incs, inc)
+	}
+	r.dec = dec
+	if len(r.targets) == 0 || dec.Outcome == msg.OutcomeAbort {
+		s.cfg.Hooks.since(rid, SpanPrepare, r.start)
+		s.decide(rid, dec)
+		return
+	}
+	s.open(rid, r)
+}
+
+// decide runs Figure 5's lines 10-11 for a try whose vote is in: the
+// wo-register arbitrates the decision with any cleaner, and the winner is
+// terminated.
+func (s *AppServer) decide(rid id.ResultID, dec msg.Decision) {
+	s.cfg.Hooks.crash(PointAfterPrepare, rid)
+	t0 := s.cfg.Hooks.now()
+	final, err := s.regs.WriteD(s.ctx, rid, dec)
+	s.clearPending(rid)
+	if err != nil {
+		return // shutting down
 	}
 	s.cfg.Hooks.since(rid, SpanLogOutcome, t0)
 	s.cfg.Hooks.crash(PointAfterRegD, rid)
-
-	// Figure 5, line 11 — handed to the terminator pool so this worker is
-	// free to serve the next request while the decision is driven to the
-	// participants in the background.
-	s.enqueueTerminate(rid, final)
+	s.startTerminate(rid, final)
 }
 
-// answersFor reports whether a reply from `from` answers for participant db:
-// either it is db itself, or — on a replicated deployment — it is the current
-// primary of db's replica group. A promoted primary's votes and acks are
-// credited to the boot-time identity the dlist records; its votes still carry
-// its own (higher) incarnation, so an in-flight try whose Execs ran on the
-// old primary aborts on the incarnation check exactly as if the database had
-// restarted.
-func (s *AppServer) answersFor(from, db id.NodeID) bool {
-	if from == db {
-		return true
+// startTerminate implements Figure 4's terminate(): a round drives the
+// outcome to the try's participants until all acknowledge, and the last ack
+// reports the decision to the client. An unknown dlist — a cleaner's abort
+// of a try whose executor crashed before recording it — falls back to every
+// database server, which is always safe; an empty one reports at once.
+func (s *AppServer) startTerminate(rid id.ResultID, dec msg.Decision) {
+	r := &round{phase: terminating, out: msg.Decide{RID: rid, O: dec.Outcome}, targets: dec.Participants,
+		dec: dec, start: s.cfg.Hooks.now()}
+	if r.targets == nil {
+		r.targets = s.cfg.DataServers
 	}
-	if s.view == nil {
-		return false
-	}
-	shf, okf := s.view.ShardOf(from)
-	shd, okd := s.view.ShardOf(db)
-	return okf && okd && shf == shd && s.view.IsCurrent(from)
-}
-
-// creditFor translates a reply's sender to the participant slot it answers
-// for (see answersFor), or reports that it answers for none of parts.
-func (s *AppServer) creditFor(from id.NodeID, parts []id.NodeID) (id.NodeID, bool) {
-	for _, db := range parts {
-		if s.answersFor(from, db) {
-			return db, true
-		}
-	}
-	return from, false
-}
-
-// prepare implements Figure 4's prepare(): a voting round over the try's
-// participants — the shards the business logic touched — not the whole
-// database tier, so a try confined to one shard is one Prepare/Vote
-// exchange however many database servers exist. Commit requires a yes vote
-// from every participant, each from the same incarnation the business logic
-// executed against; a Ready (recovery notification) in place of a vote means
-// the server lost its branch, so the try aborts. A try that touched nothing
-// has nothing to vote on.
-func (s *AppServer) prepare(rid id.ResultID, tx *Tx) msg.Outcome {
-	parts := tx.participants()
-	if len(parts) == 0 {
-		return msg.OutcomeCommit
-	}
-	for _, db := range parts {
-		if _, ok := tx.incarnation(db); !ok {
-			// The branch was touched but no Exec against it completed; it
-			// cannot be validated, so the try aborts before asking anyone
-			// (termination still reaches db).
-			return msg.OutcomeAbort
-		}
-	}
-
-	col := s.calls.addCollector(rid)
-	defer s.calls.removeCollector(col)
-
-	type answer struct {
-		vote  msg.Vote
-		inc   uint64
-		ready bool
-	}
-	answers := make(map[id.NodeID]answer, len(parts))
-	sendTo := func(only map[id.NodeID]answer) {
-		for _, db := range parts {
-			if _, done := only[db]; done {
-				continue
-			}
-			s.sendDB(db, msg.Prepare{RID: rid})
-		}
-	}
-	sendTo(nil)
-
-	ticker := time.NewTicker(s.cfg.ResendInterval)
-	defer ticker.Stop()
-	for len(answers) < len(parts) {
-		select {
-		case ev := <-col.ch:
-			// Ready notifications fan out from every database server;
-			// only participants (or their current primaries) answer this
-			// round.
-			slot, ok := s.creditFor(ev.from, parts)
-			if !ok {
-				break
-			}
-			if _, done := answers[slot]; done {
-				break
-			}
-			switch ev.kind {
-			case evVote:
-				answers[slot] = answer{vote: ev.vote, inc: ev.inc}
-			case evReady:
-				answers[slot] = answer{ready: true}
-			}
-		case <-ticker.C:
-			sendTo(answers)
-		case <-s.ctx.Done():
-			return msg.OutcomeAbort
-		}
-	}
-	for db, a := range answers {
-		if a.ready || a.vote != msg.VoteYes {
-			return msg.OutcomeAbort
-		}
-		if want, _ := tx.incarnation(db); a.inc != want {
-			// The server crashed between compute() and prepare(): its branch
-			// (and unprepared work) is gone and the vote is from a later
-			// incarnation's empty branch. Committing would lose the writes,
-			// so the try aborts and will be recomputed.
-			return msg.OutcomeAbort
-		}
-	}
-	return msg.OutcomeCommit
-}
-
-// enqueueTerminate hands a decided try to the terminator pool, deduplicating
-// tries whose termination is already queued or running.
-func (s *AppServer) enqueueTerminate(rid id.ResultID, dec msg.Decision) {
-	s.termMu.Lock()
-	if s.terming[rid] {
-		s.termMu.Unlock()
+	if len(r.targets) == 0 {
+		s.roundDone(rid, r)
 		return
 	}
-	s.terming[rid] = true
-	s.termMu.Unlock()
-	if !s.termQ.Push(termJob{rid: rid, dec: dec}) {
-		s.termMu.Lock()
-		delete(s.terming, rid)
-		s.termMu.Unlock()
+	s.open(rid, r)
+}
+
+// hear steps rid's round in phase ph with a vote (yes at incarnation inc,
+// or not) or an ack from `from`.
+func (s *AppServer) hear(from id.NodeID, rid id.ResultID, ph roundPhase, yes bool, inc uint64) {
+	s.mu.Lock()
+	r, done := s.hearLocked(from, rid, ph, yes, inc)
+	s.mu.Unlock()
+	if done {
+		s.roundDone(rid, r)
 	}
 }
 
-// terminatorThread drains the termination queue. The pool is the bounded
-// stand-in for the unbounded blocking the paper's Figure 4 tolerates: a
-// database that crashed and never recovers stalls a terminator goroutine,
-// not a compute worker.
-func (s *AppServer) terminatorThread() {
-	defer s.wg.Done()
-	for {
-		for {
-			job, ok := s.termQ.Pop()
-			if !ok {
-				break
-			}
-			s.terminate(job.rid, job.dec)
-			s.termMu.Lock()
-			delete(s.terming, job.rid)
-			s.termMu.Unlock()
-		}
-		if s.termQ.Closed() {
-			return
-		}
-		select {
-		case <-s.termQ.Out():
-		case <-s.ctx.Done():
-			return
-		}
+// hearLocked is hear's step and reports whether it closed the round. A vote
+// that is not yes, or is from a later incarnation than the branch executed
+// against — the server crashed in between and its unprepared work is gone —
+// aborts the try, which will be recomputed. Caller holds s.mu.
+func (s *AppServer) hearLocked(from id.NodeID, rid id.ResultID, ph roundPhase, yes bool, inc uint64) (*round, bool) {
+	r := s.rounds[rid]
+	if r == nil || r.phase != ph {
+		return nil, false
 	}
+	i, ok := s.creditFor(from, r.targets)
+	if !ok || r.heard[i] {
+		return nil, false
+	}
+	r.heard[i] = true
+	r.quietSince = time.Now()
+	if ph == voting && (!yes || inc != r.incs[i]) {
+		r.dec.Outcome = msg.OutcomeAbort
+	}
+	if r.left--; r.left > 0 {
+		return nil, false
+	}
+	delete(s.rounds, rid)
+	return r, true
 }
 
-// terminate implements Figure 4's terminate(): drive the outcome to the
-// try's participants until all acknowledge (re-sending to servers that
-// announce recovery with Ready), then report the decision to the client. A
-// decision whose dlist is unknown — a cleaner's abort of a try whose
-// executor crashed before recording what it touched — falls back to every
-// database server, which is the pre-sharding behaviour and always safe.
-func (s *AppServer) terminate(rid id.ResultID, dec msg.Decision) {
-	t0 := s.cfg.Hooks.now()
-	targets := dec.Participants
-	if targets == nil {
-		targets = s.cfg.DataServers
+// roundDone hands on a closed round: a vote goes back to the compute queue
+// for decide, a termination caches a commit for retransmissions and sends
+// the client its result.
+func (s *AppServer) roundDone(rid id.ResultID, r *round) {
+	if r.phase == voting {
+		s.cfg.Hooks.since(rid, SpanPrepare, r.start)
+		s.computeQ.Push(func() { s.decide(rid, r.dec) })
+		return
 	}
-	if len(targets) > 0 {
-		col := s.calls.addCollector(rid)
-		acked := make(map[id.NodeID]bool, len(targets))
-		send := func(db id.NodeID) {
-			s.sendDB(db, msg.Decide{RID: rid, O: dec.Outcome})
-		}
-		for _, db := range targets {
-			send(db)
-		}
-		ticker := time.NewTicker(s.cfg.ResendInterval)
-		for len(acked) < len(targets) {
-			select {
-			case ev := <-col.ch:
-				slot, ok := s.creditFor(ev.from, targets)
-				if !ok {
-					break
-				}
-				switch ev.kind {
-				case evAck:
-					acked[slot] = true
-				case evReady:
-					if !acked[slot] {
-						send(slot)
-					}
-				}
-			case <-ticker.C:
-				for _, db := range targets {
-					if !acked[db] {
-						send(db)
-					}
-				}
-			case <-s.ctx.Done():
-				ticker.Stop()
-				s.calls.removeCollector(col)
-				return
-			}
-		}
-		ticker.Stop()
-		s.calls.removeCollector(col)
-	}
-	s.cfg.Hooks.since(rid, SpanCommit, t0)
-
-	if dec.Outcome == msg.OutcomeCommit {
-		s.cacheCommit(rid, dec)
+	s.cfg.Hooks.since(rid, SpanCommit, r.start)
+	if r.dec.Outcome == msg.OutcomeCommit {
+		s.cacheCommit(rid, r.dec)
 	}
 	s.cfg.Hooks.crash(PointBeforeResult, rid)
-	s.sendResult(rid, dec)
+	s.sendResult(rid, r.dec)
+}
+
+// onReady steps every round with a database server's recovery notice,
+// like the paper's "(receive ... or [Ready])" waits. The server lost its
+// unprepared branches, so in place of a vote the Ready aborts the try; a
+// Decide it had not acked may have died with it, so that is sent again.
+func (s *AppServer) onReady(from id.NodeID) {
+	var after []func()
+	s.mu.Lock()
+	for rid, r := range s.rounds {
+		if r.phase == voting {
+			if _, done := s.hearLocked(from, rid, voting, false, 0); done {
+				after = append(after, func() { s.roundDone(rid, r) })
+			}
+		} else if i, ok := s.creditFor(from, r.targets); ok && !r.heard[i] {
+			r.quietSince = time.Now()
+			after = append(after, func() { s.sendDB(r.targets[i], r.out) })
+		}
+	}
+	s.mu.Unlock()
+	for _, f := range after {
+		f()
+	}
+}
+
+// resend is the demux's tick: a round that has heard nothing for a full
+// ResendInterval re-sends to every target not yet heard. A failure-free
+// round hears well within that and never re-sends. sendDB re-resolves each
+// target, so after a promotion the re-send reaches the new primary.
+func (s *AppServer) resend() {
+	var after []func()
+	now := time.Now()
+	s.mu.Lock()
+	for _, r := range s.rounds {
+		if now.Sub(r.quietSince) < s.cfg.ResendInterval {
+			continue
+		}
+		r.quietSince = now
+		for i, db := range r.targets {
+			if !r.heard[i] {
+				after = append(after, func() { s.sendDB(db, r.out) })
+			}
+		}
+	}
+	s.mu.Unlock()
+	for _, f := range after {
+		f()
+	}
 }
 
 // fifoAdmit records a newly inserted key's position in a capped cache's
@@ -905,13 +872,13 @@ func fifoAdmit[K comparable](order []K, cap int, key K, evict func(K)) []K {
 // evicting the oldest entries beyond the configured cap.
 func (s *AppServer) cacheCommit(rid id.ResultID, dec msg.Decision) {
 	key := rid.Request()
-	s.commitMu.Lock()
+	s.mu.Lock()
 	if _, ok := s.committed[key]; !ok {
 		s.commitOrder = fifoAdmit(s.commitOrder, s.cfg.CommitCacheSize, key,
 			func(old id.RequestKey) { delete(s.committed, old) })
 	}
-	s.committed[key] = cachedDecision{try: rid.Try, dec: dec}
-	s.commitMu.Unlock()
+	s.committed[key] = msg.Result{RID: rid, Dec: dec}
+	s.mu.Unlock()
 }
 
 func (s *AppServer) sendResult(rid id.ResultID, dec msg.Decision) {
@@ -961,7 +928,7 @@ func (s *AppServer) cleanSweep() {
 			if err != nil {
 				return // shutting down
 			}
-			s.enqueueTerminate(rid, dec)
+			s.startTerminate(rid, dec)
 			s.markCleaned(rid)
 		}
 	}
@@ -969,26 +936,26 @@ func (s *AppServer) cleanSweep() {
 
 // wasCleaned reports whether the cleaning thread already handled rid.
 func (s *AppServer) wasCleaned(rid id.ResultID) bool {
-	s.cleanMu.Lock()
-	defer s.cleanMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.cleaned[rid]
 }
 
 // markCleaned records rid in the cleaning dedup set, evicting the oldest
 // entries beyond the configured cap.
 func (s *AppServer) markCleaned(rid id.ResultID) {
-	s.cleanMu.Lock()
+	s.mu.Lock()
 	if !s.cleaned[rid] {
 		s.cleanOrder = fifoAdmit(s.cleanOrder, s.cfg.CommitCacheSize, rid,
 			func(old id.ResultID) { delete(s.cleaned, old) })
 		s.cleaned[rid] = true
 	}
-	s.cleanMu.Unlock()
+	s.mu.Unlock()
 }
 
 // DebugTry renders this server's view of one try for liveness diagnostics:
 // register contents, queue membership and the failure-detector verdicts the
-// cleaning thread acts on. It takes no locks beyond the caches' own.
+// cleaning thread acts on. It holds no lock while it reads the registers.
 func (s *AppServer) DebugTry(rid id.ResultID) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s view of %s:", s.cfg.Self, rid)
@@ -1014,17 +981,21 @@ func (s *AppServer) DebugTry(rid id.ResultID) string {
 	} else {
 		fmt.Fprintf(&b, " regD=unset%s", inflight())
 	}
-	s.pendingMu.Lock()
-	pending := s.pending[rid]
-	s.pendingMu.Unlock()
-	s.termMu.Lock()
-	terming := s.terming[rid]
-	s.termMu.Unlock()
-	s.commitMu.Lock()
+	state := "none"
+	s.mu.Lock()
+	if r := s.rounds[rid]; r != nil {
+		var heard []id.NodeID
+		for i, db := range r.targets {
+			if r.heard[i] {
+				heard = append(heard, db)
+			}
+		}
+		state = fmt.Sprintf("%s(heard=%v of %v)", r.phase, heard, r.targets)
+	}
 	_, cached := s.committed[rid.Request()]
-	s.commitMu.Unlock()
-	fmt.Fprintf(&b, " pending=%v terminating=%v cached=%v cleaned=%v",
-		pending, terming, cached, s.wasCleaned(rid))
+	fmt.Fprintf(&b, " pending=%v round=%s cached=%v cleaned=%v",
+		s.pending[rid], state, cached, s.cleaned[rid])
+	s.mu.Unlock()
 	var suspected []id.NodeID
 	for _, ai := range s.cfg.AppServers {
 		if ai != s.cfg.Self && s.det.Suspects(ai) {
@@ -1245,8 +1216,8 @@ const execResendCap = 8
 // incarnation pinning turns a mid-try switch into an abort-and-recompute.
 func (s *AppServer) execCall(ctx context.Context, db id.NodeID, ex msg.Exec) (msg.ExecReply, error) {
 	ex.CallID = s.execID.Add(1)
-	ch := s.calls.addExec(ex.CallID)
-	defer s.calls.removeExec(ex.CallID)
+	ch := s.addExec(ex.CallID)
+	defer s.removeExec(ex.CallID)
 
 	target := db
 	if s.view != nil {
@@ -1299,161 +1270,51 @@ func (s *AppServer) execCall(ctx context.Context, db id.NodeID, ex msg.Exec) (ms
 	}
 }
 
-// --- pending-call routing ----------------------------------------------------
+// --- pending Exec calls ------------------------------------------------------
 
-type colEventKind uint8
-
-const (
-	evVote colEventKind = iota + 1
-	evAck
-	evReady
-)
-
-type colEvent struct {
-	kind colEventKind
-	from id.NodeID
-	vote msg.Vote
-	inc  uint64
-}
-
-type collector struct {
-	rid id.ResultID
-	ch  chan colEvent
-}
-
-// callRouter correlates replies from database servers with the waiting
-// prepare/terminate rounds and Exec calls. Ready notifications fan out to
-// every active collector, like the paper's "(receive ... or [Ready])" waits.
-type callRouter struct {
-	mu       sync.Mutex
-	execs    map[uint64]chan msg.ExecReply
-	cols     map[id.ResultID]map[*collector]bool
-	pool     sync.Pool // recycled collectors; every request makes two
-	execPool sync.Pool // recycled exec-reply channels; every data op makes one
-}
-
-func (r *callRouter) init() {
-	r.execs = make(map[uint64]chan msg.ExecReply)
-	r.cols = make(map[id.ResultID]map[*collector]bool)
-	r.pool.New = func() any {
-		// The buffer only needs to absorb one round's answers from every
-		// participant plus stray Ready fan-out; a protocol-level resend
-		// recovers anything dropped beyond that.
-		return &collector{ch: make(chan colEvent, 32)}
-	}
-}
-
-func (r *callRouter) addCollector(rid id.ResultID) *collector {
-	col := r.pool.Get().(*collector)
-	col.rid = rid
-	r.mu.Lock()
-	set, ok := r.cols[rid]
-	if !ok {
-		set = make(map[*collector]bool, 1)
-		r.cols[rid] = set
-	}
-	set[col] = true
-	r.mu.Unlock()
-	return col
-}
-
-func (r *callRouter) removeCollector(col *collector) {
-	r.mu.Lock()
-	if set, ok := r.cols[col.rid]; ok {
-		delete(set, col)
-		if len(set) == 0 {
-			delete(r.cols, col.rid)
-		}
-	}
-	r.mu.Unlock()
-	// Safe to recycle: route() only sends while holding r.mu with the
-	// collector registered, so after removal the channel is quiescent; drain
-	// whatever was queued before handing it to the next request.
-	for {
-		select {
-		case <-col.ch:
-		default:
-			r.pool.Put(col)
-			return
-		}
-	}
-}
-
-func (r *callRouter) routeVote(from id.NodeID, m msg.VoteMsg) {
-	r.route(m.RID, colEvent{kind: evVote, from: from, vote: m.V, inc: m.Inc})
-}
-
-func (r *callRouter) routeAck(from id.NodeID, m msg.AckDecide) {
-	r.route(m.RID, colEvent{kind: evAck, from: from})
-}
-
-func (r *callRouter) route(rid id.ResultID, ev colEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for col := range r.cols[rid] {
-		select {
-		case col.ch <- ev:
-		default: // collector overwhelmed; protocol-level resends recover
-		}
-	}
-}
-
-func (r *callRouter) routeReady(from id.NodeID, inc uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, set := range r.cols {
-		for col := range set {
-			select {
-			case col.ch <- colEvent{kind: evReady, from: from, inc: inc}:
-			default:
-			}
-		}
-	}
-}
-
-func (r *callRouter) addExec(callID uint64) chan msg.ExecReply {
+func (s *AppServer) addExec(callID uint64) chan msg.ExecReply {
 	var ch chan msg.ExecReply
-	if v := r.execPool.Get(); v != nil {
+	if v := s.execPool.Get(); v != nil {
 		ch = v.(chan msg.ExecReply)
 	} else {
-		ch = make(chan msg.ExecReply, 2)
+		ch = make(chan msg.ExecReply, 2) // the reply, and room for one duplicate
 	}
-	r.mu.Lock()
-	r.execs[callID] = ch
-	r.mu.Unlock()
+	s.mu.Lock()
+	s.execs[callID] = ch
+	s.mu.Unlock()
 	return ch
 }
 
-func (r *callRouter) removeExec(callID uint64) {
-	r.mu.Lock()
-	ch := r.execs[callID]
-	delete(r.execs, callID)
-	r.mu.Unlock()
+func (s *AppServer) removeExec(callID uint64) {
+	s.mu.Lock()
+	ch := s.execs[callID]
+	delete(s.execs, callID)
+	s.mu.Unlock()
 	if ch == nil {
 		return
 	}
-	// Safe to recycle: routeExecReply sends while holding r.mu with the call
+	// Safe to recycle: routeExecReply sends while holding s.mu with the call
 	// registered, so after removal the channel is quiescent; drain stray
 	// duplicate replies before handing it to the next call.
 	for {
 		select {
 		case <-ch:
 		default:
-			r.execPool.Put(ch)
+			s.execPool.Put(ch)
 			return
 		}
 	}
 }
 
-func (r *callRouter) routeExecReply(m msg.ExecReply) {
-	r.mu.Lock()
+func (s *AppServer) routeExecReply(m msg.ExecReply) {
+	s.mu.Lock()
 	// The non-blocking send stays under the lock: once removeExec has run,
 	// nothing may touch the channel again (it is recycled).
-	if ch, ok := r.execs[m.CallID]; ok {
+	if ch, ok := s.execs[m.CallID]; ok {
 		select {
 		case ch <- m:
 		default: // duplicate reply
 		}
 	}
-	r.mu.Unlock()
+	s.mu.Unlock()
 }

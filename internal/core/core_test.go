@@ -382,24 +382,24 @@ func TestDecisionCachesAreBounded(t *testing.T) {
 		srv.cacheCommit(rid, msg.Decision{Outcome: msg.OutcomeCommit})
 		srv.markCleaned(rid)
 	}
-	srv.commitMu.Lock()
+	srv.mu.Lock()
 	nCommitted := len(srv.committed)
-	srv.commitMu.Unlock()
+	srv.mu.Unlock()
 	if nCommitted > cap {
 		t.Errorf("committed cache holds %d entries, cap is %d", nCommitted, cap)
 	}
-	srv.cleanMu.Lock()
+	srv.mu.Lock()
 	nCleaned := len(srv.cleaned)
-	srv.cleanMu.Unlock()
+	srv.mu.Unlock()
 	if nCleaned > cap {
 		t.Errorf("cleaned set holds %d entries, cap is %d", nCleaned, cap)
 	}
 
 	// The newest entry survived FIFO eviction and Retire prunes it.
 	last := id.ResultID{Client: id.Client(1), Seq: 5 * cap, Try: 1}
-	srv.commitMu.Lock()
+	srv.mu.Lock()
 	_, cached := srv.committed[last.Request()]
-	srv.commitMu.Unlock()
+	srv.mu.Unlock()
 	if !cached {
 		t.Fatal("newest decision evicted before older ones")
 	}
@@ -407,9 +407,9 @@ func TestDecisionCachesAreBounded(t *testing.T) {
 		t.Fatal("newest cleaned entry evicted before older ones")
 	}
 	srv.Retire(last.Request(), last.Try)
-	srv.commitMu.Lock()
+	srv.mu.Lock()
 	_, cached = srv.committed[last.Request()]
-	srv.commitMu.Unlock()
+	srv.mu.Unlock()
 	if cached {
 		t.Error("Retire left the committed decision behind")
 	}

@@ -13,6 +13,16 @@
 // thread scans the set of register keys the replica has seen instead of an
 // unbounded array.
 //
+// Figures 4-6 map onto a fixed set of goroutines, not one per try. Workers
+// compute threads run Figure 5's steps that run user code or block on
+// consensus: the regA claim, compute() and, once the vote is in, the regD
+// write. Figure 4's prepare() and terminate() are rounds, not blocking
+// calls: per try, the phase and who has answered, in one map under the
+// server's mutex, stepped by the demux on each vote, ack and Ready and
+// re-sent on its tick after a full ResendInterval of silence. A closed vote
+// goes back to the compute queue; a closed termination sends the client its
+// result. A try waiting on a database holds no goroutine.
+//
 // AppServerConfig.AdaptiveWindows is the one batching switch, and it sets
 // caps only: the code path is the same either way. Every register write
 // rides the cohort sequencer into a consensus slot, and every Prepare/Decide
@@ -161,7 +171,8 @@ type Hooks struct {
 	// Span reports a component latency for one try.
 	Span func(rid id.ResultID, span Span, d time.Duration)
 	// Crash is called at each CrashPoint of the executor path; tests use it
-	// to take the server down at exact protocol instants.
+	// to take the server down at exact protocol instants. PointBeforeResult
+	// is reached on the demux goroutine, so a hook must not block.
 	Crash func(point CrashPoint, rid id.ResultID)
 }
 

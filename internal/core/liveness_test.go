@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,18 +176,26 @@ func TestAppServerDebugTry(t *testing.T) {
 		t.Fatal(err)
 	}
 	dump := srv.DebugTry(rid)
-	for _, want := range []string{"regA=" + id.AppServer(1).String(), "regD=" + msg.OutcomeCommit.String()} {
-		if !containsStr(dump, want) {
+	for _, want := range []string{"regA=" + id.AppServer(1).String(), "regD=" + msg.OutcomeCommit.String(), "round=none"} {
+		if !strings.Contains(dump, want) {
 			t.Errorf("DebugTry = %q, missing %q", dump, want)
 		}
 	}
-}
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+	// A try held in its rounds shows the phase and who answered so far:
+	// dbserver-2 keeps the vote, then the ack, to itself.
+	net = testNet(t)
+	db1 := newScriptedDB(t, net, 1,
+		func(d *scriptedDB, m msg.Prepare, _ int) { d.voteYes(m.RID) },
+		func(d *scriptedDB, m msg.Decide, _ int) { d.ack(m) })
+	db2 := newScriptedDB(t, net, 2, nil, nil)
+	srv = startRoundServer(t, net, 1, time.Hour, db1, db2)
+	raw := rawClient{attach(t, net, id.Client(1))}
+	both := []id.NodeID{db1.self, db2.self}
+	rid = raw.issue(1)
+	want := fmt.Sprintf("round=voting(heard=%v of %v)", []id.NodeID{db1.self}, both)
+	waitFor(t, want, 5*time.Second, func() bool { return strings.Contains(srv.DebugTry(rid), want) })
+	db2.voteYes(rid)
+	want = fmt.Sprintf("round=terminating(heard=%v of %v)", []id.NodeID{db1.self}, both)
+	waitFor(t, want, 5*time.Second, func() bool { return strings.Contains(srv.DebugTry(rid), want) })
 }

@@ -54,7 +54,8 @@ type Tuning struct {
 	// every slot — with AdaptiveWindows off, one per register write.
 	RetainSlots int
 	// Workers is the number of compute threads per application server (the
-	// paper and the default: 1); raise it for pipelined clients.
+	// paper and the default: 1); raise it for pipelined clients. It bounds
+	// computation only: a try waiting on votes or acks holds no thread.
 	Workers int
 	// LockTimeout bounds a database vote's wait for its undecided chain
 	// predecessors (xadb/spec.go); expiry votes no. Default 250ms.
