@@ -75,7 +75,10 @@ import (
 // through tx, and returns the result delivered to the client. It may run
 // several times for one request (once per internal try), so all its effects
 // must go through tx; a returned error aborts the current try and the
-// request is retried.
+// request is retried. A try that only reads through GetKeyFast opens no
+// branch and is answered without the replicated registers, so whether a
+// try writes must follow from the request or from reads through GetKey,
+// never from a GetKeyFast snapshot.
 type Logic func(ctx context.Context, tx *Tx, request []byte) ([]byte, error)
 
 // Tuning is the set of knobs every process of a deployment must agree on —
@@ -452,7 +455,9 @@ func (t *Tx) SimulateWork(ctx context.Context, db int, d time.Duration) error {
 // consistent committed snapshot, not a serializable read inside the try —
 // it may trail the try's own uncommitted writes. Use it for read-mostly
 // logic that tolerates snapshot staleness; use GetKey for reads the try's
-// serialization must cover.
+// serialization must cover. A try whose only operations are GetKeyFast
+// reads costs no consensus at all: its result is returned straight from
+// the logic.
 func (t *Tx) GetKeyFast(ctx context.Context, key string) ([]byte, int64, error) {
 	val, num, err := t.inner.GetFast(ctx, key)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,23 +159,27 @@ func TestUserLevelAbortRetriesUntilCommit(t *testing.T) {
 // first time the given point is reached on try 1.
 func crashPrimaryAt(t *testing.T, point core.CrashPoint) (*Cluster, *atomic.Bool) {
 	t.Helper()
+	return crashPrimaryOn(t, Config{Logic: transferLogic(), Seed: seedAccounts(100)}, point, 0)
+}
+
+// crashPrimaryOn builds cfg's deployment whose primary (appserver-1) crashes
+// the first time the given point is reached on try 1 of request seq, or of
+// any request when seq is 0.
+func crashPrimaryOn(t *testing.T, cfg Config, point core.CrashPoint, seq uint64) (*Cluster, *atomic.Bool) {
+	t.Helper()
 	var fired atomic.Bool
 	var cRef atomic.Pointer[Cluster]
-	cfg := Config{
-		Logic: transferLogic(),
-		Seed:  seedAccounts(100),
-		Hooks: func(self id.NodeID) *core.Hooks {
-			if self != id.AppServer(1) {
-				return nil
-			}
-			return &core.Hooks{
-				Crash: func(p core.CrashPoint, rid id.ResultID) {
-					if p == point && rid.Try == 1 && fired.CompareAndSwap(false, true) {
-						cRef.Load().CrashApp(1)
-					}
-				},
-			}
-		},
+	cfg.Hooks = func(self id.NodeID) *core.Hooks {
+		if self != id.AppServer(1) {
+			return nil
+		}
+		return &core.Hooks{
+			Crash: func(p core.CrashPoint, rid id.ResultID) {
+				if p == point && rid.Try == 1 && (seq == 0 || rid.Seq == seq) && fired.CompareAndSwap(false, true) {
+					cRef.Load().CrashApp(1)
+				}
+			},
+		}
 	}
 	fastKnobs(&cfg)
 	c, err := New(cfg)
@@ -232,6 +237,49 @@ func TestFailoverWithCommit(t *testing.T) {
 				t.Errorf("deliveries = %+v, want the original try 1", deliveries)
 			}
 		})
+	}
+}
+
+// TestReadOnlyTryFailover: the primary crashes after computing a read-only
+// try, before its result goes out. The try opened no branch and wrote no
+// register, so nothing is left to clean: the client's retransmission of the
+// same try is recomputed by a backup and delivered (T.1), and the oracle and
+// money conservation hold.
+func TestReadOnlyTryFailover(t *testing.T) {
+	cfg := Config{
+		Logic: snapLogic(),
+		Seed: []kv.Write{
+			{Key: "acct/sa", Val: kv.EncodeInt(100)},
+			{Key: "acct/sb", Val: kv.EncodeInt(100)},
+		},
+	}
+	c, fired := crashPrimaryOn(t, cfg, core.PointAfterCompute, 2)
+	defer c.Stop()
+	issue(t, c, 1, "sa:sb:10") // request 1 commits through the primary
+	if got := issue(t, c, 1, "read:sa"); string(got) != "90" {
+		t.Errorf("read of sa = %q, want 90", got)
+	}
+	if !fired.Load() {
+		t.Fatal("crash hook never fired")
+	}
+	deliveries := c.Client(1).Delivered()
+	if len(deliveries) != 2 {
+		t.Fatalf("deliveries = %+v, want 2", deliveries)
+	}
+	if d := deliveries[1]; d.Tries != 1 || d.Participants == nil || len(d.Participants) != 0 {
+		t.Errorf("read delivery = %+v, want try 1 with an empty dlist", d)
+	}
+	sa, _ := c.Engine(1).Store().GetInt("acct/sa")
+	sb, _ := c.Engine(1).Store().GetInt("acct/sb")
+	if sa != 90 || sb != 110 {
+		t.Errorf("balances sa=%d sb=%d, want 90 and 110", sa, sb)
+	}
+	mustOracle(t, c)
+	rid := id.ResultID{Client: id.Client(1), Seq: 2, Try: 1}
+	for i := 2; i <= 3; i++ {
+		if dump := c.App(i).DebugTry(rid); !strings.Contains(dump, "regA=unset") || !strings.Contains(dump, "regD=unset") {
+			t.Errorf("read-only try wrote a register: %s", dump)
+		}
 	}
 }
 

@@ -28,6 +28,11 @@ import (
 // request (once per try), so its effects must live entirely inside the
 // transaction branch. A returned error aborts the try with the paper's
 // (nil, abort) decision.
+//
+// A try that calls no Exec (only Tx.GetFast reads) opens no branch and is
+// answered without the wo-registers, so more than one server may compute
+// it. Whether a try opens a branch must therefore follow from the request,
+// or from reads made through Exec (Tx.Get), never from a GetFast snapshot.
 type Logic interface {
 	Compute(ctx context.Context, tx *Tx, req []byte) ([]byte, error)
 }
@@ -568,9 +573,11 @@ func (s *AppServer) computeThread() {
 }
 
 // handleRequest executes Figure 5 for one incoming [Request, request, j], up
-// to the voting round. It reports whether the try went on to its vote: the
-// try then stays pending — a retransmission of it is not recomputed — until
-// decide has written regD.
+// to the voting round. It reports whether the try went on to its decision:
+// the try then stays pending — a retransmission of it is not recomputed —
+// until decide has written regD. The regA claim of line 6 is lazy: the try's
+// first Exec makes it (Tx.claimA), so a try that opens no branch writes
+// neither register.
 func (s *AppServer) handleRequest(req msg.Request) bool {
 	rid := req.RID
 
@@ -592,34 +599,40 @@ func (s *AppServer) handleRequest(req msg.Request) bool {
 		return false
 	}
 
-	// Figure 5, line 6: claim the try in regA.
-	t0 := s.cfg.Hooks.now()
-	winner, err := s.regs.WriteA(s.ctx, rid, s.cfg.Self)
-	if err != nil {
-		return false // shutting down
-	}
-	s.cfg.Hooks.since(rid, SpanLogStart, t0)
-	s.cfg.Hooks.crash(PointAfterRegA, rid)
-	if winner != s.cfg.Self {
-		// Figure 5, line 7: another server owns this try; it (or its
-		// cleaner) will answer the client.
-		return false
-	}
-
-	// Figure 5, lines 8-9: compute, then run the voting phase.
+	// Figure 5, lines 6 and 8-9: compute (its first Exec claims the try in
+	// regA), then run the voting phase.
 	cctx, cancel := context.WithTimeout(s.ctx, s.cfg.ComputeTimeout)
-	tx := &Tx{s: s, rid: rid}
-	t0 = s.cfg.Hooks.now()
+	tx := &Tx{s: s, rid: rid, sqlStart: s.cfg.Hooks.now()}
 	result, err := s.cfg.Logic.Compute(cctx, tx, req.Body)
 	cancel()
-	s.cfg.Hooks.since(rid, SpanSQL, t0)
+	s.cfg.Hooks.since(rid, SpanSQL, tx.sqlStart)
 	s.cfg.Hooks.crash(PointAfterCompute, rid)
+	switch {
+	case tx.claim == claimLost:
+		// Figure 5, line 7: another server owns this try; it (or its
+		// cleaner) will answer the client. Nothing was sent.
+		return false
+	case tx.claim == unclaimed && err == nil:
+		// The try opened no branch, so it commits nothing anywhere: no
+		// register arbitrates it and the result goes out at once. A
+		// retransmission recomputes it.
+		s.cfg.Hooks.crash(PointBeforeResult, rid)
+		s.sendResult(rid, msg.Decision{Result: result, Outcome: msg.OutcomeCommit, Participants: []id.NodeID{}})
+		return false
+	}
 	// The decision carries the try's dlist — the shards the logic touched —
 	// whether it commits or aborts: termination (here, at a cleaner, or at a
 	// retransmission handler on another server) must reach exactly those
 	// branches, and nothing else.
 	decision := msg.Decision{Outcome: msg.OutcomeAbort, Participants: tx.participants()} // (nil, abort)
 	if err != nil {
+		if tx.claim == unclaimed {
+			// A failure before any claim still aborts through regD, where
+			// it may meet a server that owns the try. Like the cleaner's
+			// abort it cannot know that owner's branches, so its dlist is
+			// unknown and termination reaches every database server.
+			decision.Participants = nil
+		}
 		s.decide(rid, decision)
 		return true
 	}
@@ -698,8 +711,9 @@ func (s *AppServer) open(rid id.ResultID, r *round) {
 // prepare implements Figure 4's prepare(): a voting round over the shards
 // the business logic touched. Commit needs a yes vote from each, from the
 // incarnation the logic executed against; the last answer queues the try
-// for decide. A try that touched nothing, or has a branch no Exec completed
-// against (it cannot be validated, so it aborts), goes to decide at once.
+// for decide. A try with a branch no Exec completed against (it cannot be
+// validated, so it aborts) goes to decide at once. Only a claimed try gets
+// here, and claiming touched a shard, so the round is never empty.
 func (s *AppServer) prepare(rid id.ResultID, tx *Tx, dec msg.Decision) {
 	r := &round{phase: voting, out: msg.Prepare{RID: rid}, targets: dec.Participants, start: s.cfg.Hooks.now()}
 	for _, db := range r.targets {
@@ -710,7 +724,7 @@ func (s *AppServer) prepare(rid id.ResultID, tx *Tx, dec msg.Decision) {
 		r.incs = append(r.incs, inc)
 	}
 	r.dec = dec
-	if len(r.targets) == 0 || dec.Outcome == msg.OutcomeAbort {
+	if dec.Outcome == msg.OutcomeAbort {
 		s.cfg.Hooks.since(rid, SpanPrepare, r.start)
 		s.decide(rid, dec)
 		return
@@ -736,18 +750,16 @@ func (s *AppServer) decide(rid id.ResultID, dec msg.Decision) {
 
 // startTerminate implements Figure 4's terminate(): a round drives the
 // outcome to the try's participants until all acknowledge, and the last ack
-// reports the decision to the client. An unknown dlist — a cleaner's abort
-// of a try whose executor crashed before recording it — falls back to every
-// database server, which is always safe; an empty one reports at once.
+// reports the decision to the client. An unknown dlist — an abort written
+// by a cleaner, or by a server whose compute() failed before any claim —
+// falls back to every database server, which is always safe. A recorded
+// dlist is never empty: only a claimed try records one, and claiming
+// touched a shard.
 func (s *AppServer) startTerminate(rid id.ResultID, dec msg.Decision) {
 	r := &round{phase: terminating, out: msg.Decide{RID: rid, O: dec.Outcome}, targets: dec.Participants,
 		dec: dec, start: s.cfg.Hooks.now()}
 	if r.targets == nil {
 		r.targets = s.cfg.DataServers
-	}
-	if len(r.targets) == 0 {
-		s.roundDone(rid, r)
-		return
 	}
 	s.open(rid, r)
 }
@@ -1045,14 +1057,30 @@ func wireStats(ep transport.Endpoint) (string, bool) {
 // placement. Either way the touched servers are recorded as the try's
 // participant set — the paper's dlist — and commitment involves only them.
 type Tx struct {
-	s   *AppServer
-	rid id.ResultID
+	s     *AppServer
+	rid   id.ResultID
+	claim claimState
+	// sqlStart is where the SQL span starts: at compute(), or once the
+	// regA claim returns, so the claim counts as log-start alone.
+	sqlStart time.Time
 	// touched and incs are small linear-scan sets rather than maps: a try
 	// touches a handful of shards at most, and two map allocations per try
 	// were measurable on the batched hot path.
 	touched []id.NodeID
 	incs    []dbInc
 }
+
+// claimState is where a try stands with its lazy regA claim.
+type claimState uint8
+
+const (
+	unclaimed  claimState = iota // no Exec yet: regA is not written
+	claimOwned                   // this server won regA
+	claimLost                    // another server owns the try, or the server is stopping
+)
+
+// errNotOwner fails every Exec of a try whose regA claim this server lost.
+var errNotOwner = errors.New("core: another application server owns this try")
 
 // dbInc records the incarnation observed at the first completed Exec
 // against one database server.
@@ -1185,8 +1213,12 @@ func (t *Tx) GetFast(ctx context.Context, key string) ([]byte, int64, error) {
 // Exec runs one data operation on db inside this try's branch. A failed
 // operation is reported in the OpResult (business-level failure: lock
 // timeout, check violation); an error return means the call itself could not
-// complete (timeout, shutdown, database restarted mid-transaction).
+// complete (timeout, shutdown, database restarted mid-transaction, or the
+// try is owned by another application server).
 func (t *Tx) Exec(ctx context.Context, db id.NodeID, op msg.Op) (msg.OpResult, error) {
+	if err := t.claimA(); err != nil {
+		return msg.OpResult{}, err
+	}
 	t.touch(db)
 	rep, err := t.s.execCall(ctx, db, msg.Exec{RID: t.rid, Op: op})
 	if err != nil {
@@ -1198,6 +1230,35 @@ func (t *Tx) Exec(ctx context.Context, db id.NodeID, op msg.Op) (msg.OpResult, e
 		return rep.Rep, fmt.Errorf("core: database %s restarted mid-transaction (incarnation %d -> %d)", db, prev, rep.Inc)
 	}
 	return rep.Rep, nil
+}
+
+// claimA is Figure 5, line 6, made lazy: the try's first Exec claims it in
+// regA before anything is sent, so no branch is ever opened by a server that
+// does not own the try. A lost claim (line 7) fails this Exec and every later
+// one; handleRequest then ends the try once compute() returns.
+func (t *Tx) claimA() error {
+	switch t.claim {
+	case claimOwned:
+		return nil
+	case claimLost:
+		return errNotOwner
+	}
+	s := t.s
+	t0 := s.cfg.Hooks.now()
+	winner, err := s.regs.WriteA(s.ctx, t.rid, s.cfg.Self)
+	if err != nil {
+		t.claim = claimLost
+		return err // shutting down
+	}
+	s.cfg.Hooks.since(t.rid, SpanLogStart, t0)
+	s.cfg.Hooks.crash(PointAfterRegA, t.rid)
+	if winner != s.cfg.Self {
+		t.claim = claimLost
+		return errNotOwner
+	}
+	t.claim = claimOwned
+	t.sqlStart = s.cfg.Hooks.now()
+	return nil
 }
 
 // execResendCap bounds how many times one Exec call may be re-sent after the

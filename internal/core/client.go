@@ -141,8 +141,8 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // Stop terminates the client's receive loop. In-flight Issues fail with
 // ErrStopped.
 func (c *Client) Stop() {
-	// The flag keeps later IssueAsync calls from racing a wg.Add against
-	// wg.Wait: once it is set no request goroutine is ever spawned again.
+	// The flag keeps later Issue calls from racing a wg.Add against
+	// wg.Wait: once it is set no request is ever admitted again.
 	c.mu.Lock()
 	c.stopped = true
 	c.mu.Unlock()
@@ -227,13 +227,14 @@ func (f *Future) Wait(ctx context.Context) ([]byte, error) {
 // Issue implements the paper's issue() primitive: it blocks until a committed
 // result for the request is delivered, ctx is cancelled (the model's client
 // crash), or the client is stopped. It is safe to call from any number of
-// goroutines; each call pipelines an independent request.
+// goroutines; each call pipelines an independent request, on the caller's
+// own goroutine.
 func (c *Client) Issue(ctx context.Context, request []byte) ([]byte, error) {
-	f, err := c.IssueAsync(ctx, request)
+	seq, cl, err := c.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return f.Result()
+	return c.serve(ctx, seq, cl, request)
 }
 
 // IssueAsync submits a request without waiting for its result and returns a
@@ -241,14 +242,29 @@ func (c *Client) Issue(ctx context.Context, request []byte) ([]byte, error) {
 // or the client is stopped. Cancelling ctx releases the request's in-flight
 // slot; the request then executes at most once.
 func (c *Client) IssueAsync(ctx context.Context, request []byte) (*Future, error) {
-	if err := c.acquire(ctx); err != nil {
+	seq, cl, err := c.admit(ctx)
+	if err != nil {
 		return nil, err
+	}
+	f := &Future{done: make(chan struct{})}
+	go func() {
+		f.res, f.err = c.serve(ctx, seq, cl, request)
+		close(f.done)
+	}()
+	return f, nil
+}
+
+// admit takes an in-flight slot and a sequence number for a new request and
+// registers its routing slot. The caller must hand both to serve.
+func (c *Client) admit(ctx context.Context) (uint64, *call, error) {
+	if err := c.acquire(ctx); err != nil {
+		return 0, nil, err
 	}
 	c.mu.Lock()
 	if c.stopped {
 		c.mu.Unlock()
 		c.release()
-		return nil, ErrStopped
+		return 0, nil, ErrStopped
 	}
 	c.seq++
 	seq := c.seq
@@ -258,19 +274,19 @@ func (c *Client) IssueAsync(ctx context.Context, request []byte) (*Future, error
 	// waits, and the recvLoop keeps the counter above zero until then.
 	c.wg.Add(1)
 	c.mu.Unlock()
+	return seq, cl, nil
+}
 
-	f := &Future{done: make(chan struct{})}
-	go func() {
-		defer c.wg.Done()
-		res, err := c.run(ctx, seq, cl, request)
-		c.mu.Lock()
-		delete(c.inflight, seq)
-		c.mu.Unlock()
-		c.release()
-		f.res, f.err = res, err
-		close(f.done)
-	}()
-	return f, nil
+// serve runs an admitted request to its end, then gives back what admit
+// took.
+func (c *Client) serve(ctx context.Context, seq uint64, cl *call, request []byte) ([]byte, error) {
+	defer c.wg.Done()
+	res, err := c.run(ctx, seq, cl, request)
+	c.mu.Lock()
+	delete(c.inflight, seq)
+	c.mu.Unlock()
+	c.release()
+	return res, err
 }
 
 // IssueBatch pipelines all requests concurrently and blocks until every one

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +416,43 @@ func TestDecisionCachesAreBounded(t *testing.T) {
 	}
 	if srv.wasCleaned(last) {
 		t.Error("Retire left the cleaned entry behind")
+	}
+}
+
+// TestIssueRunsOnCallerGoroutine: a blocked Issue holds only its caller's
+// goroutine. N callers waiting on a silent application server add at most
+// N+5 goroutines; a goroutine per request on top would add about 2N.
+func TestIssueRunsOnCallerGoroutine(t *testing.T) {
+	const callers = 200
+	net := testNet(t)
+	attach(t, net, id.AppServer(1)) // attached, never answers
+	cl, err := NewClient(ClientConfig{
+		Self:       id.Client(1),
+		AppServers: []id.NodeID{id.AppServer(1)},
+		Endpoint:   attach(t, net, id.Client(1)),
+		Backoff:    time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	time.Sleep(20 * time.Millisecond) // let the client's own goroutines settle
+	idle := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = cl.Issue(ctx, []byte("go"))
+		}()
+	}
+	waitFor(t, "every caller in flight", 5*time.Second, func() bool { return cl.InFlight() == callers })
+	grown := runtime.NumGoroutine() - idle
+	cancel()
+	wg.Wait()
+	if grown > callers+5 {
+		t.Fatalf("%d blocked Issue callers added %d goroutines, want <= %d", callers, grown, callers+5)
 	}
 }

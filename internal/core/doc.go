@@ -15,13 +15,41 @@
 //
 // Figures 4-6 map onto a fixed set of goroutines, not one per try. Workers
 // compute threads run Figure 5's steps that run user code or block on
-// consensus: the regA claim, compute() and, once the vote is in, the regD
-// write. Figure 4's prepare() and terminate() are rounds, not blocking
+// consensus: compute() — whose first Exec makes the regA claim — and, once
+// the vote is in, the regD write. Figure 4's prepare() and terminate() are rounds, not blocking
 // calls: per try, the phase and who has answered, in one map under the
 // server's mutex, stepped by the demux on each vote, ack and Ready and
 // re-sent on its tick after a full ResendInterval of silence. A closed vote
 // goes back to the compute queue; a closed termination sends the client its
 // result. A try waiting on a database holds no goroutine.
+//
+// Figure 5 is refined in one way: the regA claim is lazy. The paper writes
+// regA (line 6) before compute(); here a try's first Tx.Exec, the first call
+// that opens a transaction branch, makes the claim, before that Exec is
+// sent. The e-Transaction properties constrain only what the database
+// servers commit (A.1-A.3, V.2), and a try with no branch commits nothing
+// anywhere, so at-most-once is vacuous for it and a recomputed result is as
+// valid as the first. Hence:
+//   - a lost claim fails that Exec and every later one, having sent
+//     nothing, so the loser opened no branch; it stops once compute()
+//     returns, with no decide and no reply, as at line 7;
+//   - a try whose compute() succeeds with no claim (it read through
+//     Tx.GetFast at most) is answered at once: commit with an empty dlist,
+//     no regD, no commit-cache entry, no round. It has no regA entry for
+//     the cleaner to find, and a crash before the reply is covered by the
+//     client's retransmission (T.1), which is recomputed;
+//   - a try whose compute() fails before any claim still decides abort
+//     through regD, where it may meet a server that does own the try. Like
+//     the cleaner's abort it cannot know that owner's branches, so its
+//     dlist is unknown and termination reaches every database server;
+//   - from its claim on, a try that opens a branch runs Figure 5 unchanged:
+//     vote, regD, terminate — two register writes per commit, as in the
+//     paper.
+//
+// Since two servers may both compute an unclaimed try, a Logic must decide
+// whether to open a branch from the request, or from reads made through
+// Exec, never from a GetFast snapshot: otherwise one server could answer a
+// read while another commits a write for the same try.
 //
 // AppServerConfig.AdaptiveWindows is the one batching switch, and it sets
 // caps only: the code path is the same either way. Every register write
@@ -136,7 +164,8 @@ const (
 	// SpanCommit is the decide/ack round at the databases (Figure 8 "commit").
 	SpanCommit Span = "commit"
 	// SpanLogStart is recording who executes the try: the regA write for the
-	// replicated protocol, the forced start record for 2PC (Figure 8
+	// replicated protocol (made at the try's first Exec; a try that opens
+	// no branch has none), the forced start record for 2PC (Figure 8
 	// "log-start").
 	SpanLogStart Span = "log-start"
 	// SpanLogOutcome is recording the decision: the regD write for the
@@ -172,7 +201,8 @@ type Hooks struct {
 	Span func(rid id.ResultID, span Span, d time.Duration)
 	// Crash is called at each CrashPoint of the executor path; tests use it
 	// to take the server down at exact protocol instants. PointBeforeResult
-	// is reached on the demux goroutine, so a hook must not block.
+	// is reached on the demux goroutine (on a compute thread for a try that
+	// opened no branch), so a hook must not block.
 	Crash func(point CrashPoint, rid id.ResultID)
 }
 

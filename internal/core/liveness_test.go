@@ -148,7 +148,15 @@ func TestAppServerDebugTry(t *testing.T) {
 		AppServers:  []id.NodeID{id.AppServer(1)},
 		DataServers: []id.NodeID{id.DBServer(1)},
 		Endpoint:    attach(t, net, id.AppServer(1)),
-		Logic:       noopLogic(),
+		// "add" opens a branch with one Exec; anything else is a no-op.
+		Logic: LogicFunc(func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
+			if string(req) == "add" {
+				if _, err := tx.Exec(ctx, id.DBServer(1), msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1}); err != nil {
+					return nil, err
+				}
+			}
+			return []byte("ok"), nil
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +168,9 @@ func TestAppServerDebugTry(t *testing.T) {
 	if s := srv.DebugTry(rid); s == "" {
 		t.Fatal("empty DebugTry for an unknown try")
 	}
-	// Drive one request through, then the dump must show the decided regD.
+	// Drive a no-op request through: it opened no branch, so it wrote
+	// neither register and left no commit-cache entry. Then a request with
+	// one Exec: the dump must show its claim and its decided regD.
 	cl, err := NewClient(ClientConfig{
 		Self:       id.Client(1),
 		AppServers: []id.NodeID{id.AppServer(1)},
@@ -172,15 +182,15 @@ func TestAppServerDebugTry(t *testing.T) {
 	defer cl.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := cl.Issue(ctx, []byte("go")); err != nil {
+	if _, err := cl.Issue(ctx, []byte("noop")); err != nil {
 		t.Fatal(err)
 	}
-	dump := srv.DebugTry(rid)
-	for _, want := range []string{"regA=" + id.AppServer(1).String(), "regD=" + msg.OutcomeCommit.String(), "round=none"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("DebugTry = %q, missing %q", dump, want)
-		}
+	mustDebug(t, srv, rid, "regA=unset", "regD=unset", "cached=false", "round=none")
+	if _, err := cl.Issue(ctx, []byte("add")); err != nil {
+		t.Fatal(err)
 	}
+	rid = id.ResultID{Client: id.Client(1), Seq: 2, Try: 1}
+	mustDebug(t, srv, rid, "regA="+id.AppServer(1).String(), "regD="+msg.OutcomeCommit.String(), "round=none")
 
 	// A try held in its rounds shows the phase and who answered so far:
 	// dbserver-2 keeps the vote, then the ack, to itself.

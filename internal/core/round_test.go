@@ -24,6 +24,7 @@ type scriptedDB struct {
 	onDecide  func(d *scriptedDB, m msg.Decide, n int)
 
 	mu       sync.Mutex
+	execs    int
 	prepares map[id.ResultID][]time.Time
 	decides  map[id.ResultID][]msg.Outcome
 }
@@ -46,6 +47,9 @@ func newScriptedDB(t *testing.T, net *transport.MemNetwork, i int,
 		for env := range d.ep.Recv() {
 			switch m := env.Payload.(type) {
 			case msg.Exec:
+				d.mu.Lock()
+				d.execs++
+				d.mu.Unlock()
 				d.send(msg.ExecReply{RID: m.RID, CallID: m.CallID, Rep: msg.OpResult{OK: true}, Inc: 1})
 			case msg.Prepare:
 				d.mu.Lock()
@@ -104,9 +108,30 @@ func waitFor(t *testing.T, what string, d time.Duration, cond func() bool) {
 	}
 }
 
+// execCount returns how many Execs arrived, snapshot reads included.
+func (d *scriptedDB) execCount() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.execs
+}
+
 // startRoundServer runs appID over the scripted databases dbs; its logic
 // executes one Add on each of them.
 func startRoundServer(t *testing.T, net *transport.MemNetwork, workers int, resend time.Duration, dbs ...*scriptedDB) *AppServer {
+	t.Helper()
+	logic := LogicFunc(func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
+		for _, db := range dbs {
+			if _, err := tx.Exec(ctx, db.self, msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1}); err != nil {
+				return nil, err
+			}
+		}
+		return []byte("ok"), nil
+	})
+	return startLogicServer(t, net, workers, resend, logic, dbs...)
+}
+
+// startLogicServer runs appID, with logic, over the scripted databases dbs.
+func startLogicServer(t *testing.T, net *transport.MemNetwork, workers int, resend time.Duration, logic Logic, dbs ...*scriptedDB) *AppServer {
 	t.Helper()
 	var ids []id.NodeID
 	for _, d := range dbs {
@@ -119,14 +144,7 @@ func startRoundServer(t *testing.T, net *transport.MemNetwork, workers int, rese
 		Endpoint:       attach(t, net, appID),
 		Workers:        workers,
 		ResendInterval: resend,
-		Logic: LogicFunc(func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
-			for _, db := range ids {
-				if _, err := tx.Exec(ctx, db, msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1}); err != nil {
-					return nil, err
-				}
-			}
-			return []byte("ok"), nil
-		}),
+		Logic:          logic,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +158,10 @@ func startRoundServer(t *testing.T, net *transport.MemNetwork, workers int, rese
 // see exactly the tries they issue, with no retry or rebroadcast.
 type rawClient struct{ ep transport.Endpoint }
 
-func (c rawClient) issue(seq uint64) id.ResultID {
-	rid := id.ResultID{Client: id.Client(1), Seq: seq, Try: 1}
+func (c rawClient) issue(seq uint64) id.ResultID { return c.issueTry(seq, 1) }
+
+func (c rawClient) issueTry(seq, try uint64) id.ResultID {
+	rid := id.ResultID{Client: id.Client(1), Seq: seq, Try: try}
 	_ = c.ep.Send(msg.Envelope{To: appID, Payload: msg.Request{RID: rid, Body: []byte("go")}})
 	return rid
 }
