@@ -10,11 +10,11 @@ import (
 	"etx"
 )
 
-// TestPublicAPIAdaptiveWindows runs a full cluster with the self-tuning
-// windows on through both regimes they must serve: strictly sequential
-// requests (where the windows should collapse and add no latency) and a
-// concurrent burst (where they should widen and batch). Correctness must be
-// identical to a static deployment — adaptation is timing only.
+// TestPublicAPIAdaptiveWindows runs a full cluster through both regimes its
+// self-tuning batch windows must serve: strictly sequential requests (where
+// they collapse to the paper's one fsync per forced write and one instance
+// per register write) and a concurrent burst (where they widen and batch).
+// Correctness is the same in both — adaptation is timing only.
 func TestPublicAPIAdaptiveWindows(t *testing.T) {
 	perAcct := map[string]int64{}
 	for i := 0; i < 8; i++ {
@@ -30,7 +30,7 @@ func TestPublicAPIAdaptiveWindows(t *testing.T) {
 	c := newCluster(t, etx.Config{
 		Seed:         perAcct,
 		Logic:        logic,
-		Tuning:       etx.Tuning{Workers: 8, AdaptiveWindows: true},
+		Tuning:       etx.Tuning{Workers: 8},
 		FsyncLatency: 200 * time.Microsecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -119,12 +119,13 @@ type Config struct {
 	DupProbability  float64
 	// FsyncLatency is the simulated cost of a forced database log write.
 	FsyncLatency time.Duration
-	// Tuning holds the deployment-wide knobs — the batching switch, slot
-	// retention, workers, lock and failure-detector timers, replica
-	// factor — documented once, on the
-	// aliased type. The zero value is the paper-exact configuration. The
-	// fields are promoted (cfg.Workers reads and assigns); a literal sets
-	// them as Tuning: etx.Tuning{Workers: 8}.
+	// Tuning holds the deployment-wide knobs — slot retention, workers,
+	// lock and failure-detector timers, replica factor — documented once,
+	// on the aliased type. Batching is no knob: every cluster runs the one
+	// batched design, and a lone request runs the paper's protocol. The
+	// zero value is the paper-exact configuration. The fields are promoted
+	// (cfg.Workers reads and assigns); a literal sets them as Tuning:
+	// etx.Tuning{Workers: 8}.
 	Tuning
 	// ClientBackoff is how long a client waits for the primary before
 	// broadcasting its request to all application servers (default 150ms).

@@ -202,73 +202,67 @@ func runLoad(cfg cluster.Config, depth, requests int, accounts []string, retire 
 }
 
 // TestSweepsQuick holds, on short closed-loop loads, the per-commit counts
-// the protocol owes at each layer: log syncs and consensus instances with
-// batching off and adaptive (batch, consensus), the commit fan-out of a
-// sharded tier (shards) and the bounded batch log (memory). Every claim is a
-// count; none is timed (throughput is benchmark/'s).
+// the protocol owes at each layer: log syncs and consensus instances at
+// depth 1, where the one batched design is the paper's protocol, and below
+// the paper's constants at depth 32 (batch, consensus), the commit fan-out
+// of a sharded tier (shards) and the bounded batch log (memory). Every claim
+// is a count; none is timed (throughput is benchmark/'s).
 func TestSweepsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs closed-loop loads")
 	}
-	// The batching loads, shared by batch and consensus: off (the paper's
-	// protocol) and adaptive at depths 1 and 32, on a 500us log device so
-	// group commit has a forced-write cost to share.
-	batching := sync.OnceValues(func() (map[string]loadCounts, error) {
-		out := make(map[string]loadCounts)
+	// The batching loads, shared by batch and consensus: depths 1 and 32 on
+	// a 500us log device so group commit has a forced-write cost to share.
+	batching := sync.OnceValues(func() (map[int]loadCounts, error) {
+		out := make(map[int]loadCounts)
 		for _, depth := range []int{1, 32} {
-			for _, adaptive := range []bool{false, true} {
-				accounts := accountPool(8 * depth)
-				cfg := loadConfig(depth, accounts)
-				cfg.ForceLatency = 500 * time.Microsecond
-				cfg.AdaptiveWindows = adaptive
-				l, err := runLoad(cfg, depth, 160, accounts, false)
-				if err != nil {
-					return nil, fmt.Errorf("adaptive=%v depth %d: %w", adaptive, depth, err)
-				}
-				out[fmt.Sprintf("%v/%d", adaptive, depth)] = l
+			accounts := accountPool(8 * depth)
+			cfg := loadConfig(depth, accounts)
+			cfg.ForceLatency = 500 * time.Microsecond
+			l, err := runLoad(cfg, depth, 160, accounts, false)
+			if err != nil {
+				return nil, fmt.Errorf("depth %d: %w", depth, err)
 			}
+			out[depth] = l
 		}
 		return out, nil
 	})
-	batchingLoads := func(t *testing.T) (off1, off32, on32 loadCounts) {
+	batchingLoads := func(t *testing.T) (d1, d32 loadCounts) {
 		loads, err := batching()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k, l := range loads {
-			t.Logf("adaptive/depth %s: %s", k, l)
+			t.Logf("depth %d: %s", k, l)
 		}
-		return loads["false/1"], loads["false/32"], loads["true/32"]
+		return loads[1], loads[32]
 	}
 
 	t.Run("batch", func(t *testing.T) {
-		off1, off32, on32 := batchingLoads(t)
-		// Off forces a prepare and an outcome record per request, each its
-		// own device sync.
-		for _, off := range []loadCounts{off1, off32} {
-			if v := off.per(off.syncs); v != 2 {
-				t.Errorf("off paid %.2f syncs/commit, want 2.00", v)
-			}
+		d1, d32 := batchingLoads(t)
+		// Depth 1 forces a prepare and an outcome record per request, each
+		// its own device sync; depth 32 shares them.
+		if v := d1.per(d1.syncs); v != 2 {
+			t.Errorf("depth 1 paid %.2f syncs/commit, want 2.00", v)
 		}
-		if v := on32.per(on32.syncs); v >= 1 {
-			t.Errorf("adaptive at depth 32 paid %.2f syncs/commit, want under 1", v)
+		if v := d32.per(d32.syncs); v >= 1 {
+			t.Errorf("depth 32 paid %.2f syncs/commit, want under 1", v)
 		}
 	})
 	t.Run("consensus", func(t *testing.T) {
-		off1, off32, on32 := batchingLoads(t)
-		// Off runs one consensus instance per register write.
-		for _, off := range []loadCounts{off1, off32} {
-			if v := off.per(off.proposes); v != 2 {
-				t.Errorf("off ran %.2f instances/commit, want 2.00 (one per register write)", v)
-			}
+		d1, d32 := batchingLoads(t)
+		// Depth 1 runs one consensus instance per register write; depth 32
+		// shares instances.
+		if v := d1.per(d1.proposes); v != 2 {
+			t.Errorf("depth 1 ran %.2f instances/commit, want 2.00 (one per register write)", v)
 		}
-		if 2*on32.proposes >= off32.proposes {
-			t.Errorf("adaptive at depth 32 barely shared instances: %d proposes vs off's %d", on32.proposes, off32.proposes)
+		if v := d32.per(d32.proposes); v >= 1 {
+			t.Errorf("depth 32 ran %.2f instances/commit, want under 1 (the paper runs 2.00)", v)
 		}
-		if on32.messages >= off32.messages {
-			t.Errorf("adaptive at depth 32 did not cut consensus messages: %d vs off's %d", on32.messages, off32.messages)
+		if v := d32.per(d32.messages); v >= 12 {
+			t.Errorf("depth 32 sent %.2f consensus messages/commit, want under 12 (the paper sends 12.0)", v)
 		}
-		for name, l := range map[string]loadCounts{"off": off32, "adaptive": on32} {
+		for name, l := range map[string]loadCounts{"depth 1": d1, "depth 32": d32} {
 			if share := float64(l.fastPath) / float64(l.proposes); share < 0.99 {
 				t.Errorf("%s: failure-free runs must ride the round-1 fast path, got %.2f", name, share)
 			}
@@ -305,7 +299,6 @@ func TestSweepsQuick(t *testing.T) {
 			accounts := accountPool(8 * depth)
 			cfg := loadConfig(depth, accounts)
 			cfg.Clients = depth
-			cfg.AdaptiveWindows = true
 			cfg.RetainSlots = retain
 			l, err := runLoad(cfg, depth, 5000, accounts, true)
 			if err != nil {

@@ -11,17 +11,10 @@ import (
 	"etx/internal/kv"
 )
 
-// batchKnobs switches the whole commit path to group commit and batching on
-// top of the usual fast test timings.
-func batchKnobs(cfg *Config) {
-	fastKnobs(cfg)
-	cfg.AdaptiveWindows = true
-}
-
 // TestBatchingEngagesAndHoldsOracle: on one shard with a real fsync cost and
-// 32 pipelined requests, the group-commit combiner must actually combine —
-// fewer device forces than forced writes — while every request commits
-// exactly once and the A.1/A.2/A.3/V.1 oracle holds.
+// 32 pipelined requests, the data server's drains must actually share
+// forces — fewer device forces than forced writes — while every request
+// commits exactly once and the A.1/A.2/A.3/V.1 oracle holds.
 func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 	const requests = 32
 	cfg := Config{
@@ -30,7 +23,7 @@ func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 		ForceLatency: 2 * time.Millisecond,
 		Tuning:       deploy.Tuning{Workers: requests},
 	}
-	batchKnobs(&cfg)
+	fastKnobs(&cfg)
 	accts := make([]string, requests)
 	for i := range accts {
 		accts[i] = fmt.Sprintf("b%02d", i)
@@ -73,10 +66,9 @@ func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 		t.Fatal("no device forces recorded: the commit path did not run")
 	}
 	// Serialized, every commit pays two device forces (prepare + commit).
-	// Combining — whether through the force combiner (many forced writes
-	// sharing a sync) or the batched vote/decide entry points (one Sync
-	// covering a drained batch's unforced appends) — must land far below
-	// that; anywhere near 2*requests means nothing combined.
+	// The data server's device stage pays one Sync for every drain held
+	// behind the force in flight, which must land far below that; anywhere
+	// near 2*requests means nothing combined.
 	if syncs >= int64(requests) {
 		t.Errorf("Syncs = %d for %d requests (forced writes = %d): group commit never combined", syncs, requests, forces)
 	}
@@ -84,7 +76,7 @@ func TestBatchingEngagesAndHoldsOracle(t *testing.T) {
 }
 
 // TestBatchingShardedOracleUnderCrashRecovery reruns the sharded
-// crash/recovery suite with the batching stack on: a 4-shard tier, mixed
+// crash/recovery suite pipelined: a 4-shard tier, mixed
 // same- and cross-shard transfers, a database crash and recovery mid-run.
 // Batched votes, acks and group-committed records must preserve money
 // conservation and the oracle.
@@ -100,7 +92,7 @@ func TestBatchingShardedOracleUnderCrashRecovery(t *testing.T) {
 		ForceLatency: time.Millisecond,
 		Tuning:       deploy.Tuning{Workers: 4},
 	}
-	batchKnobs(&cfg)
+	fastKnobs(&cfg)
 	for _, a := range accts {
 		cfg.Seed = append(cfg.Seed, kv.Write{Key: "acct/" + a, Val: kv.EncodeInt(1000)})
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -11,13 +12,6 @@ import (
 	"etx/internal/deploy"
 	"etx/internal/kv"
 )
-
-// cohortKnobs switches batching — cohort consensus in the wo-register layer
-// among it — on top of the usual fast test timings.
-func cohortKnobs(cfg *Config) {
-	fastKnobs(cfg)
-	cfg.AdaptiveWindows = true
-}
 
 // consensusTotals sums the consensus counters over every live app server
 // (gauges — LiveSlots, Applied, Floor — take the maximum instead).
@@ -46,9 +40,8 @@ func consensusTotals(c *Cluster, apps int) consensus.Stats {
 
 // runCohortWorkload drives `requests` pipelined disjoint transfers (every
 // account pays 1 to the next, round-robin) and returns the per-account
-// balances. Identical inputs must produce identical final balances whether
-// or not cohort batching is on: every request commits exactly once and the
-// adds commute.
+// balances. Identical inputs must produce identical final balances at every
+// depth: every request commits exactly once and the adds commute.
 func runCohortWorkload(t *testing.T, c *Cluster, accts []string, requests, inflight int) map[string]int64 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -86,14 +79,15 @@ func runCohortWorkload(t *testing.T, c *Cluster, accts []string, requests, infli
 	return balances
 }
 
-// TestCohortParityWithUnbatched runs the same pipelined workload with
-// batching off ("window 0" below — the paper's one-instance-per-write
-// discipline) and on, and asserts the decided outcomes match: both runs
-// satisfy the A.1/A.2/A.3/V.1 oracle and produce identical balances. The batched run
-// must also share instances — fewer slots than the register writes they
-// decided, and fewer consensus messages per write than window 0 — and the
-// window-0 run must show the per-write instance counts (two local proposals
-// per commit) that define today's behaviour.
+// TestCohortParityWithUnbatched runs the same workload unbatched — one
+// request at a time, the depth-1 point where every slot carries one write,
+// the paper's one instance per write — and pipelined 16 deep, and asserts
+// the decided outcomes match: every run satisfies the A.1/A.2/A.3/V.1
+// oracle and produces identical balances. The pipelined run must share
+// instances — fewer slots than the register writes they decided, and fewer
+// consensus messages per write than the depth-1 run — and the depth-1 run
+// must show the per-write instance counts (two local proposals per commit)
+// of the paper.
 func TestCohortParityWithUnbatched(t *testing.T) {
 	const (
 		requests = 48
@@ -107,81 +101,72 @@ func TestCohortParityWithUnbatched(t *testing.T) {
 		seed = append(seed, kv.Write{Key: "acct/" + accts[i], Val: kv.EncodeInt(100)})
 	}
 
-	run := func(cohort bool, retain int) (map[string]int64, consensus.Stats) {
+	run := func(depth, retain int) (map[string]int64, consensus.Stats) {
 		cfg := Config{
 			Shards: 1,
 			Logic:  transferKeyed(),
 			Seed:   seed,
-			Tuning: deploy.Tuning{Workers: inflight, RetainSlots: retain},
+			Tuning: deploy.Tuning{Workers: depth, RetainSlots: retain},
 		}
-		if cohort {
-			cohortKnobs(&cfg)
-		} else {
-			fastKnobs(&cfg)
-		}
+		fastKnobs(&cfg)
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Stop()
-		balances := runCohortWorkload(t, c, accts, requests, inflight)
+		balances := runCohortWorkload(t, c, accts, requests, depth)
 		mustOracle(t, c)
 		return balances, consensusTotals(c, 3)
 	}
 
-	plainBal, plainStats := run(false, 0)
-	cohortBal, cohortStats := run(true, 0)
+	plainBal, plainStats := run(1, 0)
+	cohortBal, cohortStats := run(inflight, 0)
 	// Checkpointed truncation must be invisible to the decided outcomes:
 	// the same workload with a small retention tail lands on the same
 	// balances (the bounded-memory and catch-up properties have their own
 	// suites; parity here is about values, not memory).
-	gcBal, gcStats := run(true, 1)
+	gcBal, gcStats := run(inflight, 1)
 
 	for a, want := range plainBal {
 		if got := cohortBal[a]; got != want {
-			t.Errorf("balance of %s diverged: window 0 = %d, cohort = %d", a, want, got)
+			t.Errorf("balance of %s diverged: depth 1 = %d, depth %d = %d", a, want, inflight, got)
 		}
 		if got := gcBal[a]; got != want {
-			t.Errorf("balance of %s diverged under truncation: window 0 = %d, cohort+GC = %d", a, want, got)
+			t.Errorf("balance of %s diverged under truncation: depth 1 = %d, depth %d+GC = %d", a, want, inflight, got)
 		}
 	}
-	// Window 0 parity: the executor runs one instance per register write —
-	// two local proposals per commit (retries under false suspicion can only
-	// add more).
+	// Depth-1 parity: one instance per register write — two local
+	// proposals per commit (retries under false suspicion can only add
+	// more).
 	if plainStats.Proposes < 2*requests {
-		t.Errorf("window 0 ran %d proposals for %d requests, want >= %d (2 per commit)",
+		t.Errorf("depth 1 ran %d proposals for %d requests, want >= %d (2 per commit)",
 			plainStats.Proposes, requests, 2*requests)
 	}
-	// Sharing, measured within the cohort run: its slot instances (one
+	// Sharing, measured within the pipelined run: its slot instances (one
 	// proposal each) decided more register writes than there were slots.
 	// BatchOps counts a register once on every app server that applied it.
-	// The window-0 run is no yardstick for the instance count: the writes
-	// per commit vary with the run, and without retries each instance costs
-	// the same messages in both modes. Per register write decided, though,
-	// a shared instance must cost fewer messages than a write of its own.
+	// Per register write decided, a shared instance must cost fewer
+	// messages than the depth-1 run's write of its own.
 	regOps := cohortStats.BatchOps / 3
 	if regOps <= cohortStats.Proposes {
-		t.Errorf("cohort batching did not share instances: %d slot proposals decided %d register writes",
+		t.Errorf("pipelining did not share instances: %d slot proposals decided %d register writes",
 			cohortStats.Proposes, regOps)
 	}
 	if cohortStats.Messages*plainStats.Proposes >= plainStats.Messages*regOps {
-		t.Errorf("cohort batching did not cut consensus messages per write: %d for %d writes vs %d for %d unbatched",
+		t.Errorf("pipelining did not cut consensus messages per write: %d for %d writes vs %d for %d at depth 1",
 			cohortStats.Messages, regOps, plainStats.Messages, plainStats.Proposes)
-	}
-	if cohortStats.BatchOps == 0 {
-		t.Error("no register ops were decided through batch slots; cohort path never engaged")
 	}
 	// RetainSlots=0 is the pre-GC behaviour exactly: no floor movement, no
 	// pruning, no checkpoints.
 	if plainStats.SlotsPruned != 0 || plainStats.Floor != 0 || plainStats.CheckpointsServed != 0 {
-		t.Errorf("window 0 ran GC machinery: %s", plainStats)
+		t.Errorf("depth 1 ran GC machinery: %s", plainStats)
 	}
 	if cohortStats.SlotsPruned != 0 || cohortStats.Floor != 0 {
-		t.Errorf("cohort without RetainSlots ran GC machinery: %s", cohortStats)
+		t.Errorf("depth %d without RetainSlots ran GC machinery: %s", inflight, cohortStats)
 	}
-	t.Logf("window 0:  %s", plainStats)
-	t.Logf("cohort:    %s", cohortStats)
-	t.Logf("cohort+gc: %s", gcStats)
+	t.Logf("depth 1:      %s", plainStats)
+	t.Logf("depth %d:     %s", inflight, cohortStats)
+	t.Logf("depth %d+gc:  %s", inflight, gcStats)
 }
 
 // TestCohortPrimaryCrashMidBatch crashes the primary application server —
@@ -208,7 +193,7 @@ func TestCohortPrimaryCrashMidBatch(t *testing.T) {
 		Seed:   seed,
 		Tuning: deploy.Tuning{Workers: inflight},
 	}
-	cohortKnobs(&cfg)
+	fastKnobs(&cfg)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -309,20 +294,42 @@ func TestPaperExactWritesRideOneSlotEach(t *testing.T) {
 	}
 }
 
-// TestBatchingPerCommitCounts holds the batching switch to its per-commit
-// counts, which need no timing. Batching off is the paper's protocol exactly
-// at every depth: each commit forces a prepare and an outcome record (two
-// device syncs) and writes two registers through one round-1 instance each.
-// Adaptive batching at depth 32 shares syncs, slots and consensus messages
-// across concurrent requests. Keys are disjoint self-transfers, so no vote
-// ever parks behind another request's and every count is the protocol's own.
+// settle waits until every one of apps application servers has applied
+// every slot any of them has, so no decision is still on its way when the
+// counters are read.
+func settle(t *testing.T, c *Cluster, apps int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		lo, hi := ^uint64(0), uint64(0)
+		for i := 1; i <= apps; i++ {
+			a := c.App(i).ConsensusStats().Applied
+			lo, hi = min(lo, a), max(hi, a)
+		}
+		if lo == hi {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("application servers stuck at applied slots %d..%d", lo, hi)
+		}
+	}
+}
+
+// TestBatchingPerCommitCounts holds the one batched design to its
+// per-commit counts, which need no timing. At depth 1 it is the paper's
+// protocol exactly: each commit forces a prepare and an outcome record (two
+// device syncs) and writes two registers through one round-1 instance each,
+// 6 consensus messages apiece on three application servers. At depth 32 the
+// drains, slots and consensus messages are shared across concurrent
+// requests, so each count falls below the paper's constant. Keys are
+// disjoint self-transfers, so no vote ever parks behind another request's
+// and every count is the protocol's own.
 func TestBatchingPerCommitCounts(t *testing.T) {
 	const requests = 96
 	type counts struct {
 		syncs int64
 		cons  consensus.Stats
 	}
-	measure := func(t *testing.T, adaptive bool, depth int) counts {
+	measure := func(t *testing.T, depth int) counts {
 		accts := make([]string, 8*depth)
 		var seed []kv.Write
 		for i := range accts {
@@ -337,12 +344,10 @@ func TestBatchingPerCommitCounts(t *testing.T) {
 			Tuning:       deploy.Tuning{Workers: depth},
 		}
 		fastKnobs(&cfg)
-		cfg.AdaptiveWindows = adaptive
 		// A patient client, patient Prepare/Decide resends and a lenient
-		// detector: at depth 32 off, a request can wait longer than
-		// fastKnobs' 30 ms resend for the serialized forces ahead of it, and
-		// a resent Prepare forces its vote again; a client retransmission or
-		// a false suspicion adds a try, and with it syncs and proposes.
+		// detector: a resent Prepare forces its vote again, and a client
+		// retransmission or a false suspicion adds a try, and with it syncs
+		// and proposes.
 		cfg.ClientBackoff, cfg.ClientRebroadcast = 10*time.Second, 10*time.Second
 		cfg.ResendInterval = 10 * time.Second
 		cfg.SuspectTimeout = 5 * time.Second
@@ -372,6 +377,7 @@ func TestBatchingPerCommitCounts(t *testing.T) {
 		}
 		wg.Wait()
 		mustOracle(t, c)
+		settle(t, c, 3)
 		cons := consensusTotals(c, 3)
 		cons.Proposes -= cons0.Proposes
 		cons.FastPath -= cons0.FastPath
@@ -380,40 +386,38 @@ func TestBatchingPerCommitCounts(t *testing.T) {
 	}
 	per := func(n int64) float64 { return float64(n) / requests }
 
-	for _, depth := range []int{1, 32} {
-		var off counts
-		t.Run(fmt.Sprintf("depth=%d/off", depth), func(t *testing.T) {
-			off = measure(t, false, depth)
-			t.Logf("%d syncs, %s", off.syncs, off.cons)
-			if v := per(off.syncs); v != 2 {
-				t.Errorf("off paid %.2f syncs/commit, want 2.00 (a forced prepare and outcome each)", v)
-			}
-			if v := per(int64(off.cons.Proposes)); v != 2 {
-				t.Errorf("off ran %.2f proposes/commit, want 2.00 (one instance per register write)", v)
-			}
-			if off.cons.FastPath != off.cons.Proposes {
-				t.Errorf("off decided %d of %d instances on the round-1 fast path, want all",
-					off.cons.FastPath, off.cons.Proposes)
-			}
-		})
-		t.Run(fmt.Sprintf("depth=%d/adaptive", depth), func(t *testing.T) {
-			on := measure(t, true, depth)
-			t.Logf("%d syncs, %s", on.syncs, on.cons)
-			if depth == 1 {
-				return // nothing to share one request at a time: the oracle is the claim
-			}
-			if v := per(on.syncs); v >= 1 {
-				t.Errorf("adaptive paid %.2f syncs/commit, want under 1", v)
-			}
-			if off.cons.Proposes == 0 {
-				t.Skip("no off run to compare against")
-			}
-			if 2*on.cons.Proposes >= off.cons.Proposes {
-				t.Errorf("adaptive barely shared instances: %d proposes vs off's %d", on.cons.Proposes, off.cons.Proposes)
-			}
-			if on.cons.Messages >= off.cons.Messages {
-				t.Errorf("adaptive did not cut consensus messages: %d vs off's %d", on.cons.Messages, off.cons.Messages)
-			}
-		})
-	}
+	t.Run("depth=1", func(t *testing.T) {
+		got := measure(t, 1)
+		t.Logf("%d syncs, %s", got.syncs, got.cons)
+		if v := per(got.syncs); v != 2 {
+			t.Errorf("paid %.2f syncs/commit, want 2.00 (a forced prepare and outcome each)", v)
+		}
+		if v := per(int64(got.cons.Proposes)); v != 2 {
+			t.Errorf("ran %.2f proposes/commit, want 2.00 (one instance per register write)", v)
+		}
+		if got.cons.FastPath != got.cons.Proposes {
+			t.Errorf("decided %d of %d instances on the round-1 fast path, want all",
+				got.cons.FastPath, got.cons.Proposes)
+		}
+		// 12.0 to the tenth, not to the message: when a coordinator's
+		// decision overtakes its own proposal to the slower peer (the two
+		// leave from different goroutines' flushes), that peer learns the
+		// slot without acking it, one message fewer.
+		if v := per(int64(got.cons.Messages)); math.Abs(v-12) >= 0.05 {
+			t.Errorf("sent %.3f consensus messages/commit, want 12.0 (3(n-1) per instance)", v)
+		}
+	})
+	t.Run("depth=32", func(t *testing.T) {
+		got := measure(t, 32)
+		t.Logf("%d syncs, %s", got.syncs, got.cons)
+		if v := per(got.syncs); v >= 1 {
+			t.Errorf("paid %.2f syncs/commit, want under 1 (the paper pays 2.00)", v)
+		}
+		if v := per(int64(got.cons.Proposes)); v >= 1 {
+			t.Errorf("ran %.2f proposes/commit, want under 1 (the paper runs 2.00)", v)
+		}
+		if v := per(int64(got.cons.Messages)); v >= 12 {
+			t.Errorf("sent %.2f consensus messages/commit, want under 12 (the paper sends 12.0)", v)
+		}
+	})
 }

@@ -17,9 +17,9 @@ import (
 	"etx/internal/transport"
 )
 
-// gcKnobs is cohortKnobs plus batch-log truncation.
+// gcKnobs is fastKnobs plus batch-log truncation.
 func gcKnobs(cfg *Config, retain int) {
-	cohortKnobs(cfg)
+	fastKnobs(cfg)
 	cfg.RetainSlots = retain
 }
 
@@ -196,7 +196,6 @@ func TestBoundedSlotMemorySoak(t *testing.T) {
 		Shards:      1,
 		Tuning: deploy.Tuning{
 			Workers:           inflight,
-			AdaptiveWindows:   true,
 			RetainSlots:       retain,
 			HeartbeatInterval: 10 * time.Millisecond,
 			SuspectTimeout:    time.Second,
@@ -349,7 +348,7 @@ func TestRetireAbandonsUndecidedInstances(t *testing.T) {
 		Seed:   seed,
 		Tuning: deploy.Tuning{Workers: inflight},
 	}
-	cohortKnobs(&cfg)
+	fastKnobs(&cfg)
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -266,7 +266,8 @@ type Node struct {
 	counters Counters
 
 	// appliedWM mirrors nextApply-1 so the send path can stamp outgoing
-	// messages with the applied watermark without taking mu.
+	// messages with the applied watermark without taking mu. flush
+	// publishes it once the messages that applied it have left.
 	appliedWM atomic.Uint64
 
 	mu        sync.Mutex
@@ -634,8 +635,12 @@ func (n *Node) ObserveWatermark(from id.NodeID, wm uint64) {
 	// (or one whose previous probe fell to a fair-loss link) must keep
 	// asking until it has caught up.
 	var probe msg.Payload
-	if wm >= n.nextApply && n.now().Sub(n.lastProbe) >= probeInterval {
-		// The peer has applied our first unapplied slot: ask about it.
+	if inst := n.instances[n.nextApply]; wm >= n.nextApply && (inst == nil || inst.phase == acquiring) &&
+		n.now().Sub(n.lastProbe) >= probeInterval {
+		// The peer has applied our first unapplied slot: ask about it. A
+		// slot we run an instance for is not asked about — its decision is
+		// usually still on the way from the coordinator, and if it was lost
+		// the instance's own tick pulls it (resendLocked).
 		n.lastProbe = n.now()
 		probe = msg.Estimate{Reg: msg.SlotKey(n.nextApply), Round: 1, TS: 0, Est: msg.EncodeRegOps(nil)}
 	}
@@ -813,10 +818,12 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 
 // outbox collects what one hold of n.mu produces, for flush to carry out
 // once the lock is released: the remote messages in the order they were
-// produced, then the effects of recorded decisions.
+// produced, the applied watermark they advanced, then the effects of
+// recorded decisions.
 type outbox struct {
 	msgs    []outMsg
 	effects []decideEffect
+	wm      uint64 // applied watermark to publish; 0 when unchanged
 }
 
 type outMsg struct {
@@ -832,15 +839,22 @@ type decideEffect struct {
 	subs []chan []byte
 }
 
-// flush sends o's messages, then finishes its instances and wakes its
-// watchers. A deciding coordinator's decision is among the messages, so it
-// leaves before the deciding instance finishes: a proposer that chains
-// instances (the cohort sequencer) cannot put slot s+1 on a link ahead of
-// slot s's decision, and over FIFO links no peer holds decided slots above
-// a gap of that proposer's making.
+// flush sends o's messages, then publishes its watermark, then finishes its
+// instances and wakes its watchers. A deciding coordinator's decision is
+// among the messages, so it leaves before the deciding instance finishes: a
+// proposer that chains instances (the cohort sequencer) cannot put slot s+1
+// on a link ahead of slot s's decision, and over FIFO links no peer holds
+// decided slots above a gap of that proposer's making. It also leaves before
+// the watermark that counts it, so a heartbeat carrying that watermark
+// cannot overtake it and draw a needless gap probe.
 func (n *Node) flush(o *outbox) {
 	for _, m := range o.msgs {
 		n.send(m.to, m.p)
+	}
+	for old := n.appliedWM.Load(); o.wm > old; old = n.appliedWM.Load() {
+		if n.appliedWM.CompareAndSwap(old, o.wm) {
+			break
+		}
 	}
 	for _, e := range o.effects {
 		if e.inst != nil {
@@ -919,7 +933,7 @@ func (n *Node) applyLocked(o *outbox) {
 		}
 		n.nextApply++
 	}
-	n.appliedWM.Store(n.nextApply - 1)
+	o.wm = n.nextApply - 1
 }
 
 // decideLocked decides a register first-write-wins — one already decided

@@ -97,24 +97,19 @@ type AppServerConfig struct {
 	// CommitCacheSize caps the committed-decision cache and the cleaning
 	// thread's dedup cache (oldest entries evicted first). Defaults to 4096.
 	CommitCacheSize int
-	// AdaptiveWindows and RetainSlots are knobs every process of a
-	// deployment must agree on; deploy.Tuning documents them and is where
-	// they are normally set. AdaptiveWindows is the one batching switch: it
-	// sets the cap of the register writes one consensus slot carries. Off,
-	// the cap is 1 and every slot carries one write; on, it is
-	// woregister.AdaptiveCap(64, depth) of the sampled in-flight depth.
-	// Prepares and Decides leave at once either way. RetainSlots > 0
-	// truncates decided slots behind the cluster-wide applied watermark.
-	// Both zero is the paper-exact server.
+	// AdaptiveWindows is ignored; set only by benchmark/ until ROADMAP item
+	// 9. The register writes one consensus slot carries are capped at
+	// woregister.AdaptiveCap(64, depth) of the sampled in-flight depth: one
+	// at depth 1, the paper's one instance per write.
 	AdaptiveWindows bool
-	RetainSlots     int
+	// RetainSlots is a knob every process of a deployment must agree on;
+	// deploy.Tuning documents it and is where it is normally set. > 0
+	// truncates decided slots behind the cluster-wide applied watermark; 0
+	// keeps every slot, as the paper does.
+	RetainSlots int
 	// Hooks carries optional instrumentation and crash injection.
 	Hooks *Hooks
 }
-
-// batchCap is the application tier's adaptive point: the cap register
-// cohorts widen toward.
-const batchCap = 64
 
 func (c *AppServerConfig) setDefaults() {
 	if c.ResendInterval <= 0 {
@@ -234,12 +229,6 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		execs:     make(map[uint64]chan msg.ExecReply),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	// Off, a cap of 1 proposes every write in a slot of its own: the
-	// paper's protocol.
-	maxBatch := 1
-	if cfg.AdaptiveWindows {
-		maxBatch = batchCap
-	}
 	s.depthEWMA = metrics.NewEWMA(0.125)
 
 	if cfg.Detector != nil {
@@ -279,11 +268,10 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	}
 	s.cons = cons
 	s.regs, err = woregister.NewBatched(cons, woregister.Options{
-		MaxCohort: maxBatch,
-		Depth:     s.inflightDepth,
-		Self:      cfg.Self,
-		Peers:     cfg.AppServers,
-		Detector:  s.det,
+		Depth:    s.inflightDepth,
+		Self:     cfg.Self,
+		Peers:    cfg.AppServers,
+		Detector: s.det,
 		Send: func(to id.NodeID, p msg.Payload) error {
 			return cfg.Endpoint.Send(msg.Envelope{To: to, Payload: p})
 		},

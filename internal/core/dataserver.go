@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +24,9 @@ import (
 // runners (planner.go).
 const execWorkers = 64
 
+// drainCap caps how many queued messages one drain of the mailbox serves.
+const drainCap = 64
+
 // DataServerConfig parameterizes a database-server process.
 type DataServerConfig struct {
 	// Self identifies the server.
@@ -38,12 +42,8 @@ type DataServerConfig struct {
 	// the recovery parameter of Figure 3: when true the server announces
 	// [Ready] to all application servers.
 	Recovery bool
-	// MaxBatch caps how many queued messages one drain of the mailbox serves
-	// as a group: the Prepares and Decides of a drained batch share one
-	// forced log write through the engine's batched entry points, and their
-	// votes/acks travel back in one Batch envelope per application server.
-	// Values <= 1 (the default) serve every message individually — the
-	// pre-group-commit behaviour.
+	// MaxBatch is ignored; set only by benchmark/ until ROADMAP item 9. A
+	// drain serves at most 64 messages.
 	MaxBatch int
 	// Repl, when the shard is replicated, is the primary's record streamer:
 	// the server routes incoming msg.ReplAck to it. Nil on an unreplicated
@@ -60,10 +60,23 @@ type DataServerConfig struct {
 // DataServer is the paper's database-server process (Figure 3): a pure
 // server that votes on and decides results, and additionally executes the
 // business logic's data operations (the paper folds those into compute()).
+//
+// It runs as a two-stage pipeline. Stage 1, the loop, drains the mailbox
+// and serves each drain's Prepares and Decides through the engine, whose
+// records it appends unforced. Stage 2, the device goroutine, pays one
+// Sync for every drain held since its last one and then releases their
+// answers in drain order. So a force covers whatever the loop drained while
+// the force ahead of it was in flight — group commit by construction — and
+// at depth 1 every forced record pays one force, the paper's cost.
 type DataServer struct {
 	cfg DataServerConfig
 
 	execQ *queue.Queue[execJob]
+
+	// held carries drains' answers from the loop to the device stage, in
+	// drain order; inflight counts the drains pushed and not yet released.
+	held     *queue.Queue[answers]
+	inflight atomic.Int64
 
 	// Per-key run queues (planner.go).
 	runMu sync.Mutex
@@ -129,6 +142,16 @@ type execJob struct {
 	m    msg.Exec
 }
 
+// answers is what one drain sends: votes and acks grouped by recipient,
+// snapshot-read replies, and the data operations to hand to their runners.
+// dirty marks a drain that appended records its answers rest on.
+type answers struct {
+	replies map[id.NodeID][]msg.Payload
+	snaps   []msg.Envelope
+	execs   []execJob
+	dirty   bool
+}
+
 // NewDataServer creates a database-server process. Call Start to run it.
 func NewDataServer(cfg DataServerConfig) (*DataServer, error) {
 	if cfg.Engine == nil {
@@ -137,9 +160,6 @@ func NewDataServer(cfg DataServerConfig) (*DataServer, error) {
 	if cfg.Endpoint == nil {
 		return nil, errors.New("core: DataServer needs an Endpoint")
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1
-	}
 	if cfg.Epoch == 0 {
 		cfg.Epoch = 1
 	}
@@ -147,6 +167,7 @@ func NewDataServer(cfg DataServerConfig) (*DataServer, error) {
 	d := &DataServer{
 		cfg:    cfg,
 		execQ:  queue.New[execJob](),
+		held:   queue.New[answers](),
 		runs:   make(map[string]*keyRun),
 		ctx:    ctx,
 		cancel: cancel,
@@ -164,25 +185,27 @@ func (d *DataServer) Start() {
 	}
 	d.wg.Add(2)
 	go d.loop()
-	go d.sweepParked()
+	go d.device()
 	for i := 0; i < execWorkers; i++ {
 		d.wg.Add(1)
 		go d.execWorker()
 	}
 }
 
-// Stop terminates the server loop and waits for in-flight handlers.
+// Stop terminates the server loop and waits for in-flight handlers, the
+// device stage's force in flight among them.
 func (d *DataServer) Stop() {
 	d.cancel()
 	d.execQ.Close()
 	d.wg.Wait()
 }
 
-// Drain blocks until the server has been quiet — an empty mailbox and no
-// message served — for the given period, or until max elapses. It is the
-// graceful-shutdown half of Stop: a binary that traps SIGTERM calls Drain
-// first so in-flight Prepare/Decide rounds finish and their forced log
-// records land, then Stop, then a final stable-store Sync. Drain never
+// Drain blocks until the server has been quiet — an empty mailbox, no
+// message served and no drain held for a force — for the given period, or
+// until max elapses. It is the graceful-shutdown half of Stop: a binary
+// that traps SIGTERM calls Drain first so in-flight Prepare/Decide rounds
+// finish and their forced log records land, then Stop, then a final
+// stable-store Sync. Drain never
 // rejects new work by itself; the operator is expected to have stopped (or
 // be about to stop) the traffic source.
 func (d *DataServer) Drain(quiet, max time.Duration) {
@@ -192,7 +215,7 @@ func (d *DataServer) Drain(quiet, max time.Duration) {
 	deadline := time.Now().Add(max)
 	for {
 		idle := time.Duration(time.Now().UnixNano() - d.lastServe.Load())
-		if idle >= quiet && len(d.cfg.Endpoint.Recv()) == 0 {
+		if idle >= quiet && len(d.cfg.Endpoint.Recv()) == 0 && d.inflight.Load() == 0 {
 			return
 		}
 		if !time.Now().Before(deadline) {
@@ -204,23 +227,6 @@ func (d *DataServer) Drain(quiet, max time.Duration) {
 		}
 		select {
 		case <-time.After(wait):
-		case <-d.ctx.Done():
-			return
-		}
-	}
-}
-
-// sweepParked runs the engine's parked-vote sweep every eighth of the
-// vote-gate bound (at least every millisecond), so a parked vote is answered
-// no within 1.125×LockTimeout of parking.
-func (d *DataServer) sweepParked() {
-	defer d.wg.Done()
-	t := time.NewTicker(max(d.cfg.Engine.LockTimeout()/8, time.Millisecond))
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			d.send(d.voteReplies(d.cfg.Engine.ExpireParked()))
 		case <-d.ctx.Done():
 			return
 		}
@@ -277,27 +283,81 @@ func (d *DataServer) Engine() *xadb.Engine { return d.cfg.Engine }
 // shard over (tests assert a falsely suspected primary fences itself).
 func (d *DataServer) Deposed() bool { return d.deposed.Load() }
 
+// loop is stage 1. Besides the mailbox it ticks the engine's parked-vote
+// sweep every eighth of the vote-gate bound (at least every millisecond),
+// so a parked vote is answered no within 1.125×LockTimeout of parking.
 func (d *DataServer) loop() {
 	defer d.wg.Done()
+	sweep := time.NewTicker(max(d.cfg.Engine.LockTimeout()/8, time.Millisecond))
+	defer sweep.Stop()
 	for {
 		select {
 		case env, ok := <-d.cfg.Endpoint.Recv():
 			if !ok {
 				return
 			}
-			batch := d.drain(env)
+			a := d.serve(d.drain(env))
 			d.lastServe.Store(time.Now().UnixNano())
-			// Each drained batch is served on its own goroutine, so the next
-			// drain is read while this one waits on its device force.
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				d.serveBatch(batch)
-			}()
+			d.answer(a)
+		case <-sweep.C:
+			d.answer(answers{replies: d.voteReplies(d.cfg.Engine.ExpireParked())})
 		case <-d.ctx.Done():
 			return
 		}
 	}
+}
+
+// answer releases a at once or holds it for the device stage. A drain that
+// appended records waits for the force that covers them; so does a vote or
+// ack while an earlier drain is held, since it may rest on that drain's
+// record. Anything else — snapshot reads and Execs included — leaves at
+// once, never queued behind a force in flight.
+func (d *DataServer) answer(a answers) {
+	if a.dirty || (len(a.replies) > 0 && d.inflight.Load() > 0) {
+		d.inflight.Add(1)
+		d.held.Push(a)
+		return
+	}
+	d.release(a)
+}
+
+// device is stage 2: it pays one Sync for every drain held since its last
+// one — none when no held drain appended a record — and then releases
+// their answers in drain order. A stopped server releases nothing more, as
+// a crashed one would not.
+func (d *DataServer) device() {
+	defer d.wg.Done()
+	for {
+		var batch []answers
+		for a, ok := d.held.Pop(); ok; a, ok = d.held.Pop() {
+			batch = append(batch, a)
+		}
+		if len(batch) == 0 {
+			select {
+			case <-d.held.Out():
+				continue
+			case <-d.ctx.Done():
+				return
+			}
+		}
+		if slices.ContainsFunc(batch, func(a answers) bool { return a.dirty }) {
+			d.cfg.Engine.StableStore().Sync()
+		}
+		for _, a := range batch {
+			d.release(a)
+		}
+		d.inflight.Add(-int64(len(batch)))
+	}
+}
+
+// release sends a drain's votes, acks and snapshot reads and hands its data
+// operations to their runners.
+func (d *DataServer) release(a answers) {
+	d.send(a.replies)
+	for _, env := range a.snaps {
+		_ = d.cfg.Endpoint.Send(env)
+	}
+	d.runPlanned(a.execs)
 }
 
 // drain opportunistically empties the mailbox behind first, up to the batch
@@ -305,7 +365,7 @@ func (d *DataServer) loop() {
 // being served is exactly the group-commit cohort.
 func (d *DataServer) drain(first msg.Envelope) []msg.Envelope {
 	batch := []msg.Envelope{first}
-	for len(batch) < d.cfg.MaxBatch {
+	for len(batch) < drainCap {
 		select {
 		case env, ok := <-d.cfg.Endpoint.Recv():
 			if !ok {
@@ -319,19 +379,18 @@ func (d *DataServer) drain(first msg.Envelope) []msg.Envelope {
 	return batch
 }
 
-// serveBatch serves one drained batch: the Prepares and Decides are run
-// through the engine's batched entry points so their records share one
-// forced write, and replies to the same application server coalesce into one
+// serve serves one drain and returns its answers: the Prepares and Decides
+// run through the engine's drain entry point with their records appended
+// unforced, and replies to the same application server coalesce into one
 // Batch envelope. A vote gated on an undecided chain predecessor is parked
 // in the engine; it leaves with the replies of the drain whose decide
 // releases it.
-func (d *DataServer) serveBatch(envs []msg.Envelope) {
+func (d *DataServer) serve(envs []msg.Envelope) answers {
 	var decFrom []id.NodeID
 	var voteReqs []xadb.VoteReq
 	var decReqs []xadb.DecideReq
 	var execs []execJob // planned after the drain is demuxed
-	var snapFrom []id.NodeID
-	var snaps []msg.Exec // answered at the batch boundary
+	var snaps []execJob // answered at the batch boundary
 
 	for _, env := range envs {
 		from := env.From
@@ -341,8 +400,7 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 				continue // fenced: a later-epoch primary serves this shard now
 			}
 			if m.Op.Code == msg.OpSnapRead {
-				snapFrom = append(snapFrom, from)
-				snaps = append(snaps, m)
+				snaps = append(snaps, execJob{from: from, m: m})
 			} else {
 				execs = append(execs, execJob{from: from, m: m})
 			}
@@ -361,13 +419,10 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 			if d.deposed.Load() {
 				continue
 			}
-			// Single-phase commit for the unreliable baseline (Figure 7a).
-			d.wg.Add(1)
-			go func() {
-				defer d.wg.Done()
-				o := d.cfg.Engine.CommitDirect(m.RID)
-				d.reply(from, msg.AckDecide{RID: m.RID, O: o})
-			}()
+			// Single-phase commit for the unreliable baseline (Figure 7a),
+			// acknowledged like a Decide.
+			decFrom = append(decFrom, from)
+			decReqs = append(decReqs, xadb.DecideReq{RID: m.RID, OnePhase: true})
 		case msg.ReplAck:
 			if d.cfg.Repl != nil {
 				d.cfg.Repl.HandleAck(from, m)
@@ -401,23 +456,23 @@ func (d *DataServer) serveBatch(envs []msg.Envelope) {
 		}
 	}
 
+	a := answers{execs: execs}
 	if len(decReqs) > 0 || len(voteReqs) > 0 {
-		outs, votes := d.cfg.Engine.DecideAndVoteBatchSpec(decReqs, voteReqs)
-		replies := d.voteReplies(votes)
+		outs, votes, dirty := d.cfg.Engine.DecideAndVoteBatchSpec(decReqs, voteReqs)
+		a.replies, a.dirty = d.voteReplies(votes), dirty
 		for i, o := range outs {
-			replies[decFrom[i]] = append(replies[decFrom[i]], msg.AckDecide{RID: decReqs[i].RID, O: o})
+			a.replies[decFrom[i]] = append(a.replies[decFrom[i]], msg.AckDecide{RID: decReqs[i].RID, O: o})
 		}
-		d.send(replies)
 	}
 	// Batch boundary: the drain's decides have applied, so the committed
 	// store is a fully-executed-batch snapshot — answer the read-only fast
-	// path from it, then hand the keyed operations to their run queues.
-	for i, m := range snaps {
+	// path from it. The keyed operations go to their run queues on release.
+	for _, j := range snaps {
 		d.snapReads.Inc()
-		d.reply(snapFrom[i], msg.ExecReply{RID: m.RID, CallID: m.CallID,
-			Rep: d.cfg.Engine.SnapRead(m.Op.Key), Inc: d.cfg.Engine.Incarnation()})
+		a.snaps = append(a.snaps, msg.Envelope{To: j.from, Payload: msg.ExecReply{RID: j.m.RID, CallID: j.m.CallID,
+			Rep: d.cfg.Engine.SnapRead(j.m.Op.Key), Inc: d.cfg.Engine.Incarnation()}})
 	}
-	d.runPlanned(execs)
+	return a
 }
 
 func (d *DataServer) reply(to id.NodeID, p msg.Payload) {

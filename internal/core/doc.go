@@ -51,23 +51,24 @@
 // Exec, never from a GetFast snapshot: otherwise one server could answer a
 // read while another commits a write for the same try.
 //
-// AppServerConfig.AdaptiveWindows is the one batching switch, and it sets
-// caps only: the code path is the same either way. Every register write
-// rides the cohort sequencer into a consensus slot, and every Prepare/Decide
-// leaves at once, one per envelope. Off, the cohort cap is 1: each slot
-// carries one write — the paper's one consensus instance per write. On, the
-// commit path runs group commit end to end: application servers fold
-// concurrent register writes into shared slots, database servers drain
-// their mailbox and serve the Prepares and Decides of one drain through the
-// engine's batched entry points, and the stable store combines the resulting
-// forced writes into shared fsyncs. No batch waits on a timer: each is what
-// queued behind the work in flight. The cohort cap follows the server's own
-// sampled in-flight depth (EWMA-smoothed): batching collapses for a lone
-// request and widens under pipelining. Batching changes timing only, never protocol
-// semantics or span meaning — the messages, register writes and forced-log
-// rules are identical at every depth, and SpanPrepare and SpanCommit bound
-// the same exchanges — so off is exactly the paper's protocol and on is the
-// same protocol with different batch boundaries.
+// There is one batched design and no batching switch: the paper's protocol
+// is its depth-1 point. Every register write rides the cohort sequencer into
+// a consensus slot, and every Prepare/Decide leaves at once, one per
+// envelope. The cohort cap follows the application server's own sampled
+// in-flight depth (EWMA-smoothed): one write per slot for a lone request —
+// the paper's one consensus instance per write — widening toward 64 under
+// pipelining. The database server is a two-stage pipeline: its loop drains
+// the mailbox and serves one drain's Prepares and Decides through the
+// engine's drain entry point with their records appended unforced, and its
+// device goroutine pays one Sync for every drain held since the last one,
+// then releases their votes and acks in drain order. That drain is the data
+// tier's only batcher; the stable store combines nothing. No batch waits on
+// a timer: each is what queued behind the work in flight, so at depth 1
+// every forced record pays one fsync, as in the paper. Batching changes
+// timing only, never protocol semantics or span meaning — the messages,
+// register writes and forced-log rules are identical at every depth, and
+// SpanPrepare and SpanCommit bound the same exchanges — only the batch
+// boundaries move, and at depth 1 there are none.
 //
 // The database server has one execution discipline, queue-oriented and
 // speculative; nothing in the protocol needs the engine to hold row locks
@@ -79,8 +80,8 @@
 // commitment instead (internal/xadb/spec.go): a vote waits until every chain
 // predecessor has decided. A gated vote is parked in the engine, not in a
 // goroutine; the drain whose decide opens the gate votes it under its own
-// shared device force and sends it with its replies, and a periodic sweep
-// answers no to a vote parked past the engine's LockTimeout. OpSnapRead
+// device force and sends it with its replies, and a sweep on a tick of the
+// loop answers no to a vote parked past the engine's LockTimeout. OpSnapRead
 // operations are split out of the drain and answered at the batch boundary,
 // after the drain's decides apply, so Tx.GetFast sees a consistent
 // last-executed-batch snapshot without entering the commit path. The planner
@@ -115,7 +116,7 @@
 // minimum minus the retention tail are truncated, and a replica that falls
 // below the truncation floor is caught up by checkpoint state transfer
 // (msg.Checkpoint) instead of decision replay. RetainSlots 0 keeps every
-// decided slot — with batching off, one per register write — the same
+// decided slot — at depth 1, one per register write — the same
 // unbounded class as the decided registers Retire reclaims. DebugTry prints
 // the applied watermark, floor and live-slot gauge with the consensus
 // counters.

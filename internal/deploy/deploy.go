@@ -31,27 +31,23 @@ import (
 
 // Tuning is the set of knobs a deployment is tuned by; every process of the
 // deployment must run the same one. The zero value is the paper-exact
-// configuration (one consensus instance per register write, one fsync per
-// forced write, an unreplicated data tier) and each
-// field switches one mechanism on deployment-wide. README has a section on
-// each mechanism.
+// configuration (one compute thread per application server, every decided
+// slot retained, an unreplicated data tier) and each field switches one
+// mechanism on deployment-wide. README has a section on each mechanism.
+//
+// Batching is no knob: every deployment runs the one batched design, whose
+// depth-1 point is the paper's protocol. Database servers drain their
+// mailbox up to 64 messages at a time and cover a drain's forced records
+// with one fsync; application servers fold concurrent register writes into
+// shared consensus slots, capped by their sampled in-flight depth (one at
+// depth 1, toward 64 under pipelining). No batch waits on a timer, so a
+// lone request pays one fsync per forced write and one consensus instance
+// per register write.
 type Tuning struct {
-	// AdaptiveWindows is the one batching switch. On, the databases' stable
-	// stores combine concurrent forced writes into shared fsyncs (cohorts of
-	// at most 64), the database servers serve mailbox drains of up to 64
-	// Prepares and Decides under one forced write, and the application
-	// servers fold concurrent register writes into shared cohort-consensus
-	// slots, with a cap that follows each application server's sampled
-	// in-flight depth: one at depth 1, widening toward 64 under pipelining.
-	// No batch waits on a timer: each forms from what queued behind the
-	// work in flight. Timing only; protocol semantics are unchanged. Off
-	// keeps one fsync per forced write and one register write per consensus
-	// slot.
-	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus log: decided slots below the
 	// cluster-wide applied watermark minus this tail are truncated, and a
 	// replica further behind catches up by checkpoint transfer. 0 retains
-	// every slot — with AdaptiveWindows off, one per register write.
+	// every slot — at depth 1, one per register write.
 	RetainSlots int
 	// Workers is the number of compute threads per application server (the
 	// paper and the default: 1); raise it for pipelined clients. It bounds
@@ -96,7 +92,6 @@ func ServerDefaults() Tuning {
 // is called are the flags' defaults. Both server binaries register the same
 // set, so one flag list tunes every process of a deployment alike.
 func (t *Tuning) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&t.AdaptiveWindows, "adaptive", t.AdaptiveWindows, "batching: group commit at the stores, batched Prepare/Decide serving at the database servers, cohort consensus at the application servers with a cap following the in-flight depth; off runs the paper's one fsync per forced write and one consensus instance per register write")
 	fs.IntVar(&t.RetainSlots, "retain-slots", t.RetainSlots, "application servers: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up by checkpoint transfer); 0 retains every slot")
 	fs.IntVar(&t.Workers, "workers", t.Workers, "application servers: compute threads (raise for pipelined clients)")
 	fs.DurationVar(&t.LockTimeout, "lock-timeout", t.LockTimeout, "database servers: bound on a vote's wait for undecided predecessors on the same keys (0 = 250ms)")
@@ -120,40 +115,9 @@ func Groups(shards, replicas int) [][]id.NodeID {
 	return groups
 }
 
-// groupCommitter is the part of a stable store Tuning sets.
-type groupCommitter interface {
-	SetBatchWindow(time.Duration)
-	SetMaxBatch(int)
-}
-
-// batchCap caps the data tier's group-commit cohorts and mailbox drains: 64
-// with AdaptiveWindows, no batching without.
-func (t Tuning) batchCap() int {
-	if t.AdaptiveWindows {
-		return 64
-	}
-	return 0
-}
-
-// applyStore installs the group-commit settings of t.
-func (t Tuning) applyStore(st groupCommitter) {
-	if t.AdaptiveWindows {
-		// Any positive duration switches the combiner on; its value is
-		// ignored.
-		st.SetBatchWindow(time.Nanosecond)
-	}
-	st.SetMaxBatch(t.batchCap())
-}
-
 // engineConfig is the engine configuration of a resolved t.
 func (t Tuning) engineConfig(self id.NodeID) xadb.Config {
 	return xadb.Config{Self: self, LockTimeout: t.LockTimeout}
-}
-
-// serverConfig overlays t on cfg.
-func (t Tuning) serverConfig(cfg core.DataServerConfig) core.DataServerConfig {
-	cfg.MaxBatch = t.batchCap()
-	return cfg
 }
 
 // backupConfig overlays t on cfg.
@@ -164,7 +128,6 @@ func (t Tuning) backupConfig(cfg repl.BackupConfig) repl.BackupConfig {
 
 // appConfig overlays a resolved t on cfg.
 func (t Tuning) appConfig(cfg core.AppServerConfig) core.AppServerConfig {
-	cfg.AdaptiveWindows = t.AdaptiveWindows
 	cfg.RetainSlots = t.RetainSlots
 	cfg.Workers = t.Workers
 	cfg.HeartbeatInterval, cfg.SuspectTimeout = t.HeartbeatInterval, t.SuspectTimeout
@@ -183,8 +146,7 @@ type DataNodeConfig struct {
 	Group []id.NodeID
 	// Endpoint is the server's network attachment.
 	Endpoint transport.Endpoint
-	// Store is the server's stable storage; its group-commit settings are
-	// set from Tuning.
+	// Store is the server's stable storage.
 	Store *stablestore.Store
 	// Tuning is the deployment's tuning, resolved here.
 	Tuning Tuning
@@ -229,7 +191,6 @@ func StartDataNode(cfg DataNodeConfig) (*DataNode, error) {
 		return nil, errors.New("deploy: a data node needs an Endpoint and a Store")
 	}
 	t := cfg.Tuning.Resolve()
-	t.applyStore(cfg.Store)
 
 	xcfg := t.engineConfig(cfg.Self)
 	var streamer *repl.Streamer
@@ -262,7 +223,7 @@ func StartDataNode(cfg DataNodeConfig) (*DataNode, error) {
 	if !cfg.Recovery && len(cfg.Seed) > 0 {
 		engine.Seed(cfg.Seed)
 	}
-	srv, err := core.NewDataServer(t.serverConfig(core.DataServerConfig{
+	srv, err := core.NewDataServer(core.DataServerConfig{
 		Self:       cfg.Self,
 		AppServers: cfg.AppServers,
 		Engine:     engine,
@@ -270,7 +231,7 @@ func StartDataNode(cfg DataNodeConfig) (*DataNode, error) {
 		Recovery:   cfg.Recovery,
 		Repl:       streamer,
 		Epoch:      cfg.Epoch,
-	}))
+	})
 	if err != nil {
 		return nil, err
 	}

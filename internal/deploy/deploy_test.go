@@ -9,17 +9,11 @@ import (
 
 	"etx/internal/core"
 	"etx/internal/id"
+	"etx/internal/msg"
 	"etx/internal/repl"
+	"etx/internal/stablestore"
+	"etx/internal/transport"
 )
-
-// fakeStore records the group-commit settings applyStore installs.
-type fakeStore struct {
-	combine  bool
-	maxBatch int
-}
-
-func (s *fakeStore) SetBatchWindow(d time.Duration) { s.combine = d > 0 }
-func (s *fakeStore) SetMaxBatch(n int)              { s.maxBatch = n }
 
 // TestEveryTuningFieldHasAFlagAndALanding walks Tuning by reflection: every
 // field must be settable through a flag of RegisterFlags, and the value set
@@ -57,17 +51,11 @@ func TestEveryTuningFieldHasAFlagAndALanding(t *testing.T) {
 		t.Fatalf("Resolve changed explicitly set values:\n got %+v\nwant %+v", r, tuning)
 	}
 	app := r.appConfig(core.AppServerConfig{})
-	srv := r.serverConfig(core.DataServerConfig{})
 	bak := r.backupConfig(repl.BackupConfig{})
 	eng := r.engineConfig(id.DBServer(1))
-	var store fakeStore
-	r.applyStore(&store)
 
 	// Where each knob lands: the configurations of every process that runs it.
-	// (TestBatchingPoints pins what AdaptiveWindows turns on in the data
-	// tier.)
 	landings := map[string][]any{
-		"AdaptiveWindows":   {app.AdaptiveWindows, store.combine, srv.MaxBatch > 1},
 		"RetainSlots":       {app.RetainSlots},
 		"Workers":           {app.Workers},
 		"LockTimeout":       {eng.LockTimeout},
@@ -104,9 +92,9 @@ func TestResolveDefaults(t *testing.T) {
 		{"zero value is paper-exact",
 			Tuning{},
 			Tuning{ReplicaFactor: 1}},
-		{"batching is a switch, not a set of defaults",
-			Tuning{AdaptiveWindows: true},
-			Tuning{AdaptiveWindows: true, ReplicaFactor: 1}},
+		{"set values are kept",
+			Tuning{Workers: 8, RetainSlots: 64},
+			Tuning{Workers: 8, RetainSlots: 64, ReplicaFactor: 1}},
 		{"a negative replica factor is 1, timers are left to their packages",
 			Tuning{ReplicaFactor: -3, SuspectTimeout: time.Second},
 			Tuning{ReplicaFactor: 1, SuspectTimeout: time.Second}},
@@ -121,36 +109,52 @@ func TestResolveDefaults(t *testing.T) {
 	}
 }
 
-// TestBatchingPoints pins the two points a deployment can run. Off lands
-// nothing batched anywhere: the paper-exact protocol. On lands exactly what
-// the end-to-end benchmark's rig wires by hand — group commit on, cohorts of
-// 64; mailbox drains of 64; AdaptiveWindows on the application servers — so
-// the deploy path and the benchmark run one point.
+// TestBatchingPoints pins the one point every deployment runs, the zero
+// Tuning included — the point the end-to-end benchmark's rig wires by hand:
+// a data node started here covers the forced records of every drain that
+// queued behind a force in flight with one fsync, where a paper-exact
+// store of its own would pay one per Prepare.
 func TestBatchingPoints(t *testing.T) {
-	type point struct {
-		store    fakeStore
-		drain    int
-		adaptive bool
+	const prepares = 16
+	net := transport.NewMemNetwork(transport.Options{})
+	defer net.Close()
+	self, app := id.DBServer(1), id.AppServer(1)
+	ep, err := net.Attach(self)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		in   Tuning
-		want point
-	}{
-		{Tuning{}, point{}},
-		{Tuning{AdaptiveWindows: true}, point{
-			store:    fakeStore{combine: true, maxBatch: 64},
-			drain:    64,
-			adaptive: true,
-		}},
-	} {
-		r := tc.in.Resolve()
-		var got point
-		r.applyStore(&got.store)
-		got.drain = r.serverConfig(core.DataServerConfig{}).MaxBatch
-		got.adaptive = r.appConfig(core.AppServerConfig{}).AdaptiveWindows
-		if got != tc.want {
-			t.Errorf("AdaptiveWindows=%v lands\n %+v\nwant %+v", tc.in.AdaptiveWindows, got, tc.want)
+	appEP, err := net.Attach(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := stablestore.New(0)
+	n, err := StartDataNode(DataNodeConfig{Self: self, AppServers: []id.NodeID{app}, Endpoint: ep, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	store.SetForceLatency(20 * time.Millisecond)
+	syncs := store.Syncs()
+
+	for seq := uint64(1); seq <= prepares; seq++ {
+		rid := id.ResultID{Client: id.Client(1), Seq: seq, Try: 1}
+		_ = appEP.Send(msg.Envelope{To: self, Payload: msg.Prepare{RID: rid}})
+	}
+	votes := 0
+	for votes < prepares {
+		select {
+		case env := <-appEP.Recv():
+			if b, ok := env.Payload.(msg.Batch); ok {
+				votes += len(b.Msgs)
+			} else {
+				votes++
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d votes arrived", votes, prepares)
 		}
+	}
+	if got := store.Syncs() - syncs; got >= prepares/2 {
+		t.Errorf("%d Prepares paid %d fsyncs: the zero Tuning's data node did not share forces", prepares, got)
 	}
 }
 

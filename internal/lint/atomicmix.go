@@ -5,169 +5,36 @@ import (
 	"go/types"
 )
 
-// AtomicMix flags mixed atomic/plain access to the same memory — the race
-// class the watermark mirrors and the metrics.EWMA CAS loop are one typo away
-// from. Two disciplines are enforced per package:
+// AtomicMix keeps atomic memory out of reach of plain access by forbidding
+// the untyped sync/atomic functions (atomic.AddUint64(&s.wm, 1), ...). A
+// plain word that one path updates through those functions can be read or
+// written plainly on another — a data race the race detector only catches
+// when both paths run at once. A typed atomic.Int64, atomic.Bool or
+// atomic.Pointer has no plain access to mix in, and go vet's copylocks
+// check already catches a copy of one.
 //
-//   - A variable or struct field whose address is passed to a sync/atomic
-//     function (atomic.AddUint64(&s.wm, 1), ...) belongs to the atomic domain:
-//     every other read or write of it must also go through sync/atomic.
-//     A plain `s.wm++` or `if s.wm > x` next to an atomic add is a data race
-//     the race detector only catches when both paths fire in one run.
-//
-//   - A field of one of the typed atomic wrappers (atomic.Int64, ...) must
-//     only be touched through its method set (or have its address taken);
-//     copying the value out (`wm := s.wm`) both races and go-vet-copies the
-//     internal noCopy lock.
-//
-// Accesses that are provably single-threaded (init before any goroutine
-// starts, post-Wait teardown) carry //etxlint:allow atomicmix with a reason.
+// A call that must stay (an interop layout no typed wrapper fits) carries
+// //etxlint:allow atomicmix with a reason.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc: "memory accessed through sync/atomic must never be read or written plainly elsewhere; " +
-		"typed atomic.* fields must only be used through their methods",
-	Run: runAtomicMix,
-}
-
-// isAtomicPkgFunc reports whether call's callee is a function from
-// sync/atomic (AddUint64, LoadPointer, ...).
-func isAtomicPkgFunc(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	return pkgName.Imported().Path() == "sync/atomic"
-}
-
-// isTypedAtomic reports whether t (pointer stripped) is one of the typed
-// wrappers declared in sync/atomic (atomic.Int64, atomic.Bool, ...).
-func isTypedAtomic(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// targetVar resolves an expression to the variable object it denotes: a
-// struct field selection or a plain identifier. Parens are stripped.
-func targetVar(pass *Pass, e ast.Expr) *types.Var {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = p.X
-	}
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			if v, ok := sel.Obj().(*types.Var); ok {
-				return v
-			}
-		}
-		// Package-qualified var (pkg.V).
-		if v, ok := pass.Info.Uses[x.Sel].(*types.Var); ok {
-			return v
-		}
-	case *ast.Ident:
-		if v, ok := pass.Info.Uses[x].(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
+	Doc:  "use the typed sync/atomic wrappers (atomic.Int64, ...), never the untyped functions (atomic.AddUint64, ...), so atomic memory cannot be accessed plainly",
+	Run:  runAtomicMix,
 }
 
 func runAtomicMix(pass *Pass) error {
-	// Pass 1: collect the atomic domain (vars whose address feeds a
-	// sync/atomic function) and the set of expression nodes sanctioned by
-	// that use, plus sanctioned uses of typed atomic fields (method-call
-	// receivers and address-taken operands).
-	atomicDomain := make(map[*types.Var]bool)
-	sanctioned := make(map[ast.Expr]bool)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				if isAtomicPkgFunc(pass, x) {
-					for _, arg := range x.Args {
-						u, ok := arg.(*ast.UnaryExpr)
-						if !ok || u.Op.String() != "&" {
-							continue
-						}
-						if v := targetVar(pass, u.X); v != nil {
-							atomicDomain[v] = true
-							sanctioned[u.X] = true
-						}
-					}
-				}
-			case *ast.SelectorExpr:
-				// sel.X is the receiver of a method call (wm.Load()) or an
-				// inner step of a longer chain; both sanction the inner
-				// node for typed atomics.
-				if s, ok := pass.Info.Selections[x]; ok && s.Kind() == types.MethodVal {
-					sanctioned[x.X] = true
-				}
-			case *ast.UnaryExpr:
-				if x.Op.String() == "&" {
-					sanctioned[x.X] = true
-				}
-			case *ast.CompositeLit:
-				// Field names in composite literals are initialization,
-				// not access.
-				for _, el := range x.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						sanctioned[kv.Key] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// Pass 2: flag offending uses.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			e, ok := n.(ast.Expr)
+			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			v := targetVar(pass, e)
-			if v == nil {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
 				return true
 			}
-			if atomicDomain[v] && !sanctioned[e] {
-				if _, isIdent := e.(*ast.Ident); isIdent {
-					// Idents inside a selector are visited as part of the
-					// selector; only flag a bare ident use when the var is
-					// not a field (fields are always reached via selector).
-					if v.IsField() {
-						return true
-					}
-				}
-				pass.Reportf(e.Pos(), "%s is accessed through sync/atomic elsewhere in this package but used plainly here (use the atomic API, or annotate //etxlint:allow atomicmix with a reason)", v.Name())
-				return false
-			}
-			if v.IsField() && isTypedAtomic(v.Type()) && !sanctioned[e] {
-				if _, isSel := e.(*ast.SelectorExpr); isSel {
-					pass.Reportf(e.Pos(), "atomic-typed field %s used without its atomic method set (Load/Store/...; copying it races and defeats the wrapper — annotate //etxlint:allow atomicmix with a reason if access is provably single-threaded)", v.Name())
-					return false
-				}
+			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				pass.Reportf(call.Pos(), "untyped sync/atomic function %s: use a typed atomic (atomic.Int64, ...), whose memory cannot be accessed plainly", fn.Name())
 			}
 			return true
 		})

@@ -3,7 +3,9 @@ package lint
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -124,6 +126,36 @@ func TestStatsWiredFixture(t *testing.T) { runFixture(t, "./stats", []*Analyzer{
 func TestEpochFenceFixture(t *testing.T) { runFixture(t, "./epoch/...", []*Analyzer{EpochFence}) }
 
 func TestAtomicMixFixture(t *testing.T) { runFixture(t, "./atomix", []*Analyzer{AtomicMix}) }
+
+// TestAtomicMixCopyIsVetFinding: the one atomix case atomicmix leaves to go
+// vet — copying a typed atomic out of its field — is copylocks' finding, on
+// copyTyped's line.
+func TestAtomicMixCopyIsVetFinding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet")
+	}
+	dir := filepath.Join("testdata", "src")
+	src, err := os.ReadFile(filepath.Join(dir, "atomix", "atomix.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := 0
+	for i, l := range strings.Split(string(src), "\n") {
+		if strings.TrimSpace(l) == "d := n.depth" {
+			line = i + 1
+		}
+	}
+	if line == 0 {
+		t.Fatal("atomix.go has no copy of n.depth")
+	}
+	cmd := exec.Command("go", "vet", "-copylocks", "./atomix")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	want := fmt.Sprintf("atomix.go:%d:", line)
+	if err == nil || !strings.Contains(string(out), want) || !strings.Contains(string(out), "copies lock value") {
+		t.Fatalf("go vet -copylocks on the fixture (err %v) did not report the copy at %s:\n%s", err, want, out)
+	}
+}
 
 func TestGoLifecycleFixture(t *testing.T) { runFixture(t, "./lifecycle", []*Analyzer{GoLifecycle}) }
 

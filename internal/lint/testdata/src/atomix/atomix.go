@@ -1,8 +1,9 @@
-// Package atomix exercises the atomicmix analyzer: memory accessed through
-// sync/atomic anywhere in a package must never be read or written plainly
-// elsewhere, and typed atomic.* fields must only be touched through their
-// method set. The bad shapes reproduce a mixed watermark read — the race
-// class the real tree's watermark mirrors are one typo away from.
+// Package atomix exercises the atomicmix analyzer: the untyped sync/atomic
+// functions are flagged at every call, and the typed wrappers' methods are
+// clean. The mixed accesses below are the bug shapes the rule exists for: a
+// plain read or write of a word the package updates atomically. Each is
+// caught through its atomic half, which the rule flags, and a copy of a
+// typed atomic is go vet's copylocks finding (TestAtomicMixCopyIsVetFinding).
 package atomix
 
 import "sync/atomic"
@@ -19,37 +20,37 @@ type node struct {
 func newNode() *node {
 	n := &node{}
 	//etxlint:allow atomicmix — constructor runs before any goroutine shares n
-	n.wm = 1
+	atomic.StoreUint64(&n.wm, 1)
 	return n
 }
 
-// bump is the hot-path atomic write that puts wm in the atomic domain.
+// bump is the hot-path atomic write that makes every plain access of wm a
+// race.
 func (n *node) bump() {
-	atomic.AddUint64(&n.wm, 1)
+	atomic.AddUint64(&n.wm, 1) // want `untyped sync/atomic function AddUint64`
 }
 
-// atomicRead stays inside the domain: clean.
+// atomicRead is consistent with bump, and still an untyped call.
 func (n *node) atomicRead() uint64 {
-	return atomic.LoadUint64(&n.wm)
+	return atomic.LoadUint64(&n.wm) // want `untyped sync/atomic function LoadUint64`
 }
 
 // mixedRead is the bug shape: a plain read of a field the package writes
-// atomically — the race detector only catches it when both paths race in
-// one run; the analyzer catches it always.
+// atomically. It cannot arise without bump's untyped call, flagged above.
 func (n *node) mixedRead() uint64 {
-	return n.wm // want `wm is accessed through sync/atomic elsewhere in this package but used plainly here`
+	return n.wm
 }
 
-// mixedWrite is the write-side bug shape.
+// mixedWrite is the write-side bug shape, caught the same way.
 func (n *node) mixedWrite() {
-	n.wm = 0 // want `wm is accessed through sync/atomic elsewhere in this package but used plainly here`
+	n.wm = 0
 }
 
 // teardownRead documents an intentionally missing justification so the
 // suppression audit fixture test has an empty-justification case to catch.
 func (n *node) teardownRead() uint64 {
 	//etxlint:allow atomicmix
-	return n.wm
+	return atomic.LoadUint64(&n.wm)
 }
 
 // depthOps uses the typed wrapper's method set: clean.
@@ -59,8 +60,8 @@ func (n *node) depthOps() int64 {
 }
 
 // copyTyped copies a typed atomic out of its field: the copy races with
-// concurrent writers and defeats the wrapper.
+// concurrent writers and defeats the wrapper. go vet's copylocks reports it.
 func (n *node) copyTyped() int64 {
-	d := n.depth // want `atomic-typed field depth used without its atomic method set`
+	d := n.depth
 	return d.Load()
 }

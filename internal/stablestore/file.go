@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 )
@@ -32,11 +34,21 @@ const (
 // OpenFile opens (or creates) a file-backed store at path. Forced appends
 // additionally pay forceLatency, so the same cost model applies to real
 // deployments. The journal is replayed into memory before returning, and a
-// torn tail is cut off so later appends start on a record boundary.
+// torn tail is cut off so later appends start on a record boundary. A
+// journal OpenFile creates has its directory entry made durable before the
+// store is returned, so the first forced record cannot be lost with the
+// file's name.
 func OpenFile(path string, forceLatency time.Duration) (*Store, error) {
+	_, statErr := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("stablestore: open %s: %w", path, err)
+	}
+	if errors.Is(statErr, fs.ErrNotExist) {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("stablestore: sync directory of %s: %w", path, err)
+		}
 	}
 	s := New(forceLatency)
 	good, err := replay(f, s)
@@ -50,6 +62,19 @@ func OpenFile(path string, forceLatency time.Duration) (*Store, error) {
 	}
 	s.persist = &filePersist{f: f, w: bufio.NewWriter(f)}
 	return s, nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // cutTail truncates f to good, durably, when bytes follow it, and leaves
@@ -85,22 +110,31 @@ func (s *Store) CloseFile() error {
 }
 
 // sync flushes the journal buffer and fsyncs the backing file: one device
-// force covering every record journaled so far. The group-commit combiner
-// calls it once per cohort.
+// force covering every record journaled so far. Store.force calls it once
+// per force.
 func (p *filePersist) sync() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Errors here would mean the simulated stable storage lost its backing
-	// device; surfacing them to the protocol is out of scope, but flush
-	// failures would repeat and be caught on close.
-	_ = p.w.Flush()
-	//etxlint:allow lockheld — p.mu serializes journal writers against the device force; holding it across fsync is the invariant
-	_ = p.f.Sync()
+	p.flushSync()
 }
 
-// journal writes one record; sync selects fdatasync-like durability (forced
-// appends instead journal unsynced and let Store.force pay one combined
-// device force afterwards).
+// flushSync flushes and fsyncs, failing stop on an error: the records it
+// was to make durable may not be, and a second fsync could report success
+// for pages the kernel already dropped. Caller holds p.mu.
+func (p *filePersist) flushSync() {
+	if err := p.w.Flush(); err != nil {
+		panic(fmt.Errorf("stablestore: journal flush failed, failing stop: %w", err))
+	}
+	//etxlint:allow lockheld — p.mu serializes journal writers against the device force; holding it across fsync is the invariant
+	if err := p.f.Sync(); err != nil {
+		panic(fmt.Errorf("stablestore: journal fsync failed, failing stop: %w", err))
+	}
+}
+
+// journal writes one record; sync makes it durable before the journal lock
+// releases (forced appends instead journal unsynced and let Store.force pay
+// the device force afterwards). A write error is sticky in the buffer, so
+// the next flush fails stop on it.
 func (p *filePersist) journal(tag byte, name string, rec []byte, sync bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -113,9 +147,7 @@ func (p *filePersist) journal(tag byte, name string, rec []byte, sync bool) {
 	p.w.WriteString(name)
 	p.w.Write(rec)
 	if sync {
-		_ = p.w.Flush()
-		//etxlint:allow lockheld — a forced append is durable before the journal lock releases, by definition
-		_ = p.f.Sync()
+		p.flushSync()
 	}
 }
 

@@ -192,3 +192,36 @@ func TestFileStoreRejectsCorruptTag(t *testing.T) {
 		}
 	}
 }
+
+// mustPanic runs f and fails the test unless f panics with an error.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if _, ok := recover().(error); !ok {
+			t.Errorf("%s did not panic with an error after a journal I/O error, want a fail-stop panic", what)
+		}
+	}()
+	f()
+}
+
+// TestFileStoreFailsStopOnIOError: with the journal's file closed under an
+// open store, a forced Append and a Sync each panic — neither reports its
+// record durable, and neither is counted as a force paid.
+func TestFileStoreFailsStopOnIOError(t *testing.T) {
+	s, err := OpenFile(filepath.Join(t.TempDir(), "db.journal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Append("wal", []byte("durable"), true)
+	forced, syncs := s.ForcedWrites(), s.Syncs()
+	if err := s.persist.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mustPanic(t, "forced Append", func() { s.Append("wal", []byte("lost"), true) })
+	mustPanic(t, "Sync", s.Sync)
+	if s.ForcedWrites() != forced || s.Syncs() != syncs {
+		t.Errorf("forced writes %d->%d, syncs %d->%d: a failed force was counted",
+			forced, s.ForcedWrites(), syncs, s.Syncs())
+	}
+}

@@ -11,9 +11,9 @@ import (
 	"etx/internal/transport/tcptransport"
 )
 
-// TestBatchedCommitPathOverTCP runs the stack over real loopback TCP with the
-// whole batching stack on — group-commit combiner at the store, batched serve
-// loop at the database server, cohort consensus at the application servers —
+// TestBatchedCommitPathOverTCP runs the stack over real loopback TCP with
+// its batching engaged — drains sharing one fsync at the database server,
+// cohort consensus at the application servers —
 // and pipelined concurrent requests, verifying batched replies survive the
 // codec/framing path and that fsyncs were genuinely shared.
 func TestBatchedCommitPathOverTCP(t *testing.T) {
@@ -24,7 +24,7 @@ func TestBatchedCommitPathOverTCP(t *testing.T) {
 	const workers = 16
 	store := journal(t, time.Millisecond)
 	cl, engine := startStack(t, tcptransport.Config{}, store,
-		deploy.Tuning{AdaptiveWindows: true, Workers: workers},
+		deploy.Tuning{Workers: workers},
 		accountSeed(workers), withdrawOne)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -60,8 +60,8 @@ func TestBatchedCommitPathOverTCP(t *testing.T) {
 		t.Fatal("no forced writes recorded")
 	}
 	// Unbatched, the 16 commits would pay 32 fsyncs (prepare + commit each).
-	// Batched — drained mailbox batches sharing Syncs, Syncs sharing device
-	// forces — they must land far below one fsync per commit.
+	// Pipelined, drains share Syncs, and they must land far below one fsync
+	// per commit.
 	if syncs >= workers {
 		t.Errorf("Syncs = %d for %d commits (ForcedWrites = %d): nothing combined over TCP", syncs, workers, forces)
 	}

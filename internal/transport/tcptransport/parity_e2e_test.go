@@ -21,7 +21,7 @@ func runBankWorkload(t *testing.T, maxWritev int) (replies []string, balances []
 	const workers = 8
 	const rounds = 3
 	cl, engine := startStack(t, tcptransport.Config{MaxWritev: maxWritev}, stablestore.New(500*time.Microsecond),
-		deploy.Tuning{AdaptiveWindows: true, Workers: workers},
+		deploy.Tuning{Workers: workers},
 		accountSeed(workers), withdrawOne)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

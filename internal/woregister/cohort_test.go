@@ -24,7 +24,7 @@ type batchedRig struct {
 }
 
 // The optional depth sampler is installed on every server's sequencer
-// (core's AdaptiveWindows plumbing).
+// (the in-flight depth core's application server samples).
 func newBatchedRig(t *testing.T, depth ...func() int) *batchedRig {
 	t.Helper()
 	var depthFn func() int

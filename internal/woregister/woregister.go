@@ -23,7 +23,7 @@
 // resolves with its own register's outcome. Per-register semantics are the
 // paper's — first write wins, reads observe decisions — because the slot
 // order is agreed, so the winner of any write race is the same on every
-// replica. With a cap of 1 (New, and core with batching off) every slot
+// replica. With a cap of 1 (New, and NewBatched at depth 1) every slot
 // carries one write: the paper's one consensus instance per write. A server
 // that is not the preferred sequencer (the first unsuspected application
 // server) forwards its pending writes there instead of contending for slots,
@@ -58,24 +58,24 @@ type Registers struct {
 // consensus instance per register write. Call Stop to release the sequencer
 // (it also exits when the node stops).
 func New(node *consensus.Node) *Registers {
-	return &Registers{node: node, seq: newSequencer(node, Options{
-		MaxCohort: 1,
-		Send:      func(id.NodeID, msg.Payload) error { return nil },
+	return &Registers{node: node, seq: newSequencer(node, 1, Options{
+		Send: func(id.NodeID, msg.Payload) error { return nil },
 	})}
 }
 
+// maxCohort caps the ops NewBatched's sequencer proposes in one slot.
+const maxCohort = 64
+
 // Options parameterizes the sequencer of NewBatched.
 type Options struct {
-	// CohortWindow is ignored: a cohort is whatever enrolled while the slot
-	// ahead of it was in flight. It stays for callers that still set it.
+	// CohortWindow is ignored; set only by benchmark/ until ROADMAP item 9.
+	// A cohort is whatever enrolled while the slot ahead of it was in
+	// flight.
 	CohortWindow time.Duration
-	// MaxCohort caps the ops proposed in one slot. Defaults to 64; 1 is the
-	// paper's one instance per write.
-	MaxCohort int
 	// Depth, when non-nil, samples the caller's in-flight pipelining depth
-	// and the cap adapts to it (AdaptiveCap): at depth 1 a cohort is one op
-	// — a lone writer has no followers worth waiting for — while deeper
-	// pipelines widen the cap toward MaxCohort.
+	// and the cap of 64 ops per slot adapts to it (AdaptiveCap): at depth 1
+	// a cohort is one op — the paper's one instance per write — while
+	// deeper pipelines widen the cap toward 64.
 	Depth func() int
 	// Self and Peers mirror the consensus membership; Peers order selects
 	// the preferred sequencer (first unsuspected peer).
@@ -96,16 +96,13 @@ type Options struct {
 // sequencer that forwards to the preferred sequencer among Peers. Call Stop
 // to release the sequencer.
 func NewBatched(node *consensus.Node, opts Options) (*Registers, error) {
-	if opts.MaxCohort <= 0 {
-		opts.MaxCohort = 64
-	}
 	if opts.RetryInterval <= 0 {
 		opts.RetryInterval = 25 * time.Millisecond
 	}
 	if opts.Detector == nil || opts.Send == nil || len(opts.Peers) == 0 {
 		return nil, fmt.Errorf("woregister: batched registers need Peers, Detector and Send")
 	}
-	return &Registers{node: node, seq: newSequencer(node, opts)}, nil
+	return &Registers{node: node, seq: newSequencer(node, maxCohort, opts)}, nil
 }
 
 // Stop releases the sequencer.
@@ -235,11 +232,12 @@ func (r *Registers) Retire(rid id.ResultID) {
 // sequencer collects concurrent register writes into cohorts and drives them
 // through batch-consensus slots. One goroutine runs per server; at most one
 // slot proposal is in flight at a time, and writes arriving meanwhile enroll
-// in the next cohort — the group-commit combiner discipline of the data
-// tier, applied to consensus.
+// in the next cohort — the group-commit discipline of the data server's
+// drains, applied to consensus.
 type sequencer struct {
-	node *consensus.Node
-	opts Options
+	node   *consensus.Node
+	maxOps int // most ops per slot: 1 for New, maxCohort for NewBatched
+	opts   Options
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -251,9 +249,10 @@ type sequencer struct {
 	wake    chan struct{}
 }
 
-func newSequencer(node *consensus.Node, opts Options) *sequencer {
+func newSequencer(node *consensus.Node, maxOps int, opts Options) *sequencer {
 	s := &sequencer{
 		node:   node,
+		maxOps: maxOps,
 		opts:   opts,
 		member: make(map[msg.RegKey]bool),
 		wake:   make(chan struct{}, 1),
@@ -326,13 +325,13 @@ func (s *sequencer) take(limit int) []msg.RegOp {
 	return batch
 }
 
-// slotCap is the most ops one slot carries: MaxCohort, adapted to the
-// sampled depth when a sampler is installed.
+// slotCap is the most ops one slot carries: maxOps, adapted to
+// the sampled depth when a sampler is installed.
 func (s *sequencer) slotCap() int {
 	if s.opts.Depth == nil {
-		return s.opts.MaxCohort
+		return s.maxOps
 	}
-	return AdaptiveCap(s.opts.MaxCohort, s.opts.Depth())
+	return AdaptiveCap(s.maxOps, s.opts.Depth())
 }
 
 // AdaptiveCap sizes a batch cap to the observed in-flight depth: depth 1

@@ -12,14 +12,18 @@ import (
 )
 
 // drain serves decides and votes through the data server's drain entry
-// point, every vote asked by one application server, and returns the votes in
-// request order (zero for a vote left parked).
+// point, every vote asked by one application server, pays the one Sync the
+// data server pays for a drain that appended records, and returns the votes
+// in request order (zero for a vote left parked).
 func drain(e *Engine, decides []DecideReq, votes []id.ResultID) ([]msg.Outcome, []msg.Vote) {
 	reqs := make([]VoteReq, len(votes))
 	for i, r := range votes {
 		reqs[i] = VoteReq{RID: r, From: id.AppServer(1)}
 	}
-	outs, replies := e.DecideAndVoteBatchSpec(decides, reqs)
+	outs, replies, dirty := e.DecideAndVoteBatchSpec(decides, reqs)
+	if dirty {
+		e.StableStore().Sync()
+	}
 	vs := make([]msg.Vote, len(votes))
 	for _, rep := range replies {
 		for i, r := range votes {

@@ -19,9 +19,13 @@
 // survive crashes and a later Decide(commit) is honoured across recoveries —
 // the property the paper's "good database servers" assumption leans on.
 // Commits make a Committed record durable; aborts are presumed (lazy
-// record). The single-call entry points force their own record; the data
-// server's drain entry point appends unforced and covers the whole drain
-// with one device force.
+// record). The single-call entry points (Vote, Decide, ExpireParked) force
+// their own records; the data server's drain entry point appends unforced
+// and leaves the one device force that covers the drain to its caller. An
+// answer read off a record some other call appended unforced (a repeated
+// vote on a branch a drain just prepared) is durable only once that
+// record's force completes, which is why the data server holds such answers
+// behind any force in flight.
 //
 // Each recovery bumps a persisted incarnation number. Application servers pin
 // the incarnation they first executed against and treat a mismatch as a
@@ -36,7 +40,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"etx/internal/id"
@@ -103,15 +106,6 @@ type Engine struct {
 	store *kv.Store
 	spec  *spec // speculative per-key chains and parked votes
 	inc   uint64
-
-	// appendSeq numbers deferred (unforced) prepared/commit appends and
-	// syncedSeq is the highest such append known durable: every vote/decide
-	// entry point runs syncIfBehind before returning, so no vote or ack ever
-	// leaves the server resting on an unsynced record — even when a
-	// concurrent batch's status change is observed through a fast path, and
-	// even when that batch's own sync is still in flight.
-	appendSeq atomic.Int64
-	syncedSeq atomic.Int64
 
 	mu       sync.Mutex
 	branches map[id.ResultID]*branch
@@ -195,6 +189,16 @@ func (e *Engine) append(rec wal.Record, force bool) {
 	e.log.Append(rec, force)
 	if e.cfg.Replicate != nil {
 		e.cfg.Replicate(rec)
+	}
+}
+
+// appendDurable appends a record that must be durable before any answer
+// resting on it leaves the server: forced when dirty is nil (a single-call
+// entry point), else unforced with *dirty set, and the caller forces it.
+func (e *Engine) appendDurable(rec wal.Record, dirty *bool) {
+	e.append(rec, dirty == nil)
+	if dirty != nil {
+		*dirty = true
 	}
 }
 
@@ -345,9 +349,8 @@ func (b *branch) write(key string, val []byte) {
 func (e *Engine) Vote(rid id.ResultID) msg.Vote {
 	var expire <-chan time.Time
 	for {
-		v, gate := e.vote(rid, false, nil)
+		v, gate := e.vote(rid, nil, nil)
 		if gate == nil {
-			e.syncIfBehind()
 			return v
 		}
 		if expire == nil {
@@ -367,36 +370,15 @@ func (e *Engine) Vote(rid id.ResultID) msg.Vote {
 // Config.LockTimeout.
 const gateTimeout = "spec: vote gate timed out waiting for chain predecessors"
 
-// syncIfBehind pays one (combined) device force iff some deferred record may
-// still be unsynced. The target is read before the force: every append
-// numbered up to it completed before the force started and is therefore
-// covered; appends racing in later carry higher numbers and their own entry
-// points sync them. syncedSeq only advances after a *completed* force, so an
-// observer never skips on the strength of a sync still in flight.
-func (e *Engine) syncIfBehind() {
-	target := e.appendSeq.Load()
-	if e.syncedSeq.Load() >= target {
-		return
-	}
-	e.st.Sync()
-	for {
-		old := e.syncedSeq.Load()
-		if old >= target || e.syncedSeq.CompareAndSwap(old, target) {
-			return
-		}
-	}
-}
-
 // vote is the shared Vote implementation. It returns the vote, or the zero
 // Vote and a non-nil channel while the branch's chain gate is closed. With
 // askers the closed gate parks the vote instead — the askers are recorded in
 // the chain node and the call returns the zero Vote and a nil channel; the
 // vote is answered when it is released (voteReleased) or expires
 // (ExpireParked). Without askers the channel is closed when the gate opens
-// and the caller re-votes. With deferSync a newly prepared record is
-// appended unforced and numbered; the caller must run syncIfBehind before
-// releasing any vote.
-func (e *Engine) vote(rid id.ResultID, deferSync bool, askers []id.NodeID) (msg.Vote, <-chan struct{}) {
+// and the caller re-votes. A newly prepared record goes through
+// appendDurable with dirty.
+func (e *Engine) vote(rid id.ResultID, dirty *bool, askers []id.NodeID) (msg.Vote, <-chan struct{}) {
 	b, outcome, done := e.getBranch(rid, true)
 	if done {
 		if outcome == msg.OutcomeCommit {
@@ -429,12 +411,7 @@ func (e *Engine) vote(rid id.ResultID, deferSync bool, askers []id.NodeID) (msg.
 	if !ready {
 		return 0, gate
 	}
-	e.append(wal.Record{Type: wal.RecPrepared, RID: rid, Writes: b.writes}, !deferSync)
-	if deferSync {
-		// Numbered inside b.mu, before the status flips: anyone who can
-		// observe the prepared status observes the pending append too.
-		e.appendSeq.Add(1)
-	}
+	e.appendDurable(wal.Record{Type: wal.RecPrepared, RID: rid, Writes: b.writes}, dirty)
 	b.status = StatusPrepared
 	return msg.VoteYes, nil
 }
@@ -444,15 +421,17 @@ func (e *Engine) vote(rid id.ResultID, deferSync bool, askers []id.NodeID) (msg.
 // branch that never voted yes returns abort, which the decide() contract
 // permits and safety requires.
 func (e *Engine) Decide(rid id.ResultID, outcome msg.Outcome) msg.Outcome {
-	o := e.decide(rid, outcome, false)
-	e.syncIfBehind()
-	return o
+	return e.decide(rid, outcome, nil)
 }
 
 // DecideReq is one decide of a drain: the requested outcome for one branch.
 type DecideReq struct {
 	RID id.ResultID
 	O   msg.Outcome
+	// OnePhase makes the decide a single-phase commit (the unreliable
+	// baseline's Commit1P, Figure 7a): the branch votes and decides in this
+	// one step, and O is ignored.
+	OnePhase bool
 }
 
 // VoteReq is one vote of a drain: the branch and the node asking for it.
@@ -469,57 +448,60 @@ type VoteReply struct {
 }
 
 // DecideAndVoteBatchSpec is the data server's drain entry point, the batched
-// form of Decide and Vote: it serves one mailbox drain in a single durability
-// unit, every record appended unforced and one shared device force covering
-// them all, so a mixed drain pays one fsync, not one per record. No outcome
-// or vote may leave the server before the call returns. Outcomes become
-// visible to concurrent readers before the shared force completes, which is
-// safe because the log is totally ordered — any later force covers these
-// records, and every entry point syncs-if-behind before returning.
+// form of Decide and Vote: it serves one mailbox drain with every record
+// appended unforced, so one device force can cover them all. dirty reports
+// whether it appended a record that must be durable before any of outs or
+// replies leaves the server; the caller then pays that force (one Sync,
+// shared with every drain whose answers it still holds) before sending.
+// Outcomes become visible to concurrent readers before the force completes,
+// which is safe because the log is totally ordered and the caller holds
+// every answer of a later drain behind the same force.
 //
 // The decides run first: each one that opens a successor's vote gate
 // releases the vote parked there, and the drain answers the released votes
-// after its own, inside the same force — so a hot key's successor is voted
+// after its own, under the same force — so a hot key's successor is voted
 // by the drain that decided its predecessor, at no fsync of its own. A vote
 // of this drain whose gate is still closed is parked (and counted in
 // SpecStats.Deferred), not returned: a later drain or ExpireParked answers
 // it. replies holds every vote this call answered, for this drain's
 // requests and for the released ones alike.
-func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []VoteReq) (outs []msg.Outcome, replies []VoteReply) {
+func (e *Engine) DecideAndVoteBatchSpec(decides []DecideReq, votes []VoteReq) (outs []msg.Outcome, replies []VoteReply, dirty bool) {
 	outs = make([]msg.Outcome, len(decides))
 	for i, req := range decides {
-		outs[i] = e.decide(req.RID, req.O, true)
+		if req.OnePhase {
+			outs[i] = e.commitDirect(req.RID, &dirty)
+		} else {
+			outs[i] = e.decide(req.RID, req.O, &dirty)
+		}
 	}
 	replies = make([]VoteReply, 0, len(votes))
 	for _, req := range votes {
-		if v, _ := e.vote(req.RID, true, []id.NodeID{req.From}); v != 0 {
+		if v, _ := e.vote(req.RID, &dirty, []id.NodeID{req.From}); v != 0 {
 			replies = append(replies, VoteReply{RID: req.RID, To: req.From, V: v})
 		}
 	}
-	replies = e.voteReleased(replies)
-	e.syncIfBehind()
-	return outs, replies
+	return outs, e.voteReleased(replies, &dirty), dirty
 }
 
 // voteReleased answers every released parked vote, appending the replies to
 // out. A vote that aborts (a cascade) can release further votes, so it runs
-// until the released list is empty. The caller syncs before sending.
-func (e *Engine) voteReleased(out []VoteReply) []VoteReply {
+// until the released list is empty.
+func (e *Engine) voteReleased(out []VoteReply, dirty *bool) []VoteReply {
 	for {
 		rel := e.spec.takeReleased()
 		if len(rel) == 0 {
 			return out
 		}
 		for _, p := range rel {
-			out = e.answer(p, out)
+			out = e.answer(p, out, dirty)
 		}
 	}
 }
 
-// answer votes one parked vote unforced and appends a reply per asker; a
-// vote whose gate closed again parks anew.
-func (e *Engine) answer(p parkedVote, out []VoteReply) []VoteReply {
-	v, _ := e.vote(p.rid, true, p.askers)
+// answer votes one parked vote and appends a reply per asker; a vote whose
+// gate closed again parks anew.
+func (e *Engine) answer(p parkedVote, out []VoteReply, dirty *bool) []VoteReply {
+	v, _ := e.vote(p.rid, dirty, p.askers)
 	if v == 0 {
 		return out
 	}
@@ -532,28 +514,27 @@ func (e *Engine) answer(p parkedVote, out []VoteReply) []VoteReply {
 // ExpireParked is the parked votes' timeout sweep: every vote parked longer
 // than Config.LockTimeout poisons its branch and is answered no, and every
 // released vote is answered too — those the aborts release, and any a
-// blocking Decide released. The data server calls it periodically, so a
-// parked vote's answer comes within LockTimeout plus one sweep period; the
-// replies are durable when it returns, and a sweep that answers nothing
-// forces nothing.
+// blocking Decide released. The data server calls it on a tick of its loop,
+// so a parked vote's answer comes within LockTimeout plus one tick; the
+// replies are durable when it returns, under one force paid only when a
+// reply prepared a branch.
 func (e *Engine) ExpireParked() []VoteReply {
 	var out []VoteReply
+	var dirty bool
 	for _, p := range e.spec.expire(time.Now()) {
 		e.Poison(p.rid, gateTimeout)
-		out = e.answer(p, out)
+		out = e.answer(p, out, &dirty)
 	}
-	out = e.voteReleased(out)
-	if len(out) > 0 {
-		// An idle sweep forces nothing: a drain's records are its own to sync.
-		e.syncIfBehind()
+	out = e.voteReleased(out, &dirty)
+	if dirty {
+		e.st.Sync()
 	}
 	return out
 }
 
-// decide is the shared Decide implementation. With deferSync commit records
-// are appended unforced and numbered; the caller must run syncIfBehind
-// before acknowledging any outcome.
-func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync bool) msg.Outcome {
+// decide is the shared Decide implementation. A commit record goes through
+// appendDurable with dirty.
+func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, dirty *bool) msg.Outcome {
 	b, prev, done := e.getBranch(rid, false)
 	if done {
 		return prev
@@ -561,18 +542,13 @@ func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync bool) ms
 	if b == nil {
 		// Unknown branch. Abort is trivially recordable; commit of a branch
 		// this server never prepared applies nothing (the protocol's
-		// incarnation checks ensure no data was lost). The record is
-		// appended and numbered before the outcome becomes readable, so a
-		// concurrent decide observing it syncs first.
+		// incarnation checks ensure no data was lost).
 		if outcome == msg.OutcomeAbort {
 			e.append(wal.Record{Type: wal.RecAborted, RID: rid}, false)
 			e.recordOutcome(rid, outcome)
 			return outcome
 		}
-		e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, !deferSync)
-		if deferSync {
-			e.appendSeq.Add(1)
-		}
+		e.appendDurable(wal.Record{Type: wal.RecCommitted, RID: rid}, dirty)
 		e.recordOutcome(rid, outcome)
 		return outcome
 	}
@@ -590,36 +566,30 @@ func (e *Engine) decide(rid id.ResultID, outcome msg.Outcome, deferSync bool) ms
 		e.abortLocked(b)
 		return msg.OutcomeAbort
 	}
-	// Prepared + commit: record the commit, apply the write-set. The append
-	// is numbered inside b.mu before the status flips and the branch
-	// finishes, so any observer of the committed state syncs before acking.
-	e.append(wal.Record{Type: wal.RecCommitted, RID: rid}, !deferSync)
-	if deferSync {
-		e.appendSeq.Add(1)
-	}
+	// Prepared + commit: record the commit, apply the write-set.
+	e.appendDurable(wal.Record{Type: wal.RecCommitted, RID: rid}, dirty)
 	e.store.Apply(b.writes)
 	b.status = StatusCommitted
 	e.finishBranch(b, msg.OutcomeCommit)
 	return msg.OutcomeCommit
 }
 
-// CommitDirect is single-phase commit for the unreliable baseline protocol
-// (Figure 7a): vote and decide in one call, like auto-commit against a
-// single database, the two records appended unforced and covered by one
-// device force. The vote gate still holds: a branch that read a chain
-// predecessor's pending value cannot wait for that predecessor's outcome
-// here, so a closed gate aborts the branch — single-phase commit may abort.
-// Poisoned branches abort too.
-func (e *Engine) CommitDirect(rid id.ResultID) msg.Outcome {
-	defer e.syncIfBehind()
-	v, gate := e.vote(rid, true, nil)
+// commitDirect is single-phase commit for the unreliable baseline protocol
+// (Figure 7a), run as a drain's DecideReq with OnePhase set: vote and
+// decide in one step, like auto-commit against a single database, the two
+// records appended through dirty. The vote gate still holds: a branch that
+// read a chain predecessor's pending value cannot wait for that
+// predecessor's outcome here, so a closed gate aborts the branch —
+// single-phase commit may abort. Poisoned branches abort too.
+func (e *Engine) commitDirect(rid id.ResultID, dirty *bool) msg.Outcome {
+	v, gate := e.vote(rid, dirty, nil)
 	switch {
 	case gate != nil:
-		return e.decide(rid, msg.OutcomeAbort, true)
+		return e.decide(rid, msg.OutcomeAbort, dirty)
 	case v != msg.VoteYes:
 		return msg.OutcomeAbort
 	}
-	return e.decide(rid, msg.OutcomeCommit, true)
+	return e.decide(rid, msg.OutcomeCommit, dirty)
 }
 
 // abortLocked finishes b as aborted with a lazy abort record. Caller holds

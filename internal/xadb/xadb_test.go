@@ -245,13 +245,13 @@ func TestRecoveryRestoresPreparedBranch(t *testing.T) {
 	if rep := e2.Exec(ctx, w, msg.Op{Code: msg.OpAdd, Key: "acct", Delta: 1}); !rep.OK || rep.Num != 61 {
 		t.Fatalf("post-recovery add = %+v, want 61 on the in-doubt 60", rep)
 	}
-	_, replies := e2.DecideAndVoteBatchSpec(nil, []VoteReq{{RID: w, From: id.AppServer(1)}})
+	_, replies, _ := e2.DecideAndVoteBatchSpec(nil, []VoteReq{{RID: w, From: id.AppServer(1)}})
 	if len(replies) != 0 {
 		t.Fatalf("post-recovery writer voted %v ahead of the in-doubt branch", replies)
 	}
 	// Honour the commit after recovery (XA contract across crashes); the
 	// same drain releases and answers the gated vote.
-	outs, replies := e2.DecideAndVoteBatchSpec([]DecideReq{{RID: r, O: msg.OutcomeCommit}}, nil)
+	outs, replies, _ := e2.DecideAndVoteBatchSpec([]DecideReq{{RID: r, O: msg.OutcomeCommit}}, nil)
 	if outs[0] != msg.OutcomeCommit {
 		t.Fatalf("decide after recovery = %v", outs[0])
 	}
@@ -313,13 +313,20 @@ func TestCommittedStateSurvivesRepeatedCrashes(t *testing.T) {
 	}
 }
 
+// onePhase runs one single-phase commit (Commit1P) through the drain entry
+// point, as the data server does.
+func onePhase(e *Engine, r id.ResultID) msg.Outcome {
+	outs, _ := drain(e, []DecideReq{{RID: r, OnePhase: true}}, nil)
+	return outs[0]
+}
+
 func TestCommitDirectBaselinePath(t *testing.T) {
 	e := newEngine(t)
 	ctx := context.Background()
 	r := rid(1, 1)
 	e.Exec(ctx, r, msg.Op{Code: msg.OpAdd, Key: "n", Delta: 7})
-	if o := e.CommitDirect(r); o != msg.OutcomeCommit {
-		t.Fatalf("CommitDirect = %v", o)
+	if o := onePhase(e, r); o != msg.OutcomeCommit {
+		t.Fatalf("single-phase commit = %v", o)
 	}
 	if n, _ := e.Store().GetInt("n"); n != 7 {
 		t.Fatalf("n = %d", n)
@@ -328,8 +335,8 @@ func TestCommitDirectBaselinePath(t *testing.T) {
 	r2 := rid(2, 1)
 	e.Seed([]kv.Write{{Key: "s", Val: kv.EncodeInt(0)}})
 	e.Exec(ctx, r2, msg.Op{Code: msg.OpCheckGE, Key: "s", Delta: 5})
-	if o := e.CommitDirect(r2); o != msg.OutcomeAbort {
-		t.Fatalf("CommitDirect on poisoned branch = %v", o)
+	if o := onePhase(e, r2); o != msg.OutcomeAbort {
+		t.Fatalf("single-phase commit of a poisoned branch = %v", o)
 	}
 }
 
@@ -345,14 +352,14 @@ func TestCommitDirectRespectsVoteGate(t *testing.T) {
 	if rep := e.Exec(ctx, b, msg.Op{Code: msg.OpAdd, Key: "k", Delta: 1}); !rep.OK || rep.Num != 2 {
 		t.Fatalf("b's add = %+v, want it to read a's pending 1", rep)
 	}
-	ob := e.CommitDirect(b)
+	ob := onePhase(e, b)
 	e.Decide(a, msg.OutcomeAbort)
 	want := int64(0)
 	if ob == msg.OutcomeCommit {
 		want = 1
 	}
 	if n, _ := e.Store().GetInt("k"); n != want {
-		t.Fatalf("CommitDirect(b) = %v and a aborted, but the store holds k = %d, want %d", ob, n, want)
+		t.Fatalf("single-phase commit of b = %v and a aborted, but the store holds k = %d, want %d", ob, n, want)
 	}
 }
 
