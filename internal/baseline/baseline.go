@@ -1,17 +1,22 @@
-// Package baseline implements the three protocols the paper's evaluation
-// compares against (Appendix 3, Figure 7):
+// Package baseline holds what the paper's evaluation (Appendix 3, Figure 7)
+// compares the e-Transaction protocol against. Two of the three protocols
+// are points of core.AppServer, alone, which differ from the replicated
+// protocol only in where a try's regA and regD are written:
 //
-//	(a) an unreliable baseline — one application server, single-phase commit,
-//	    no guarantees whatsoever;
-//	(b) presumed-nothing two-phase commit — one application server that
-//	    forces start and outcome records to its local disk, giving
-//	    at-most-once semantics and blocking on coordinator failure;
+//	(a) the unreliable baseline, with core.NoLog: nothing is written and each
+//	    try commits in one phase (msg.Commit1P), with no guarantees at all;
+//	(b) presumed-nothing two-phase commit, with a TwoPCLog forcing a start
+//	    and an outcome record: at-most-once, blocking on coordinator failure.
+//
+// This package holds that log, OneShotClient (the at-most-once client of
+// both), and the third protocol, on serverBase below:
+//
 //	(c) a primary-backup e-Transaction scheme (from the authors' tech report
-//	    [18]) — correct only under a perfect failure detector, which is the
+//	    [18]), correct only under a perfect failure detector, which is the
 //	    paper's argument for its asynchronous replication scheme.
 //
-// All three reuse the same database tier (core.DataServer over xadb) and the
-// same business-logic shape as the replicated protocol, so latency
+// All of them reuse the same database tier (core.DataServer over xadb) and
+// the same business-logic shape as the replicated protocol, so latency
 // comparisons isolate exactly the reliability machinery, as in Figure 8.
 package baseline
 
@@ -23,13 +28,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"etx/internal/core"
 	"etx/internal/id"
 	"etx/internal/msg"
 	"etx/internal/transport"
 )
 
-// Tx is the data-access handle baseline logic computes through; it mirrors
-// core.Tx so workloads can be written once against a common interface.
+// Tx is the data-access handle primary-backup logic computes through; it
+// mirrors core.Tx so workloads can be written once against a common
+// interface.
 type Tx struct {
 	base *serverBase
 	rid  id.ResultID
@@ -46,7 +53,7 @@ func (t *Tx) Exec(ctx context.Context, db id.NodeID, op msg.Op) (msg.OpResult, e
 	return t.base.exec(ctx, t.rid, db, op)
 }
 
-// Logic is the business logic run by baseline servers.
+// Logic is the business logic run by primary-backup servers.
 type Logic interface {
 	Compute(ctx context.Context, tx *Tx, req []byte) ([]byte, error)
 }
@@ -64,13 +71,8 @@ type voteEvent struct {
 	v    msg.Vote
 }
 
-type ackEvent struct {
-	from id.NodeID
-	o    msg.Outcome // outcome the database actually applied
-}
-
-// serverBase carries the plumbing every baseline server shares: the
-// endpoint, the database list, reply correlation and the standard phases.
+// serverBase carries the primary-backup server's plumbing: the endpoint,
+// the database list, reply correlation and the standard phases.
 type serverBase struct {
 	self   id.NodeID
 	dbs    []id.NodeID
@@ -86,7 +88,7 @@ type serverBase struct {
 	mu    sync.Mutex
 	execs map[uint64]chan msg.ExecReply
 	votes map[id.ResultID]chan voteEvent
-	acks  map[id.ResultID]chan ackEvent
+	acks  map[id.ResultID]chan id.NodeID
 }
 
 func newServerBase(self id.NodeID, dbs []id.NodeID, ep transport.Endpoint, resend time.Duration) *serverBase {
@@ -100,7 +102,7 @@ func newServerBase(self id.NodeID, dbs []id.NodeID, ep transport.Endpoint, resen
 		resend: resend,
 		execs:  make(map[uint64]chan msg.ExecReply),
 		votes:  make(map[id.ResultID]chan voteEvent),
-		acks:   make(map[id.ResultID]chan ackEvent),
+		acks:   make(map[id.ResultID]chan id.NodeID),
 	}
 	b.ctx, b.cancel = context.WithCancel(context.Background())
 	return b
@@ -114,7 +116,7 @@ func (b *serverBase) stop() {
 // route dispatches database replies to waiting phases; it returns false for
 // payloads the base does not handle (server-specific traffic).
 func (b *serverBase) route(env msg.Envelope) bool {
-	//etxlint:allow kindswitch — partial by contract: route returns false for kinds the base does not handle, and each baseline's demux owns the rest
+	//etxlint:allow kindswitch — partial by contract: route returns false for kinds the base does not handle, and the server's demux owns the rest
 	switch m := env.Payload.(type) {
 	case msg.ExecReply:
 		b.mu.Lock()
@@ -142,7 +144,7 @@ func (b *serverBase) route(env msg.Envelope) bool {
 		b.mu.Unlock()
 		if ok {
 			select {
-			case ch <- ackEvent{from: env.From, o: m.O}:
+			case ch <- env.From:
 			default:
 			}
 		}
@@ -225,7 +227,7 @@ func (b *serverBase) votePhase(rid id.ResultID) msg.Outcome {
 
 // decidePhase drives an outcome to every database until all acknowledge.
 func (b *serverBase) decidePhase(rid id.ResultID, o msg.Outcome) {
-	ch := make(chan ackEvent, 4*len(b.dbs))
+	ch := make(chan id.NodeID, 4*len(b.dbs))
 	b.mu.Lock()
 	b.acks[rid] = ch
 	b.mu.Unlock()
@@ -248,8 +250,8 @@ func (b *serverBase) decidePhase(rid id.ResultID, o msg.Outcome) {
 	defer ticker.Stop()
 	for len(acked) < len(b.dbs) {
 		select {
-		case ev := <-ch:
-			acked[ev.from] = true
+		case from := <-ch:
+			acked[from] = true
 		case <-ticker.C:
 			send()
 		case <-b.ctx.Done():
@@ -258,47 +260,51 @@ func (b *serverBase) decidePhase(rid id.ResultID, o msg.Outcome) {
 	}
 }
 
-// commit1P drives a single-phase commit to every database (baseline (a)).
-// The overall outcome is commit only if every database committed.
-func (b *serverBase) commit1P(rid id.ResultID) msg.Outcome {
-	ch := make(chan ackEvent, 4*len(b.dbs))
-	b.mu.Lock()
-	b.acks[rid] = ch
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.acks, rid)
-		b.mu.Unlock()
-	}()
+func crashIf(h *core.Hooks, p core.CrashPoint, rid id.ResultID) {
+	if h != nil && h.Crash != nil {
+		h.Crash(p, rid)
+	}
+}
 
-	acked := make(map[id.NodeID]msg.Outcome, len(b.dbs))
-	send := func() {
-		for _, db := range b.dbs {
-			if _, ok := acked[db]; !ok {
-				_ = b.ep.Send(msg.Envelope{To: db, Payload: msg.Commit1P{RID: rid}})
-			}
-		}
+// OneShotClient sends one request to one server and waits for the result:
+// the client side of the unreliable and 2PC protocols. There is no retry —
+// at-most-once is all these protocols offer, and on timeout the caller
+// cannot know what happened (the paper's motivating problem).
+type OneShotClient struct {
+	self   id.NodeID
+	server id.NodeID
+	ep     transport.Endpoint
+	seq    uint64
+}
+
+// NewOneShotClient creates a client talking to one application server.
+func NewOneShotClient(self, server id.NodeID, ep transport.Endpoint) *OneShotClient {
+	return &OneShotClient{self: self, server: server, ep: ep}
+}
+
+// ErrOutcomeUnknown is returned when the call times out: the request may or
+// may not have executed.
+var ErrOutcomeUnknown = errors.New("baseline: outcome unknown (timeout)")
+
+// Call issues one request and returns the decision. A context expiry maps to
+// ErrOutcomeUnknown.
+func (c *OneShotClient) Call(ctx context.Context, request []byte) (msg.Decision, error) {
+	c.seq++
+	rid := id.ResultID{Client: c.self, Seq: c.seq, Try: 1}
+	if err := c.ep.Send(msg.Envelope{To: c.server, Payload: msg.Request{RID: rid, Body: request}}); err != nil {
+		return msg.Decision{}, err
 	}
-	send()
-	ticker := time.NewTicker(b.resend)
-	defer ticker.Stop()
-	for len(acked) < len(b.dbs) {
+	for {
 		select {
-		case ev := <-ch:
-			acked[ev.from] = ev.o
-		case <-ticker.C:
-			send()
-		case <-b.ctx.Done():
-			return msg.OutcomeAbort
+		case env, ok := <-c.ep.Recv():
+			if !ok {
+				return msg.Decision{}, errors.New("baseline: client endpoint closed")
+			}
+			if res, ok := env.Payload.(msg.Result); ok && res.RID == rid {
+				return res.Dec, nil
+			}
+		case <-ctx.Done():
+			return msg.Decision{}, ErrOutcomeUnknown
 		}
 	}
-	for _, o := range acked {
-		if o != msg.OutcomeCommit {
-			// A database refused (poisoned branch): without 2PC the other
-			// databases may already have committed — exactly the anomaly the
-			// baseline accepts in exchange for speed.
-			return msg.OutcomeAbort
-		}
-	}
-	return msg.OutcomeCommit
 }

@@ -3,6 +3,8 @@ package baseline
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +15,9 @@ import (
 	"etx/internal/kv"
 	"etx/internal/msg"
 	"etx/internal/stablestore"
+	"etx/internal/trace"
 	"etx/internal/transport"
+	"etx/internal/workload"
 	"etx/internal/xadb"
 )
 
@@ -70,14 +74,39 @@ func (r *rig) attach(n id.NodeID) transport.Endpoint {
 	return ep
 }
 
-// payLogic adds `amount` to acct/dst on the first database.
+// pay adds amount to acct/dst on the first database.
+func pay(ctx context.Context, tx workload.Execer, amount int64) ([]byte, error) {
+	rep, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpAdd, Key: "acct/dst", Delta: amount})
+	if err != nil {
+		return nil, err
+	}
+	return kv.EncodeInt(rep.Num), nil
+}
+
+// payLogic is pay for the primary-backup servers.
 func payLogic(amount int64) Logic {
 	return LogicFunc(func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
-		rep, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpAdd, Key: "acct/dst", Delta: amount})
-		if err != nil {
-			return nil, err
+		return pay(ctx, tx, amount)
+	})
+}
+
+// corePay is pay for a core.AppServer.
+func corePay(amount int64) core.Logic {
+	return core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
+		return pay(ctx, tx, amount)
+	})
+}
+
+// payEverywhere adds amount to acct/dst on every database, so every one of
+// them is a participant of the try.
+func payEverywhere(amount int64) core.Logic {
+	return core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
+		for _, db := range tx.DBs() {
+			if _, err := tx.Exec(ctx, db, msg.Op{Code: msg.OpAdd, Key: "acct/dst", Delta: amount}); err != nil {
+				return nil, err
+			}
 		}
-		return kv.EncodeInt(rep.Num), nil
+		return nil, nil
 	})
 }
 
@@ -85,25 +114,38 @@ func seed() []kv.Write {
 	return []kv.Write{{Key: "acct/dst", Val: kv.EncodeInt(0)}}
 }
 
-func TestUnreliableHappyPath(t *testing.T) {
-	r := newRig(t, 1, seed())
+// solo starts one core.AppServer writing its tries to log (core.NoLog for
+// the unreliable baseline, a TwoPCLog for 2PC) and returns the one-shot
+// client that drives it.
+func solo(t *testing.T, r *rig, log core.TryLog, logic core.Logic, hooks *core.Hooks) *OneShotClient {
+	t.Helper()
 	appID := id.AppServer(1)
-	srv, err := NewUnreliableServer(UnreliableConfig{
-		Self: appID, DataServers: r.dbs, Endpoint: r.attach(appID), Logic: payLogic(10),
+	srv, err := core.NewAppServer(core.AppServerConfig{
+		Self: appID, AppServers: []id.NodeID{appID}, DataServers: r.dbs, Endpoint: r.attach(appID),
+		Logic: logic, Log: log, Hooks: hooks,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
 	t.Cleanup(srv.Stop)
+	return NewOneShotClient(id.Client(1), appID, r.attach(id.Client(1)))
+}
 
-	cl := NewOneShotClient(id.Client(1), appID, r.attach(id.Client(1)))
+func call(t *testing.T, cl *OneShotClient) msg.Decision {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	dec, err := cl.Call(ctx, []byte("pay"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dec
+}
+
+func TestUnreliableHappyPath(t *testing.T) {
+	r := newRig(t, 1, seed())
+	dec := call(t, solo(t, r, core.NoLog, corePay(10), nil))
 	if !dec.Committed() {
 		t.Fatalf("decision = %v", dec)
 	}
@@ -114,54 +156,23 @@ func TestUnreliableHappyPath(t *testing.T) {
 
 func TestUnreliablePoisonedBranchAborts(t *testing.T) {
 	r := newRig(t, 1, seed())
-	appID := id.AppServer(1)
-	logic := LogicFunc(func(ctx context.Context, tx *Tx, req []byte) ([]byte, error) {
+	logic := core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
 		if _, err := tx.Exec(ctx, tx.DBs()[0], msg.Op{Code: msg.OpCheckGE, Key: "acct/dst", Delta: 100}); err != nil {
 			return nil, err
 		}
 		return []byte("nope"), nil
 	})
-	srv, err := NewUnreliableServer(UnreliableConfig{
-		Self: appID, DataServers: r.dbs, Endpoint: r.attach(appID), Logic: logic,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Stop)
-
-	cl := NewOneShotClient(id.Client(1), appID, r.attach(id.Client(1)))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	dec, err := cl.Call(ctx, []byte("pay"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Committed() {
+	if dec := call(t, solo(t, r, core.NoLog, logic, nil)); dec.Committed() {
 		t.Fatal("poisoned branch must abort")
 	}
 }
 
 func TestTwoPCHappyPathForcesTwoLogWrites(t *testing.T) {
 	r := newRig(t, 2, seed())
-	appID := id.AppServer(1)
 	log := stablestore.New(0)
-	srv, err := NewTwoPCServer(TwoPCConfig{
-		Self: appID, DataServers: r.dbs, Endpoint: r.attach(appID), Logic: payLogic(5), Log: log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Stop)
-
-	cl := NewOneShotClient(id.Client(1), appID, r.attach(id.Client(1)))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	dec, err := cl.Call(ctx, []byte("pay"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := solo(t, r, NewTwoPCLog(log), payEverywhere(5), nil)
+	wire := trace.New(r.net, nil)
+	dec := call(t, cl)
 	if !dec.Committed() {
 		t.Fatalf("decision = %v", dec)
 	}
@@ -178,6 +189,19 @@ func TestTwoPCHappyPathForcesTwoLogWrites(t *testing.T) {
 			t.Errorf("%v outcome = %v", dbID, o)
 		}
 	}
+	// The forced log replaced the registers: the sniffer saw the 2PC
+	// rounds, and no consensus or register traffic.
+	r.net.Quiesce()
+	counts := wire.Counts()
+	if counts[msg.KindPrepare] != len(r.dbs) || counts[msg.KindDecide] != len(r.dbs) {
+		t.Errorf("want one Prepare and one Decide per database: %s", trace.FormatCounts(counts))
+	}
+	for _, k := range []msg.Kind{msg.KindEstimate, msg.KindPropose, msg.KindAck, msg.KindNack,
+		msg.KindDecision, msg.KindCheckpoint, msg.KindRegOps} {
+		if counts[k] != 0 {
+			t.Errorf("%d %v messages crossed the network: %s", counts[k], k, trace.FormatCounts(counts))
+		}
+	}
 }
 
 // TestTwoPCBlocksOnCoordinatorCrash demonstrates the paper's motivation: the
@@ -187,25 +211,15 @@ func TestTwoPCBlocksOnCoordinatorCrash(t *testing.T) {
 	r := newRig(t, 1, seed())
 	appID := id.AppServer(1)
 	var crashed atomic.Bool
-	srv, err := NewTwoPCServer(TwoPCConfig{
-		Self: appID, DataServers: r.dbs, Endpoint: r.attach(appID), Logic: payLogic(5),
-		Log: stablestore.New(0),
-		Hooks: &core.Hooks{Crash: func(p core.CrashPoint, rid id.ResultID) {
-			if p == core.PointAfterPrepare && crashed.CompareAndSwap(false, true) {
-				r.net.Crash(appID)
-			}
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Stop)
+	cl := solo(t, r, NewTwoPCLog(stablestore.New(0)), corePay(5), &core.Hooks{Crash: func(p core.CrashPoint, rid id.ResultID) {
+		if p == core.PointAfterPrepare && crashed.CompareAndSwap(false, true) {
+			r.net.Crash(appID)
+		}
+	}})
 
-	cl := NewOneShotClient(id.Client(1), appID, r.attach(id.Client(1)))
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	_, err = cl.Call(ctx, []byte("pay"))
+	_, err := cl.Call(ctx, []byte("pay"))
 	if !errors.Is(err, ErrOutcomeUnknown) {
 		t.Fatalf("err = %v, want ErrOutcomeUnknown (the at-most-once gap)", err)
 	}
@@ -217,6 +231,45 @@ func TestTwoPCBlocksOnCoordinatorCrash(t *testing.T) {
 	indoubt := r.eng[r.dbs[0]].InDoubt()
 	if len(indoubt) != 1 {
 		t.Fatalf("in-doubt branches = %v, want exactly one (2PC is blocking)", indoubt)
+	}
+}
+
+// TestBaselineSpansAreFigure8Rows pins Figure 8's rows for one committed
+// try of each baseline point, without timing anything: the unreliable
+// server reports SQL and commit only (its prepare and log rows are empty),
+// and 2PC reports each of its five rows once.
+func TestBaselineSpansAreFigure8Rows(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		log  func() core.TryLog
+		want []core.Span
+	}{
+		{"unreliable", func() core.TryLog { return core.NoLog }, []core.Span{core.SpanSQL, core.SpanCommit}},
+		{"2PC", func() core.TryLog { return NewTwoPCLog(stablestore.New(0)) }, []core.Span{
+			core.SpanLogStart, core.SpanSQL, core.SpanPrepare, core.SpanLogOutcome, core.SpanCommit}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, seed())
+			var mu sync.Mutex
+			got := make(map[core.Span]int)
+			hooks := &core.Hooks{Span: func(_ id.ResultID, s core.Span, _ time.Duration) {
+				mu.Lock()
+				got[s]++
+				mu.Unlock()
+			}}
+			if dec := call(t, solo(t, r, tc.log(), corePay(1), hooks)); !dec.Committed() {
+				t.Fatalf("decision = %v", dec)
+			}
+			want := make(map[core.Span]int)
+			for _, s := range tc.want {
+				want[s] = 1
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("spans = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -117,27 +117,24 @@ func (r *soloRig) stop() {
 	r.net.Close()
 }
 
-// newSoloRig wires the database tier and the given server constructor.
-func newSoloRig(model latcost.Model, dbServers int, build func(ep transport.Endpoint, dbs []id.NodeID) (startStop, error)) (*soloRig, error) {
+// newSoloRig wires the database tier and one core.AppServer writing its
+// tries to log.
+func newSoloRig(model latcost.Model, log core.TryLog, rec *latcost.Recorder) (*soloRig, error) {
 	rig := &soloRig{net: transport.NewMemNetwork(transport.Options{Latency: model.LatencyFunc()})}
-	var dbs []id.NodeID
-	for i := 1; i <= dbServers; i++ {
-		dbID := id.DBServer(i)
-		dbs = append(dbs, dbID)
-		ep, err := rig.net.Attach(dbID)
-		if err != nil {
-			rig.stop()
-			return nil, err
-		}
-		db, err := deploy.StartDataNode(deploy.DataNodeConfig{
-			Self: dbID, Endpoint: ep, Store: stablestore.New(model.DBForce), Seed: benchSeed(),
-		})
-		if err != nil {
-			rig.stop()
-			return nil, err
-		}
-		rig.stops = append(rig.stops, db.Stop)
+	dbID := id.DBServer(1)
+	ep, err := rig.net.Attach(dbID)
+	if err != nil {
+		rig.stop()
+		return nil, err
 	}
+	db, err := deploy.StartDataNode(deploy.DataNodeConfig{
+		Self: dbID, Endpoint: ep, Store: stablestore.New(model.DBForce), Seed: benchSeed(),
+	})
+	if err != nil {
+		rig.stop()
+		return nil, err
+	}
+	rig.stops = append(rig.stops, db.Stop)
 
 	appID := id.AppServer(1)
 	appEP, err := rig.net.Attach(appID)
@@ -145,7 +142,19 @@ func newSoloRig(model latcost.Model, dbServers int, build func(ep transport.Endp
 		rig.stop()
 		return nil, err
 	}
-	srv, err := build(appEP, dbs)
+	var hooks *core.Hooks
+	if rec != nil {
+		hooks = rec.Hooks()
+	}
+	srv, err := core.NewAppServer(core.AppServerConfig{
+		Self: appID, AppServers: []id.NodeID{appID}, DataServers: []id.NodeID{dbID}, Endpoint: appEP,
+		Logic: core.LogicFunc(func(ctx context.Context, tx *core.Tx, req []byte) ([]byte, error) {
+			return workload.Bank(ctx, tx, req, model.SQLWork)
+		}),
+		Log:            log,
+		ResendInterval: 100 * estimatedTotal(model),
+		Hooks:          hooks,
+	})
 	if err != nil {
 		rig.stop()
 		return nil, err
@@ -162,46 +171,16 @@ func newSoloRig(model latcost.Model, dbServers int, build func(ep transport.Endp
 	return rig, nil
 }
 
-type startStop interface {
-	Start()
-	Stop()
-}
-
-// newBaselineRig builds the Figure 7(a) deployment.
+// newBaselineRig builds the Figure 7(a) deployment: one application server
+// that logs nothing and commits in one phase.
 func newBaselineRig(model latcost.Model, rec *latcost.Recorder) (*soloRig, error) {
-	return newSoloRig(model, 1, func(ep transport.Endpoint, dbs []id.NodeID) (startStop, error) {
-		var hooks *core.Hooks
-		if rec != nil {
-			hooks = rec.Hooks()
-		}
-		return baseline.NewUnreliableServer(baseline.UnreliableConfig{
-			Self: ep.ID(), DataServers: dbs, Endpoint: ep,
-			Logic: baseline.LogicFunc(func(ctx context.Context, tx *baseline.Tx, req []byte) ([]byte, error) {
-				return workload.Bank(ctx, tx, req, model.SQLWork)
-			}),
-			Resend: 100 * estimatedTotal(model),
-			Hooks:  hooks,
-		})
-	})
+	return newSoloRig(model, core.NoLog, rec)
 }
 
-// newTwoPCRig builds the Figure 7(b) deployment.
+// newTwoPCRig builds the Figure 7(b) deployment: one application server
+// whose tries are forced to its local log.
 func newTwoPCRig(model latcost.Model, rec *latcost.Recorder) (*soloRig, error) {
-	return newSoloRig(model, 1, func(ep transport.Endpoint, dbs []id.NodeID) (startStop, error) {
-		var hooks *core.Hooks
-		if rec != nil {
-			hooks = rec.Hooks()
-		}
-		return baseline.NewTwoPCServer(baseline.TwoPCConfig{
-			Self: ep.ID(), DataServers: dbs, Endpoint: ep,
-			Logic: baseline.LogicFunc(func(ctx context.Context, tx *baseline.Tx, req []byte) ([]byte, error) {
-				return workload.Bank(ctx, tx, req, model.SQLWork)
-			}),
-			Log:    stablestore.New(model.CoordForce),
-			Resend: 100 * estimatedTotal(model),
-			Hooks:  hooks,
-		})
-	})
+	return newSoloRig(model, baseline.NewTwoPCLog(stablestore.New(model.CoordForce)), rec)
 }
 
 // pbRig hosts the Figure 7(c) primary-backup pair.

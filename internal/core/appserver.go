@@ -45,6 +45,33 @@ func (f LogicFunc) Compute(ctx context.Context, tx *Tx, req []byte) ([]byte, err
 	return f(ctx, tx, req)
 }
 
+// TryLog records who executes a try (Figure 5's regA) and its decision
+// (regD), the one place the protocols of the paper's Figures 7 and 8 differ
+// (see the package doc). A write returns the value that holds: another
+// writer's, if the log arbitrates as the default *woregister.Registers do.
+type TryLog interface {
+	WriteA(ctx context.Context, rid id.ResultID, owner id.NodeID) (id.NodeID, error)
+	ReadA(rid id.ResultID) (id.NodeID, bool)
+	WriteD(ctx context.Context, rid id.ResultID, dec msg.Decision) (msg.Decision, error)
+	ReadD(rid id.ResultID) (msg.Decision, bool)
+	KnownTries() []id.ResultID
+}
+
+// NoLog is the unreliable baseline's TryLog (Figure 7(a)): it records
+// nothing. An AppServer configured with it writes no register, takes no
+// vote and commits each try in one phase with msg.Commit1P.
+var NoLog TryLog = noLog{}
+
+type noLog struct{}
+
+func (noLog) WriteA(_ context.Context, _ id.ResultID, o id.NodeID) (id.NodeID, error) { return o, nil }
+func (noLog) ReadA(id.ResultID) (id.NodeID, bool)                                     { return id.NodeID{}, false }
+func (noLog) WriteD(_ context.Context, _ id.ResultID, d msg.Decision) (msg.Decision, error) {
+	return d, nil
+}
+func (noLog) ReadD(id.ResultID) (msg.Decision, bool) { return msg.Decision{}, false }
+func (noLog) KnownTries() []id.ResultID              { return nil }
+
 // AppServerConfig parameterizes an application-server process.
 type AppServerConfig struct {
 	// Self identifies the server.
@@ -75,6 +102,11 @@ type AppServerConfig struct {
 	Endpoint transport.Endpoint
 	// Logic is the business logic run by the compute thread.
 	Logic Logic
+	// Log is where tries' regA and regD are written: nil is the paper's
+	// wo-registers over consensus. baseline.TwoPCLog (presumed-nothing 2PC)
+	// and NoLog (the unreliable one-phase server) arbitrate nothing, so they
+	// need len(AppServers) 1.
+	Log TryLog
 	// Detector overrides the built-in heartbeat detector (tests inject
 	// scripted suspicions). When nil a heartbeat ◊P detector runs.
 	Detector fd.Detector
@@ -145,8 +177,12 @@ type AppServer struct {
 
 	cons *consensus.Node
 	regs *woregister.Registers
-	hb   *fd.Heartbeat // nil when an external detector is injected
-	det  fd.Detector
+	// log is cfg.Log, or regs. onePhase marks NoLog: a try commits with
+	// Commit1P and nothing is written.
+	log      TryLog
+	onePhase bool
+	hb       *fd.Heartbeat // nil when an external detector is injected
+	det      fd.Detector
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -195,6 +231,9 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	}
 	if len(cfg.AppServers) == 0 || len(cfg.DataServers) == 0 {
 		return nil, errors.New("core: AppServer needs non-empty server lists")
+	}
+	if cfg.Log != nil && len(cfg.AppServers) != 1 {
+		return nil, errors.New("core: a Log that does not arbitrate needs exactly one AppServer")
 	}
 	cfg.setDefaults()
 
@@ -279,6 +318,10 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 	if err != nil {
 		cons.Stop()
 		return nil, fmt.Errorf("core: appserver registers: %w", err)
+	}
+	s.log, s.onePhase = s.regs, cfg.Log == NoLog
+	if cfg.Log != nil {
+		s.log = cfg.Log
 	}
 	return s, nil
 }
@@ -415,7 +458,7 @@ func (s *AppServer) handlePayload(from id.NodeID, payload msg.Payload) {
 		}
 	case msg.AckDecide:
 		if !s.staleSender(from) {
-			s.hear(from, m.RID, terminating, true, 0)
+			s.hear(from, m.RID, terminating, m.O == msg.OutcomeCommit, 0)
 		}
 	case msg.Ready:
 		if !s.staleSender(from) {
@@ -582,7 +625,7 @@ func (s *AppServer) handleRequest(req msg.Request) bool {
 	// A try whose decision is already in regD (e.g. the cleaning thread
 	// finished it) is re-terminated: decides are idempotent at the
 	// databases and the client deduplicates results.
-	if dec, ok := s.regs.ReadD(rid); ok {
+	if dec, ok := s.log.ReadD(rid); ok {
 		s.startTerminate(rid, dec)
 		return false
 	}
@@ -606,6 +649,10 @@ func (s *AppServer) handleRequest(req msg.Request) bool {
 		// retransmission recomputes it.
 		s.cfg.Hooks.crash(PointBeforeResult, rid)
 		s.sendResult(rid, msg.Decision{Result: result, Outcome: msg.OutcomeCommit, Participants: []id.NodeID{}})
+		return false
+	}
+	if s.onePhase {
+		s.commitOnePhase(rid, tx.participants(), result, err)
 		return false
 	}
 	// The decision carries the try's dlist — the shards the logic touched —
@@ -726,7 +773,7 @@ func (s *AppServer) prepare(rid id.ResultID, tx *Tx, dec msg.Decision) {
 func (s *AppServer) decide(rid id.ResultID, dec msg.Decision) {
 	s.cfg.Hooks.crash(PointAfterPrepare, rid)
 	t0 := s.cfg.Hooks.now()
-	final, err := s.regs.WriteD(s.ctx, rid, dec)
+	final, err := s.log.WriteD(s.ctx, rid, dec)
 	s.clearPending(rid)
 	if err != nil {
 		return // shutting down
@@ -752,6 +799,24 @@ func (s *AppServer) startTerminate(rid id.ResultID, dec msg.Decision) {
 	s.open(rid, r)
 }
 
+// commitOnePhase is the unreliable baseline's commitment (Figure 7(a)): no
+// log and no vote. A computed try sends each participant Commit1P, and a
+// shard that refuses aborts the decision the client gets (the others may
+// have committed: the anomaly this baseline accepts). A failed one sends
+// Decide(abort); one that touched nothing is answered at once.
+func (s *AppServer) commitOnePhase(rid id.ResultID, parts []id.NodeID, result []byte, err error) {
+	r := &round{phase: terminating, out: msg.Commit1P{RID: rid}, targets: parts,
+		dec: msg.Decision{Result: result, Outcome: msg.OutcomeCommit, Participants: parts}, start: s.cfg.Hooks.now()}
+	if err != nil {
+		r.out, r.dec = msg.Decide{RID: rid, O: msg.OutcomeAbort}, msg.Decision{Outcome: msg.OutcomeAbort, Participants: parts}
+	}
+	if len(parts) == 0 {
+		s.sendResult(rid, r.dec)
+		return
+	}
+	s.open(rid, r)
+}
+
 // hear steps rid's round in phase ph with a vote (yes at incarnation inc,
 // or not) or an ack from `from`.
 func (s *AppServer) hear(from id.NodeID, rid id.ResultID, ph roundPhase, yes bool, inc uint64) {
@@ -766,7 +831,8 @@ func (s *AppServer) hear(from id.NodeID, rid id.ResultID, ph roundPhase, yes boo
 // hearLocked is hear's step and reports whether it closed the round. A vote
 // that is not yes, or is from a later incarnation than the branch executed
 // against — the server crashed in between and its unprepared work is gone —
-// aborts the try, which will be recomputed. Caller holds s.mu.
+// aborts the try, which will be recomputed. So does a one-phase commit's ack
+// of an abort: it carries the outcome the shard chose. Caller holds s.mu.
 func (s *AppServer) hearLocked(from id.NodeID, rid id.ResultID, ph roundPhase, yes bool, inc uint64) (*round, bool) {
 	r := s.rounds[rid]
 	if r == nil || r.phase != ph {
@@ -778,7 +844,7 @@ func (s *AppServer) hearLocked(from id.NodeID, rid id.ResultID, ph roundPhase, y
 	}
 	r.heard[i] = true
 	r.quietSince = time.Now()
-	if ph == voting && (!yes || inc != r.incs[i]) {
+	if ph == voting && (!yes || inc != r.incs[i]) || s.onePhase && !yes {
 		r.dec.Outcome = msg.OutcomeAbort
 	}
 	if r.left--; r.left > 0 {
@@ -901,19 +967,21 @@ func (s *AppServer) cleanThread() {
 	}
 }
 
-// cleanSweep performs one pass of Figure 6's outer loop.
+// cleanSweep performs one pass of Figure 6's outer loop. It snapshots and
+// sorts the known tries once, and only when some peer is suspected.
 func (s *AppServer) cleanSweep() {
-	for _, ai := range s.cfg.AppServers {
-		if ai == s.cfg.Self || !s.det.Suspects(ai) {
-			continue
-		}
-		tries := s.regs.KnownTries()
-		sort.Slice(tries, func(i, j int) bool { return tries[i].Less(tries[j]) })
+	suspected := s.suspects()
+	if len(suspected) == 0 {
+		return
+	}
+	tries := s.log.KnownTries()
+	sort.Slice(tries, func(i, j int) bool { return tries[i].Less(tries[j]) })
+	for _, ai := range suspected {
 		for _, rid := range tries {
 			if s.wasCleaned(rid) {
 				continue
 			}
-			owner, ok := s.regs.ReadA(rid)
+			owner, ok := s.log.ReadA(rid)
 			if !ok || owner != ai {
 				continue
 			}
@@ -924,7 +992,7 @@ func (s *AppServer) cleanSweep() {
 			// one), so termination of a cleaner-won abort falls back to
 			// every database server; an executor decision read back from
 			// regD carries the participants it recorded.
-			dec, err := s.regs.WriteD(s.ctx, rid, msg.Decision{Outcome: msg.OutcomeAbort})
+			dec, err := s.log.WriteD(s.ctx, rid, msg.Decision{Outcome: msg.OutcomeAbort})
 			if err != nil {
 				return // shutting down
 			}
@@ -932,6 +1000,17 @@ func (s *AppServer) cleanSweep() {
 			s.markCleaned(rid)
 		}
 	}
+}
+
+// suspects lists the peers the failure detector suspects now.
+func (s *AppServer) suspects() []id.NodeID {
+	var out []id.NodeID
+	for _, ai := range s.cfg.AppServers {
+		if ai != s.cfg.Self && s.det.Suspects(ai) {
+			out = append(out, ai)
+		}
+	}
+	return out
 }
 
 // wasCleaned reports whether the cleaning thread already handled rid.
@@ -971,12 +1050,12 @@ func (s *AppServer) DebugTry(rid id.ResultID) string {
 		}
 		return out + ")"
 	}
-	if owner, ok := s.regs.ReadA(rid); ok {
+	if owner, ok := s.log.ReadA(rid); ok {
 		fmt.Fprintf(&b, " regA=%s", owner)
 	} else {
 		fmt.Fprintf(&b, " regA=unset%s", inflight())
 	}
-	if dec, ok := s.regs.ReadD(rid); ok {
+	if dec, ok := s.log.ReadD(rid); ok {
 		fmt.Fprintf(&b, " regD=%s(participants=%v)", dec.Outcome, dec.Participants)
 	} else {
 		fmt.Fprintf(&b, " regD=unset%s", inflight())
@@ -996,13 +1075,7 @@ func (s *AppServer) DebugTry(rid id.ResultID) string {
 	fmt.Fprintf(&b, " pending=%v round=%s cached=%v cleaned=%v",
 		s.pending[rid], state, cached, s.cleaned[rid])
 	s.mu.Unlock()
-	var suspected []id.NodeID
-	for _, ai := range s.cfg.AppServers {
-		if ai != s.cfg.Self && s.det.Suspects(ai) {
-			suspected = append(suspected, ai)
-		}
-	}
-	fmt.Fprintf(&b, " suspects=%v", suspected)
+	fmt.Fprintf(&b, " suspects=%v", s.suspects())
 	fmt.Fprintf(&b, " consensus{%s}", s.cons.Stats())
 	if ws, ok := wireStats(s.cfg.Endpoint); ok {
 		fmt.Fprintf(&b, " wire{%s}", ws)
@@ -1232,8 +1305,12 @@ func (t *Tx) claimA() error {
 		return errNotOwner
 	}
 	s := t.s
+	if s.onePhase {
+		t.claim = claimOwned // nothing to write
+		return nil
+	}
 	t0 := s.cfg.Hooks.now()
-	winner, err := s.regs.WriteA(s.ctx, t.rid, s.cfg.Self)
+	winner, err := s.log.WriteA(s.ctx, t.rid, s.cfg.Self)
 	if err != nil {
 		t.claim = claimLost
 		return err // shutting down

@@ -51,6 +51,8 @@ func TestAppServerConfigValidation(t *testing.T) {
 		{"no logic", AppServerConfig{Self: id.AppServer(1), AppServers: apps, DataServers: dbs, Endpoint: ep}},
 		{"no app servers", AppServerConfig{Self: id.AppServer(1), DataServers: dbs, Endpoint: ep, Logic: noopLogic()}},
 		{"no db servers", AppServerConfig{Self: id.AppServer(1), AppServers: apps, Endpoint: ep, Logic: noopLogic()}},
+		{"log that does not arbitrate, two servers", AppServerConfig{Self: id.AppServer(1),
+			AppServers: []id.NodeID{id.AppServer(1), id.AppServer(2)}, DataServers: dbs, Endpoint: ep, Logic: noopLogic(), Log: NoLog}},
 	}
 	for _, tc := range cases {
 		if _, err := NewAppServer(tc.cfg); err == nil {

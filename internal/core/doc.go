@@ -51,6 +51,18 @@
 // Exec, never from a GetFast snapshot: otherwise one server could answer a
 // read while another commits a write for the same try.
 //
+// The baselines of the paper's Figures 7 and 8 differ from this protocol
+// only in what a try's owner (regA) and decision (regD) are written to, so
+// they are points of AppServer: every regA and regD access goes through its
+// TryLog (AppServerConfig.Log). AR, the default, writes wo-registers over
+// consensus, which arbitrate between executor and cleaner. Presumed-nothing
+// 2PC (baseline.TwoPCLog) forces a start record at the claim and an outcome
+// record at decide to the lone server's disk, and grants every write. The
+// unreliable baseline (NoLog) writes nothing: a computed try sends its
+// participants msg.Commit1P in one round, and a refusal aborts it, with no
+// log-start, prepare or log-outcome span. A lone server's consensus node and
+// heartbeat idle: with no peer, neither sends a message.
+//
 // There is one batched design and no batching switch: the paper's protocol
 // is its depth-1 point. Every register write rides the cohort sequencer into
 // a consensus slot, and every Prepare/Decide leaves at once, one per

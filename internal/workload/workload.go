@@ -3,9 +3,10 @@
 // Appendix 3).
 //
 // Logic bodies are written once against the Execer interface, which both
-// core.Tx (the replicated protocol) and baseline.Tx (the comparison
-// protocols) satisfy, so every protocol runs byte-identical business code —
-// the property that makes the Figure-8 comparison fair.
+// core.Tx and baseline.Tx satisfy, so every protocol runs byte-identical
+// business code — the property that makes the Figure-8 comparison fair.
+// core.Tx serves the replicated protocol and, through its TryLog seam, the
+// unreliable and 2PC baselines; baseline.Tx serves primary-backup alone.
 package workload
 
 import (
@@ -19,7 +20,8 @@ import (
 	"etx/internal/msg"
 )
 
-// Execer is the data-access surface shared by core.Tx and baseline.Tx.
+// Execer is the data-access surface shared by core.Tx and primary-backup's
+// baseline.Tx.
 type Execer interface {
 	Exec(ctx context.Context, db id.NodeID, op msg.Op) (msg.OpResult, error)
 	DBs() []id.NodeID
@@ -27,14 +29,14 @@ type Execer interface {
 
 // Router is the optional key-routing surface: core.Tx implements it over the
 // deployment's placement map. Logics written against HomeOf work unchanged
-// on the baseline protocols, whose Tx routes everything to the first
-// database.
+// on primary-backup, whose Tx routes everything to the first database.
 type Router interface {
 	Home(key string) id.NodeID
 }
 
 // HomeOf returns the database server owning key: the placement-routed home
-// when x routes (core.Tx), the first database otherwise (baseline.Tx).
+// when x routes (core.Tx), the first database otherwise (primary-backup's
+// baseline.Tx).
 func HomeOf(x Execer, key string) id.NodeID {
 	if r, ok := x.(Router); ok {
 		return r.Home(key)
